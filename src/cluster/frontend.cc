@@ -6,11 +6,12 @@
 #include <cstdlib>
 #include <iterator>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "cluster/merge.h"
 #include "cluster/shard_client.h"
-#include "obs/prometheus.h"
 #include "service/protocol.h"
 #include "service/query_cache.h"
 #include "util/string_util.h"
@@ -72,36 +73,81 @@ bool ParseStatValue(std::string_view token, std::uint64_t* out) {
   return true;
 }
 
-/// Summable downstream STATS keys: plain counters, not latency
-/// percentiles (a sum of p99s is meaningless).
-bool SummableStatKey(std::string_view key) {
-  constexpr std::string_view kUs = "_us";
-  return key.size() < kUs.size() ||
-         key.substr(key.size() - kUs.size()) != kUs;
+/// The "key value" lines of a downstream payload (STATS or an admin
+/// verb's reply) whose value is an unsigned integer, in order.
+std::vector<std::pair<std::string, std::uint64_t>> ParseKeyValues(
+    const std::vector<std::string>& payload) {
+  std::vector<std::pair<std::string, std::uint64_t>> pairs;
+  for (const std::string& line : payload) {
+    std::vector<std::string_view> tokens = SplitNonEmpty(line, " \t");
+    std::uint64_t value = 0;
+    if (tokens.size() == 2 && ParseStatValue(tokens[1], &value)) {
+      pairs.emplace_back(std::string(tokens[0]), value);
+    }
+  }
+  return pairs;
 }
 
-/// Downstream gauges: point-in-time values a sum would inflate by the
-/// replica count (every replica of a shard reports the same snapshot
-/// state). Aggregated by max — the conservative "worst replica" reading.
-/// Note "engines" is deliberately NOT here: shards partition the engine
-/// registry, so summing across shards is the cluster total.
-bool GaugeStatKey(std::string_view key) {
-  constexpr std::string_view kGauges[] = {
-      "cache_entries",
-      "cache_bytes",
-      "dispatch_queue_depth",
-      "representative_stale",
-      "representative_packed_engines",
-      "representative_packed_bytes",
-      "snapshot_epoch",
-  };
-  for (std::string_view gauge : kGauges) {
-    if (key == gauge) return true;
-  }
-  return false;
-}
+/// The engine count key of STATS and of the admin verbs' replies.
+constexpr char kEnginesKey[] = "engines";
+
+using enum service::MetricKind;
+using enum service::Aggregation;
+
+enum ClusterSource : int {
+  kShards,
+  kReplicas,
+  kStaleShards,
+  kLiveReplicas,  // per shard
+  kDegradedReplies,
+  kRerouted,
+  kShardErrors,
+  kRoundtrip,           // per shard
+  kDownstreamRequests,  // per shard
+  kDownstreamErrors,    // per shard
+};
+
+/// The front-end's own health metrics, rendered after its service::Stats
+/// rows. No front-end fans out to another, so none of them aggregates.
+constexpr service::MetricRow kClusterRows[] = {
+    {"cluster_shards", "useful_cluster_shards", kGauge, kNone, kShards,
+     "Shards in the cluster spec."},
+    {"cluster_replicas", nullptr, kGauge, kNone, kReplicas, nullptr},
+    {"stale_shards", "useful_cluster_stale_shards", kGauge, kNone,
+     kStaleShards, "Shards whose last fan-out found no live replica."},
+    {"shard%s_live_replicas", "useful_cluster_live_replicas", kGauge, kNone,
+     kLiveReplicas, "Replicas currently eligible for routing, per shard.",
+     "shard"},
+    {"degraded_replies", "useful_cluster_degraded_replies_total", kCounter,
+     kNone, kDegradedReplies,
+     "Replies served with one or more shards missing."},
+    {"rerouted", "useful_cluster_rerouted_total", kCounter, kNone, kRerouted,
+     "Shard legs that failed over to another replica."},
+    {"shard_errors", "useful_cluster_shard_errors_total", kCounter, kNone,
+     kShardErrors, "Replica transport failures observed by the front-end."},
+    {nullptr, "useful_shard_roundtrip_seconds", kHistogram, kNone,
+     kRoundtrip, "Full scatter-gather round-trip per request, per shard.",
+     "shard"},
+    {nullptr, "useful_cluster_downstream_requests_total", kGauge, kNone,
+     kDownstreamRequests,
+     "requests_total reported by each shard at this scrape.", "shard"},
+    {nullptr, "useful_cluster_downstream_errors_total", kGauge, kNone,
+     kDownstreamErrors, "errors_total reported by each shard at this scrape.",
+     "shard"},
+};
 
 }  // namespace
+
+/// One STATS fan-out: the per-shard request/error totals and the agg_
+/// values of every declared downstream key (std::map keeps the agg_
+/// lines in a deterministic order).
+struct Frontend::StatsFan {
+  std::map<std::string, std::uint64_t> agg;
+  std::uint64_t engines = 0;
+  std::vector<std::uint64_t> requests;
+  std::vector<std::uint64_t> errors;
+  std::size_t answered = 0;
+};
 
 struct Frontend::PendingCall {
   std::ptrdiff_t replica = -1;  // candidate that accepted the Start
@@ -429,66 +475,83 @@ Reply Frontend::DoRank(const Request& request, obs::Trace* trace) {
   return reply;
 }
 
-Reply Frontend::DoStats() {
+Frontend::StatsFan Frontend::FanStats() {
   std::vector<ShardOutcome> outcomes;
   FanOut("STATS", &outcomes);
+  StatsFan fan;
+  fan.requests.resize(shards_.size());
+  fan.errors.resize(shards_.size());
+  const std::string_view requests_key =
+      service::Stats::KeyOf(service::Stats::kRequests);
+  const std::string_view errors_key =
+      service::Stats::KeyOf(service::Stats::kErrors);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (!outcomes[i].reached || !outcomes[i].reply.ok) continue;
+    ++fan.answered;
+    for (const auto& [key, value] :
+         ParseKeyValues(outcomes[i].reply.payload)) {
+      if (key == requests_key) fan.requests[i] = value;
+      if (key == errors_key) fan.errors[i] = value;
+      // A key the service table does not declare is not aggregated.
+      std::optional<service::Aggregation> agg =
+          service::Stats::AggregationOf(key);
+      if (agg == kSum) fan.agg[key] += value;
+      if (agg == kMax) fan.agg[key] = std::max(fan.agg[key], value);
+    }
+  }
+  auto engines = fan.agg.find(kEnginesKey);
+  if (engines != fan.agg.end()) fan.engines = engines->second;
+  return fan;
+}
 
-  // Aggregate every summable downstream counter — except gauges, which a
-  // sum would inflate by the replica count and which take the max across
-  // replicas instead. std::map keeps agg_ lines in a deterministic order.
-  std::map<std::string, std::uint64_t> agg;
-  std::size_t shards_answered = 0;
-  for (const ShardOutcome& outcome : outcomes) {
-    if (!outcome.reached || !outcome.reply.ok) continue;
-    ++shards_answered;
-    for (const std::string& line : outcome.reply.payload) {
-      std::vector<std::string_view> tokens = SplitNonEmpty(line, " \t");
-      std::uint64_t value = 0;
-      if (tokens.size() != 2 || !SummableStatKey(tokens[0]) ||
-          !ParseStatValue(tokens[1], &value)) {
-        continue;
-      }
-      std::string key(tokens[0]);
-      if (GaugeStatKey(key)) {
-        agg[key] = std::max(agg[key], value);
+service::MetricReader Frontend::ClusterReader(const StatsFan& fan) const {
+  return [this, &fan](int source) {
+    auto one = [](std::uint64_t value) {
+      return std::vector<service::MetricSeries>{{"", value}};
+    };
+    switch (source) {
+      case kShards: return one(shards_.size());
+      case kReplicas: return one(spec_.num_replicas());
+      case kStaleShards: return one(stale_shards());
+      case kDegradedReplies: return one(degraded_replies());
+      case kRerouted: return one(rerouted());
+      case kShardErrors: return one(shard_errors());
+    }
+    std::vector<service::MetricSeries> series(shards_.size());
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      series[i].label = std::to_string(i);
+      if (source == kLiveReplicas) {
+        for (const auto& replica : shards_[i]->replicas) {
+          if (ReplicaLive(*replica)) ++series[i].value;
+        }
+      } else if (source == kRoundtrip) {
+        series[i].histogram = &shards_[i]->roundtrip;
       } else {
-        agg[key] += value;
+        series[i].value = source == kDownstreamRequests ? fan.requests[i]
+                                                        : fan.errors[i];
       }
     }
-  }
+    return series;
+  };
+}
 
+std::span<const service::MetricRow> Frontend::MetricTable() {
+  return kClusterRows;
+}
+
+Reply Frontend::DoStats() {
+  StatsFan fan = FanStats();
   Reply reply;
-  std::size_t engines = agg.count("engines") ? agg["engines"] : 0;
   reply.payload =
-      stats_.Render(service::QueryCache::Counters{}, engines);
-  reply.payload.push_back(
-      StringPrintf("cluster_shards %zu", shards_.size()));
-  reply.payload.push_back(
-      StringPrintf("cluster_replicas %zu", spec_.num_replicas()));
-  reply.payload.push_back(
-      StringPrintf("stale_shards %zu", stale_shards()));
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::size_t live = 0;
-    for (const auto& replica : shards_[i]->replicas) {
-      if (ReplicaLive(*replica)) ++live;
-    }
-    reply.payload.push_back(
-        StringPrintf("shard%zu_live_replicas %zu", i, live));
+      stats_.Render(service::QueryCache::Counters{}, fan.engines);
+  for (std::string& line :
+       service::RenderStatsRows(kClusterRows, ClusterReader(fan))) {
+    reply.payload.push_back(std::move(line));
   }
-  reply.payload.push_back(StringPrintf(
-      "degraded_replies %llu",
-      static_cast<unsigned long long>(degraded_replies())));
-  reply.payload.push_back(StringPrintf(
-      "rerouted %llu", static_cast<unsigned long long>(rerouted())));
-  reply.payload.push_back(StringPrintf(
-      "shard_errors %llu",
-      static_cast<unsigned long long>(shard_errors())));
-  for (const auto& [key, value] : agg) {
-    reply.payload.push_back(StringPrintf(
-        "agg_%s %llu", key.c_str(),
-        static_cast<unsigned long long>(value)));
+  for (const auto& [key, value] : fan.agg) {
+    reply.payload.push_back("agg_" + key + ' ' + std::to_string(value));
   }
-  reply.degraded = shards_answered < shards_.size();
+  reply.degraded = fan.answered < shards_.size();
   return reply;
 }
 
@@ -496,82 +559,15 @@ Reply Frontend::DoMetrics() {
   // Sample downstream totals by fanning the cheap key-value STATS, not
   // METRICS: re-exposing another process's Prometheus series verbatim
   // would collide with this process's own.
-  std::vector<ShardOutcome> outcomes;
-  FanOut("STATS", &outcomes);
-
-  std::vector<std::uint64_t> shard_requests(shards_.size(), 0);
-  std::vector<std::uint64_t> shard_req_errors(shards_.size(), 0);
-  std::uint64_t engines = 0;
-  std::size_t shards_answered = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].reached || !outcomes[i].reply.ok) continue;
-    ++shards_answered;
-    for (const std::string& line : outcomes[i].reply.payload) {
-      std::vector<std::string_view> tokens = SplitNonEmpty(line, " \t");
-      std::uint64_t value = 0;
-      if (tokens.size() != 2 || !ParseStatValue(tokens[1], &value)) continue;
-      if (tokens[0] == "requests_total") shard_requests[i] = value;
-      if (tokens[0] == "errors_total") shard_req_errors[i] = value;
-      if (tokens[0] == "engines") engines += value;
-    }
-  }
-
+  StatsFan fan = FanStats();
   Reply reply;
   reply.payload =
-      stats_.RenderMetrics(service::QueryCache::Counters{}, engines);
-
-  obs::MetricsBuilder b;
-  b.Gauge("useful_cluster_shards", "Shards in the cluster spec.",
-          static_cast<double>(shards_.size()));
-  b.Gauge("useful_cluster_stale_shards",
-          "Shards whose last fan-out found no live replica.",
-          static_cast<double>(stale_shards()));
-  b.Family("useful_cluster_live_replicas",
-           "Replicas currently eligible for routing, per shard.", "gauge");
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::size_t live = 0;
-    for (const auto& replica : shards_[i]->replicas) {
-      if (ReplicaLive(*replica)) ++live;
-    }
-    b.Sample("useful_cluster_live_replicas",
-             StringPrintf("shard=\"%zu\"", i),
-             static_cast<std::uint64_t>(live));
+      stats_.RenderMetrics(service::QueryCache::Counters{}, fan.engines);
+  for (std::string& line :
+       service::RenderMetricsRows(kClusterRows, ClusterReader(fan))) {
+    reply.payload.push_back(std::move(line));
   }
-  b.Counter("useful_cluster_degraded_replies_total",
-            "Replies served with one or more shards missing.",
-            degraded_replies());
-  b.Counter("useful_cluster_rerouted_total",
-            "Shard legs that failed over to another replica.", rerouted());
-  b.Counter("useful_cluster_shard_errors_total",
-            "Replica transport failures observed by the front-end.",
-            shard_errors());
-  b.Family("useful_shard_roundtrip_seconds",
-           "Full scatter-gather round-trip per request, per shard.",
-           "histogram");
-  const std::vector<std::uint64_t>& bounds =
-      obs::DefaultLatencyBoundsMicros();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    b.HistogramSeries("useful_shard_roundtrip_seconds",
-                      StringPrintf("shard=\"%zu\"", i),
-                      shards_[i]->roundtrip, bounds);
-  }
-  b.Family("useful_cluster_downstream_requests_total",
-           "requests_total reported by each shard at this scrape.", "gauge");
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    b.Sample("useful_cluster_downstream_requests_total",
-             StringPrintf("shard=\"%zu\"", i), shard_requests[i]);
-  }
-  b.Family("useful_cluster_downstream_errors_total",
-           "errors_total reported by each shard at this scrape.", "gauge");
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    b.Sample("useful_cluster_downstream_errors_total",
-             StringPrintf("shard=\"%zu\"", i), shard_req_errors[i]);
-  }
-  std::vector<std::string> cluster_lines = b.TakeLines();
-  reply.payload.insert(reply.payload.end(),
-                       std::make_move_iterator(cluster_lines.begin()),
-                       std::make_move_iterator(cluster_lines.end()));
-  reply.degraded = shards_answered < shards_.size();
+  reply.degraded = fan.answered < shards_.size();
   return reply;
 }
 
@@ -625,17 +621,9 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
       ++successes;
       // "engines <n>" / "<count_key> <k>" — every replica of a shard
       // reports the same slice, so last-wins within the shard is fine.
-      for (const std::string& payload_line : shard_reply.payload) {
-        std::vector<std::string_view> tokens =
-            SplitNonEmpty(payload_line, " \t");
-        std::uint64_t value = 0;
-        if (tokens.size() != 2 || !ParseStatValue(tokens[1], &value)) {
-          continue;
-        }
-        if (tokens[0] == "engines") shard_engines = value;
-        if (count_key != nullptr && tokens[0] == count_key) {
-          shard_count = value;
-        }
+      for (const auto& [key, value] : ParseKeyValues(shard_reply.payload)) {
+        if (key == kEnginesKey) shard_engines = value;
+        if (count_key != nullptr && key == count_key) shard_count = value;
       }
     }
     shards_[s]->down.store(successes == 0 && not_founds == 0,
@@ -669,7 +657,7 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
     // Non-owner shards answered ERR and never reported their engine
     // count, so a partial sum would lie; omit the line instead.
     reply.payload.push_back(StringPrintf(
-        "engines %llu", static_cast<unsigned long long>(engines)));
+        "%s %llu", kEnginesKey, static_cast<unsigned long long>(engines)));
   }
   reply.degraded = any_replica_failed;
   return reply;

@@ -12,11 +12,13 @@
 //                   single process holding every representative; the
 //                   paper's per-engine independence is what makes this
 //                   safe), apply the ROUTE top-k cap after the merge.
-//   STATS           local stats + cluster health lines + agg_<key> sums
-//                   of every summable downstream counter.
-//   METRICS         local Prometheus families + cluster gauges/counters,
-//                   per-shard round-trip histograms, and per-shard
-//                   downstream request/error totals sampled via STATS.
+//   STATS           local stats + the cluster health rows + agg_<key>
+//                   lines folding each downstream key by the aggregation
+//                   the service metric table declares for it.
+//   METRICS         local Prometheus families + the cluster health rows:
+//                   gauges/counters, per-shard round-trip histograms, and
+//                   per-shard downstream request/error totals sampled via
+//                   STATS.
 //   RELOAD          fan to EVERY replica (each holds its own snapshot);
 //                   any shard with zero successes fails the reload.
 //   ADD/UPDATE      fan to EVERY replica like RELOAD; shards apply their
@@ -53,6 +55,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,6 +118,10 @@ class Frontend : public service::RequestHandler {
     return shard_errors_.load(std::memory_order_relaxed);
   }
 
+  /// The front-end's health metric table (its STATS/METRICS rows after
+  /// the service::Stats ones).
+  static std::span<const service::MetricRow> MetricTable();
+
  private:
   struct Replica {
     Endpoint endpoint;
@@ -162,6 +169,11 @@ class Frontend : public service::RequestHandler {
   service::Reply DoRank(const service::Request& request, obs::Trace* trace);
   service::Reply DoStats();
   service::Reply DoMetrics();
+  /// Fans STATS to one replica per shard and folds the replies.
+  struct StatsFan;
+  StatsFan FanStats();
+  /// Reads the cluster health rows, with downstream totals from `fan`.
+  service::MetricReader ClusterReader(const StatsFan& fan) const;
   service::Reply DoSlowlog(const service::Request& request);
 
   /// Shared fan-to-every-replica engine for the snapshot-mutating verbs

@@ -262,7 +262,7 @@ Connection::DeadlineKind Connection::OnDeadline(Clock::time_point now) {
   if (closing_) return DeadlineKind::kNone;
   if (out_off_ < out_.size()) {
     if (options_->write_timeout_ms > 0 && now >= write_deadline_) {
-      stats_->RecordWriteTimeout();
+      stats_->Add(Stats::kWriteTimeouts);
       // No error line: the peer is not draining writes by definition.
       closing_ = true;
       return DeadlineKind::kWrite;
@@ -274,7 +274,7 @@ Connection::DeadlineKind Connection::OnDeadline(Clock::time_point now) {
     if (options_->request_timeout_ms > 0 &&
         now >= partial_since_ +
                    std::chrono::milliseconds(options_->request_timeout_ms)) {
-      stats_->RecordRequestTimeout();
+      stats_->Add(Stats::kRequestTimeouts);
       SendErrorLine(fd_, Status::DeadlineExceeded("request timeout"),
                     kErrorLineBudgetMs);
       closing_ = true;
@@ -286,7 +286,7 @@ Connection::DeadlineKind Connection::OnDeadline(Clock::time_point now) {
     if (options_->idle_timeout_ms > 0 &&
         now >= last_activity_ +
                    std::chrono::milliseconds(options_->idle_timeout_ms)) {
-      stats_->RecordIdleTimeout();
+      stats_->Add(Stats::kIdleTimeouts);
       SendErrorLine(fd_, Status::DeadlineExceeded("idle timeout"),
                     kErrorLineBudgetMs);
       closing_ = true;

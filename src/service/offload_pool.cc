@@ -18,7 +18,7 @@ void OffloadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back({std::move(task), std::chrono::steady_clock::now()});
-    stats_->SetDispatchQueueDepth(queue_.size());
+    stats_->Set(Stats::kDispatchQueueDepth, queue_.size());
   }
   ready_.notify_one();
 }
@@ -42,7 +42,7 @@ void OffloadPool::WorkerLoop() {
       if (queue_.empty()) return;  // closed and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      stats_->SetDispatchQueueDepth(queue_.size());
+      stats_->Set(Stats::kDispatchQueueDepth, queue_.size());
     }
     auto waited = std::chrono::steady_clock::now() - task.enqueued;
     auto micros =

@@ -114,7 +114,7 @@ void Reactor::Run() {
 
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), WaitTimeoutMs());
-    stats_->RecordEpollWakeup();
+    stats_->Add(Stats::kEpollWakeups);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll itself broke; nothing recoverable
@@ -188,7 +188,7 @@ void Reactor::RegisterAdopted(int fd) {
     return;
   }
   conn->registered_mask = ev.events;
-  stats_->RecordConnectionOpened();
+  stats_->Add(Stats::kConnsOpened);
   ScheduleDeadline(conn.get());
   conns_.emplace(id, std::move(conn));
 }
@@ -251,7 +251,8 @@ void Reactor::Dispatch(Connection* conn) {
   std::size_t max_lines =
       options_->max_batch_lines > 0 ? options_->max_batch_lines : 1;
   std::vector<std::string> lines = conn->TakeBatch(max_lines);
-  stats_->RecordDispatch(lines.size());
+  stats_->Add(Stats::kDispatches);
+  stats_->Add(Stats::kDispatchedLines, lines.size());
   std::uint64_t id = conn->id();
   Clock::time_point submitted = Clock::now();
   pool_->Submit([this, id, submitted, lines = std::move(lines)]() mutable {

@@ -195,7 +195,7 @@ void Server::AcceptLoop(int listen_fd, std::ptrdiff_t reactor_index) {
     int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (IsAcceptResourceError(errno)) {
-        stats->RecordAcceptError();
+        stats->Add(Stats::kAcceptErrors);
         // The condition clears only when some connection closes; sleeping
         // cedes the core and bounds the retry rate. Short enough that the
         // stop flag is still observed promptly.
@@ -213,7 +213,7 @@ void Server::AcceptLoop(int listen_fd, std::ptrdiff_t reactor_index) {
         unclaimed_.load(std::memory_order_relaxed) >=
             options_.max_accept_queue;
     if (over_connections || over_queue) {
-      stats->RecordOverloadShed();
+      stats->Add(Stats::kConnsShed);
       SendErrorLine(fd,
                     Status::Unavailable(
                         over_connections

@@ -163,10 +163,11 @@ void Service::PublishLocked(
   }
   snap->epoch = epoch_;
   snap->broker = std::move(broker);
-  stats_.SetRepresentativeStale(snap->broker->num_stale_representatives());
-  stats_.SetPackedStore(snap->broker->num_store_engines(),
-                        snap->broker->store_bytes());
-  stats_.SetSnapshotEpoch(epoch_);
+  stats_.Set(Stats::kRepresentativeStale,
+             snap->broker->num_stale_representatives());
+  stats_.Set(Stats::kPackedEngines, snap->broker->num_store_engines());
+  stats_.Set(Stats::kPackedBytes, snap->broker->store_bytes());
+  stats_.Set(Stats::kSnapshotEpoch, epoch_);
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snap);
 }
@@ -204,7 +205,7 @@ Status Service::Reload() {
   PublishLocked(std::move(next).value());
   cache_.SetMinEpoch(epoch_);
   cache_.Clear();
-  stats_.RecordReload();
+  stats_.Add(Stats::kReloads);
   return Status::OK();
 }
 
@@ -235,7 +236,7 @@ Status Service::AddEngines(const std::string& path, std::size_t* added_out) {
   // accepted epoch stays put and every cached entry keeps serving.
   ++epoch_;
   PublishLocked(std::move(clone));
-  stats_.RecordEnginesAdded(added);
+  stats_.Add(Stats::kEnginesAdded, added);
   return Status::OK();
 }
 
@@ -251,7 +252,7 @@ Status Service::DropEngine(const std::string& engine) {
   // computed under the old snapshot is refused, so the sweep is final.
   cache_.SetMinEpoch(epoch_);
   cache_.ErasePrefix(engine + '\x1f');
-  stats_.RecordEnginesDropped(1);
+  stats_.Add(Stats::kEnginesDropped);
   return Status::OK();
 }
 
@@ -305,7 +306,7 @@ Status Service::UpdateEngines(const std::string& path,
   for (const std::string& name : touched) {
     cache_.ErasePrefix(name + '\x1f');
   }
-  stats_.RecordEnginesUpdated(touched.size());
+  stats_.Add(Stats::kEnginesUpdated, touched.size());
   return Status::OK();
 }
 

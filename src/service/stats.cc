@@ -1,26 +1,220 @@
 #include "service/stats.h"
 
+#include <map>
+
 #include "obs/prometheus.h"
 #include "util/string_util.h"
 
 namespace useful::service {
 
+namespace {
+
+using enum MetricKind;
+using enum Aggregation;
+
+/// Row sources read at render time, after the recorded Stat slots.
+enum Source : int {
+  kEngines = Stats::kNumStats,
+  kCacheHits,
+  kCacheMisses,
+  kCacheEvictions,
+  kCacheExpired,
+  kCacheEntries,
+  kCacheBytes,
+  kSampleRate,
+  kSlowlogInserted,
+  kSlowlogDropped,
+  kConnLifetime,
+  kOffloadWait,
+  kCommandLatency,  // labeled by command
+  kStageLatency,    // labeled by stage
+};
+
+/// The service tier's metrics: the one place to add one.
+constexpr MetricRow kRows[] = {
+    {"requests_total", "useful_requests_total", kCounter, kSum,
+     Stats::kRequests, "Request lines executed, including parse errors."},
+    {"errors_total", "useful_errors_total", kCounter, kSum, Stats::kErrors,
+     "Requests answered with an ERR header."},
+    // Summed: shards partition the engines, so the sum is the cluster's.
+    {"engines", nullptr, kGauge, kSum, kEngines, nullptr},
+    {"reloads", "useful_reloads_total", kCounter, kSum, Stats::kReloads,
+     "Successful representative reloads."},
+    {"engines_added", "useful_engines_added_total", kCounter, kSum,
+     Stats::kEnginesAdded, "Engines registered by the ADD verb."},
+    {"engines_dropped", "useful_engines_dropped_total", kCounter, kSum,
+     Stats::kEnginesDropped, "Engines removed by the DROP verb."},
+    {"engines_updated", "useful_engines_updated_total", kCounter, kSum,
+     Stats::kEnginesUpdated,
+     "Engine representatives replaced by the UPDATE verb."},
+    {"snapshot_epoch", "useful_snapshot_epoch", kGauge, kMax,
+     Stats::kSnapshotEpoch,
+     "Monotone serving-snapshot version (bumped by every successful "
+     "RELOAD/ADD/DROP/UPDATE)."},
+    {nullptr, "useful_engines", kGauge, kNone, kEngines,
+     "Engines in the serving snapshot."},
+    {"representative_stale", "useful_representative_stale", kGauge, kMax,
+     Stats::kRepresentativeStale,
+     "Loaded representatives whose max weights are stale upper bounds "
+     "(producer removed documents without a rebuild)."},
+    {"representative_packed_engines", "useful_representative_packed_engines",
+     kGauge, kMax, Stats::kPackedEngines,
+     "Engines served zero-copy from mmap'd URPZ packed stores."},
+    {"representative_packed_bytes", "useful_representative_packed_bytes",
+     kGauge, kMax, Stats::kPackedBytes,
+     "Total bytes of the packed store images behind the snapshot."},
+    {"cache_hits", "useful_cache_hits_total", kCounter, kSum, kCacheHits,
+     "Query cache hits."},
+    {"cache_misses", "useful_cache_misses_total", kCounter, kSum,
+     kCacheMisses, "Query cache misses."},
+    {"cache_evictions", "useful_cache_evictions_total", kCounter, kSum,
+     kCacheEvictions, "Query cache LRU evictions."},
+    {"cache_expired_generation", "useful_cache_expired_generation_total",
+     kCounter, kSum, kCacheExpired,
+     "Cache entries swept by a scoped invalidation plus Puts refused for "
+     "carrying a retired snapshot epoch."},
+    {"cache_entries", "useful_cache_entries", kGauge, kMax, kCacheEntries,
+     "Query cache resident entries."},
+    {"cache_bytes", "useful_cache_bytes", kGauge, kMax, kCacheBytes,
+     "Query cache resident bytes."},
+    {"conns_opened", "useful_connections_opened_total", kCounter, kSum,
+     Stats::kConnsOpened, "Connections accepted and handed to a worker."},
+    {"conns_closed", "useful_connections_closed_total", kCounter, kSum,
+     kConnLifetime, "Connections closed."},
+    {"conns_shed", "useful_connections_shed_total", kCounter, kSum,
+     Stats::kConnsShed, "Connections shed at accept time under overload."},
+    {"conns_idle_timeout", "useful_connections_idle_timeout_total", kCounter,
+     kSum, Stats::kIdleTimeouts,
+     "Connections dropped for idling past the deadline."},
+    {"conns_request_timeout", "useful_connections_request_timeout_total",
+     kCounter, kSum, Stats::kRequestTimeouts,
+     "Connections dropped with a partial request pending too long."},
+    {"conns_write_timeout", "useful_connections_write_timeout_total",
+     kCounter, kSum, Stats::kWriteTimeouts,
+     "Connections dropped because the peer stopped draining writes."},
+    {"accept_errors", "useful_accept_errors_total", kCounter, kSum,
+     Stats::kAcceptErrors, "accept() failures worth backing off for."},
+    {"epoll_wakeups", "useful_epoll_wakeups_total", kCounter, kSum,
+     Stats::kEpollWakeups, "epoll_wait returns across all reactor threads."},
+    {"dispatches", "useful_dispatches_total", kCounter, kSum,
+     Stats::kDispatches,
+     "Request batches handed to the estimation offload pool."},
+    {"dispatched_lines", "useful_dispatched_lines_total", kCounter, kSum,
+     Stats::kDispatchedLines,
+     "Request lines contained in dispatched batches."},
+    {"dispatch_queue_depth", "useful_dispatch_queue_depth", kGauge, kMax,
+     Stats::kDispatchQueueDepth,
+     "Batches queued at the estimation offload pool, not yet picked up by "
+     "a worker."},
+    {"offload_wait", nullptr, kHistogram, kNone, kOffloadWait, nullptr},
+    {"conn_lifetime", nullptr, kHistogram, kNone, kConnLifetime, nullptr},
+    {nullptr, "useful_trace_sample_rate", kGauge, kNone, kSampleRate,
+     "Trace sampling denominator (0 disables tracing)."},
+    {nullptr, "useful_traces_sampled_total", kCounter, kNone,
+     Stats::kTracesSampled, "Requests that carried a sampled trace."},
+    {nullptr, "useful_slowlog_inserted_total", kCounter, kNone,
+     kSlowlogInserted, "Sampled traces retained by the slow-query log."},
+    {nullptr, "useful_slowlog_dropped_total", kCounter, kNone,
+     kSlowlogDropped,
+     "Sampled traces dropped on slow-query slot contention."},
+    {nullptr, "useful_command_requests_total", kCounter, kNone,
+     kCommandLatency, "Completed commands by protocol verb.", "command"},
+    {"cmd_%s", "useful_command_latency_seconds", kHistogram, kSum,
+     kCommandLatency, "Service-side wall latency by protocol verb.",
+     "command"},
+    {nullptr, "useful_stage_latency_seconds", kHistogram, kNone,
+     kStageLatency, "Sampled per-stage latency of the request pipeline.",
+     "stage"},
+    {nullptr, "useful_connection_lifetime_seconds", kHistogram, kNone,
+     kConnLifetime, "Lifetime of closed connections."},
+    {nullptr, "useful_offload_wait_seconds", kHistogram, kNone, kOffloadWait,
+     "Queue wait of dispatched batches at the estimation offload pool."},
+};
+
+using StatsLineFn =
+    std::function<void(std::string key, std::uint64_t value, Aggregation)>;
+
+/// Walks the STATS lines of `rows` in order.
+void ForEachStatsLine(std::span<const MetricRow> rows,
+                      const MetricReader& read, const StatsLineFn& emit) {
+  for (const MetricRow& row : rows) {
+    if (row.key == nullptr) continue;
+    for (const MetricSeries& series : read(row.source)) {
+      std::string key = row.key;
+      if (row.label != nullptr) key.replace(key.find("%s"), 2, series.label);
+      const util::LatencyHistogram* h = series.histogram;
+      if (row.kind != kHistogram) {
+        emit(key, h != nullptr ? h->count() : series.value, row.agg);
+        continue;
+      }
+      if (row.label != nullptr) emit(key + "_count", h->count(), row.agg);
+      emit(key + "_p50_us",
+           static_cast<std::uint64_t>(h->ValueAtPercentile(50.0)), kNone);
+      emit(key + "_p99_us",
+           static_cast<std::uint64_t>(h->ValueAtPercentile(99.0)), kNone);
+      emit(key + "_max_us", h->max(), kNone);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> RenderStatsRows(std::span<const MetricRow> rows,
+                                         const MetricReader& read) {
+  std::vector<std::string> lines;
+  ForEachStatsLine(rows, read,
+                   [&](std::string key, std::uint64_t value, Aggregation) {
+                     lines.push_back(key + ' ' + std::to_string(value));
+                   });
+  return lines;
+}
+
+std::vector<std::string> RenderMetricsRows(std::span<const MetricRow> rows,
+                                           const MetricReader& read) {
+  static constexpr const char* kTypes[] = {"counter", "gauge", "histogram"};
+  obs::MetricsBuilder b;
+  for (const MetricRow& row : rows) {
+    if (row.family == nullptr) continue;
+    b.Family(row.family, row.help, kTypes[static_cast<int>(row.kind)]);
+    for (const MetricSeries& series : read(row.source)) {
+      std::string labels;
+      if (row.label != nullptr) {
+        labels = std::string(row.label) + "=\"" + series.label + '"';
+      }
+      const util::LatencyHistogram* h = series.histogram;
+      if (row.kind == kHistogram) {
+        b.HistogramSeries(row.family, labels, *h,
+                          obs::DefaultLatencyBoundsMicros());
+      } else {
+        b.Sample(row.family, labels, h != nullptr ? h->count() : series.value);
+      }
+    }
+  }
+  return b.TakeLines();
+}
+
 void Stats::RecordCommand(CommandKind kind, std::uint64_t micros, bool ok) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (!ok) errors_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t i = static_cast<std::size_t>(kind);
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
-  latency_[i].Record(micros);
+  Add(kRequests);
+  if (!ok) Add(kErrors);
+  latency_[static_cast<std::size_t>(kind)].Record(micros);
 }
 
 void Stats::RecordParseError() {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  Add(kRequests);
+  Add(kErrors);
+}
+
+void Stats::RecordConnectionClosed(std::uint64_t lifetime_micros) {
+  conn_lifetime_.Record(lifetime_micros);
+}
+
+void Stats::RecordOffloadWait(std::uint64_t micros) {
+  offload_wait_.Record(micros);
 }
 
 void Stats::FinishTrace(const obs::Trace& trace) {
   if (!trace.sampled()) return;
-  traces_sampled_.fetch_add(1, std::memory_order_relaxed);
+  Add(kTracesSampled);
   for (std::size_t i = 0; i < obs::kNumStages; ++i) {
     obs::Stage stage = static_cast<obs::Stage>(i);
     if (trace.stage_touched(stage)) {
@@ -30,262 +224,83 @@ void Stats::FinishTrace(const obs::Trace& trace) {
   slowlog_.Insert(trace);
 }
 
-void Stats::RecordReload() {
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordEnginesAdded(std::size_t count) {
-  engines_added_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void Stats::RecordEnginesDropped(std::size_t count) {
-  engines_dropped_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void Stats::RecordEnginesUpdated(std::size_t count) {
-  engines_updated_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void Stats::RecordConnectionOpened() {
-  conns_opened_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordConnectionClosed(std::uint64_t lifetime_micros) {
-  conn_lifetime_.Record(lifetime_micros);
-}
-
-void Stats::RecordOverloadShed() {
-  sheds_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordIdleTimeout() {
-  idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordRequestTimeout() {
-  request_timeouts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordWriteTimeout() {
-  write_timeouts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordAcceptError() {
-  accept_errors_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordEpollWakeup() {
-  epoll_wakeups_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Stats::RecordDispatch(std::size_t batch_lines) {
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
-  dispatched_lines_.fetch_add(batch_lines, std::memory_order_relaxed);
-}
-
-void Stats::RecordOffloadWait(std::uint64_t micros) {
-  offload_wait_.Record(micros);
+std::vector<MetricSeries> Stats::Read(int source,
+                                      const QueryCache::Counters& cache,
+                                      std::size_t num_engines) const {
+  auto one = [](std::uint64_t value) {
+    return std::vector<MetricSeries>{{"", value}};
+  };
+  auto histogram = [](const util::LatencyHistogram& h) {
+    return std::vector<MetricSeries>{{"", 0, &h}};
+  };
+  if (source < kNumStats) return one(Get(static_cast<Stat>(source)));
+  switch (source) {
+    case kEngines: return one(num_engines);
+    case kCacheHits: return one(cache.hits);
+    case kCacheMisses: return one(cache.misses);
+    case kCacheEvictions: return one(cache.evictions);
+    case kCacheExpired: return one(cache.expired);
+    case kCacheEntries: return one(cache.entries);
+    case kCacheBytes: return one(cache.bytes);
+    case kSampleRate: return one(sampler_.rate());
+    case kSlowlogInserted: return one(slowlog_.inserted());
+    case kSlowlogDropped: return one(slowlog_.dropped());
+    case kConnLifetime: return histogram(conn_lifetime_);
+    case kOffloadWait: return histogram(offload_wait_);
+  }
+  std::vector<MetricSeries> series;
+  if (source == kCommandLatency) {
+    for (std::size_t i = 0; i < kNumCommands; ++i) {
+      series.push_back(
+          {CommandName(static_cast<CommandKind>(i)), 0, &latency_[i]});
+    }
+  } else {
+    for (std::size_t i = 0; i < obs::kNumStages; ++i) {
+      series.push_back(
+          {obs::StageName(static_cast<obs::Stage>(i)), 0, &stage_latency_[i]});
+    }
+  }
+  return series;
 }
 
 std::vector<std::string> Stats::Render(const QueryCache::Counters& cache,
                                        std::size_t num_engines) const {
-  std::vector<std::string> lines;
-  auto add = [&](const char* key, std::uint64_t value) {
-    lines.push_back(StringPrintf("%s %llu", key,
-                                 static_cast<unsigned long long>(value)));
-  };
-  add("requests_total", requests_total());
-  add("errors_total", errors_total());
-  add("engines", num_engines);
-  add("reloads", reloads());
-  add("engines_added", engines_added());
-  add("engines_dropped", engines_dropped());
-  add("engines_updated", engines_updated());
-  add("snapshot_epoch", snapshot_epoch());
-  add("representative_stale", representative_stale());
-  add("representative_packed_engines", representative_packed_engines());
-  add("representative_packed_bytes", representative_packed_bytes());
-  add("cache_hits", cache.hits);
-  add("cache_misses", cache.misses);
-  add("cache_evictions", cache.evictions);
-  add("cache_expired_generation", cache.expired);
-  add("cache_entries", cache.entries);
-  add("cache_bytes", cache.bytes);
-  add("conns_opened", connections_opened());
-  add("conns_closed", conn_lifetime_.count());
-  add("conns_shed", overload_sheds());
-  add("conns_idle_timeout", idle_timeouts());
-  add("conns_request_timeout", request_timeouts());
-  add("conns_write_timeout", write_timeouts());
-  add("accept_errors", accept_errors());
-  add("epoll_wakeups", epoll_wakeups());
-  add("dispatches", dispatches());
-  add("dispatched_lines", dispatched_lines());
-  add("dispatch_queue_depth", dispatch_queue_depth());
-  add("offload_wait_p50_us",
-      static_cast<std::uint64_t>(offload_wait_.ValueAtPercentile(50.0)));
-  add("offload_wait_p99_us",
-      static_cast<std::uint64_t>(offload_wait_.ValueAtPercentile(99.0)));
-  add("offload_wait_max_us", offload_wait_.max());
-  add("conn_lifetime_p50_us",
-      static_cast<std::uint64_t>(conn_lifetime_.ValueAtPercentile(50.0)));
-  add("conn_lifetime_p99_us",
-      static_cast<std::uint64_t>(conn_lifetime_.ValueAtPercentile(99.0)));
-  add("conn_lifetime_max_us", conn_lifetime_.max());
-  for (std::size_t i = 0; i < kNumCommands; ++i) {
-    CommandKind kind = static_cast<CommandKind>(i);
-    const util::LatencyHistogram& h = latency_[i];
-    const char* name = CommandName(kind);
-    lines.push_back(StringPrintf("cmd_%s_count %llu", name,
-                                 static_cast<unsigned long long>(h.count())));
-    lines.push_back(StringPrintf("cmd_%s_p50_us %llu", name,
-                                 static_cast<unsigned long long>(
-                                     h.ValueAtPercentile(50.0))));
-    lines.push_back(StringPrintf("cmd_%s_p99_us %llu", name,
-                                 static_cast<unsigned long long>(
-                                     h.ValueAtPercentile(99.0))));
-    lines.push_back(StringPrintf("cmd_%s_max_us %llu", name,
-                                 static_cast<unsigned long long>(h.max())));
-  }
-  return lines;
+  return RenderStatsRows(kRows, [&](int source) {
+    return Read(source, cache, num_engines);
+  });
 }
 
 std::vector<std::string> Stats::RenderMetrics(
     const QueryCache::Counters& cache, std::size_t num_engines) const {
-  obs::MetricsBuilder b;
-  const std::vector<std::uint64_t>& bounds = obs::DefaultLatencyBoundsMicros();
+  return RenderMetricsRows(kRows, [&](int source) {
+    return Read(source, cache, num_engines);
+  });
+}
 
-  b.Counter("useful_requests_total",
-            "Request lines executed, including parse errors.",
-            requests_total());
-  b.Counter("useful_errors_total",
-            "Requests answered with an ERR header.", errors_total());
-  b.Counter("useful_reloads_total", "Successful representative reloads.",
-            reloads());
-  b.Counter("useful_engines_added_total",
-            "Engines registered by the ADD verb.", engines_added());
-  b.Counter("useful_engines_dropped_total",
-            "Engines removed by the DROP verb.", engines_dropped());
-  b.Counter("useful_engines_updated_total",
-            "Engine representatives replaced by the UPDATE verb.",
-            engines_updated());
-  b.Gauge("useful_snapshot_epoch",
-          "Monotone serving-snapshot version (bumped by every successful "
-          "RELOAD/ADD/DROP/UPDATE).",
-          static_cast<double>(snapshot_epoch()));
-  b.Gauge("useful_engines", "Engines in the serving snapshot.",
-          static_cast<double>(num_engines));
-  b.Gauge("useful_representative_stale",
-          "Loaded representatives whose max weights are stale upper "
-          "bounds (producer removed documents without a rebuild).",
-          static_cast<double>(representative_stale()));
-  b.Gauge("useful_representative_packed_engines",
-          "Engines served zero-copy from mmap'd URPZ packed stores.",
-          static_cast<double>(representative_packed_engines()));
-  b.Gauge("useful_representative_packed_bytes",
-          "Total bytes of the packed store images behind the snapshot.",
-          static_cast<double>(representative_packed_bytes()));
+std::span<const MetricRow> Stats::MetricTable() { return kRows; }
 
-  b.Counter("useful_cache_hits_total", "Query cache hits.", cache.hits);
-  b.Counter("useful_cache_misses_total", "Query cache misses.", cache.misses);
-  b.Counter("useful_cache_evictions_total", "Query cache LRU evictions.",
-            cache.evictions);
-  b.Counter("useful_cache_expired_generation_total",
-            "Cache entries swept by a scoped invalidation plus Puts "
-            "refused for carrying a retired snapshot epoch.",
-            cache.expired);
-  b.Gauge("useful_cache_entries", "Query cache resident entries.",
-          static_cast<double>(cache.entries));
-  b.Gauge("useful_cache_bytes", "Query cache resident bytes.",
-          static_cast<double>(cache.bytes));
+std::optional<Aggregation> Stats::AggregationOf(std::string_view key) {
+  // Every key Render can print; the keys do not depend on the values.
+  static const std::map<std::string, Aggregation, std::less<>> declared = [] {
+    std::map<std::string, Aggregation, std::less<>> keys;
+    const Stats empty;
+    ForEachStatsLine(
+        kRows, [&](int source) { return empty.Read(source, {}, 0); },
+        [&](std::string key, std::uint64_t, Aggregation agg) {
+          keys.emplace(std::move(key), agg);
+        });
+    return keys;
+  }();
+  auto it = declared.find(key);
+  if (it == declared.end()) return std::nullopt;
+  return it->second;
+}
 
-  b.Counter("useful_connections_opened_total",
-            "Connections accepted and handed to a worker.",
-            connections_opened());
-  b.Counter("useful_connections_closed_total", "Connections closed.",
-            conn_lifetime_.count());
-  b.Counter("useful_connections_shed_total",
-            "Connections shed at accept time under overload.",
-            overload_sheds());
-  b.Counter("useful_connections_idle_timeout_total",
-            "Connections dropped for idling past the deadline.",
-            idle_timeouts());
-  b.Counter("useful_connections_request_timeout_total",
-            "Connections dropped with a partial request pending too long.",
-            request_timeouts());
-  b.Counter("useful_connections_write_timeout_total",
-            "Connections dropped because the peer stopped draining writes.",
-            write_timeouts());
-  b.Counter("useful_accept_errors_total",
-            "accept() failures worth backing off for.", accept_errors());
-
-  b.Counter("useful_epoll_wakeups_total",
-            "epoll_wait returns across all reactor threads.",
-            epoll_wakeups());
-  b.Counter("useful_dispatches_total",
-            "Request batches handed to the estimation offload pool.",
-            dispatches());
-  b.Counter("useful_dispatched_lines_total",
-            "Request lines contained in dispatched batches.",
-            dispatched_lines());
-  b.Gauge("useful_dispatch_queue_depth",
-          "Batches queued at the estimation offload pool, not yet "
-          "picked up by a worker.",
-          static_cast<double>(dispatch_queue_depth()));
-
-  b.Gauge("useful_trace_sample_rate",
-          "Trace sampling denominator (0 disables tracing).",
-          static_cast<double>(sampler_.rate()));
-  b.Counter("useful_traces_sampled_total",
-            "Requests that carried a sampled trace.", traces_sampled());
-  b.Counter("useful_slowlog_inserted_total",
-            "Sampled traces retained by the slow-query log.",
-            slowlog_.inserted());
-  b.Counter("useful_slowlog_dropped_total",
-            "Sampled traces dropped on slow-query slot contention.",
-            slowlog_.dropped());
-
-  b.Family("useful_command_requests_total",
-           "Completed commands by protocol verb.", "counter");
-  for (std::size_t i = 0; i < kNumCommands; ++i) {
-    b.Sample("useful_command_requests_total",
-             StringPrintf("command=\"%s\"",
-                          CommandName(static_cast<CommandKind>(i))),
-             counts_[i].load(std::memory_order_relaxed));
+const char* Stats::KeyOf(Stat stat) {
+  for (const MetricRow& row : kRows) {
+    if (row.source == stat && row.key != nullptr) return row.key;
   }
-
-  b.Family("useful_command_latency_seconds",
-           "Service-side wall latency by protocol verb.", "histogram");
-  for (std::size_t i = 0; i < kNumCommands; ++i) {
-    b.HistogramSeries("useful_command_latency_seconds",
-                      StringPrintf("command=\"%s\"",
-                                   CommandName(static_cast<CommandKind>(i))),
-                      latency_[i], bounds);
-  }
-
-  b.Family("useful_stage_latency_seconds",
-           "Sampled per-stage latency of the request pipeline.",
-           "histogram");
-  for (std::size_t i = 0; i < obs::kNumStages; ++i) {
-    b.HistogramSeries(
-        "useful_stage_latency_seconds",
-        StringPrintf("stage=\"%s\"",
-                     obs::StageName(static_cast<obs::Stage>(i))),
-        stage_latency_[i], bounds);
-  }
-
-  b.Family("useful_connection_lifetime_seconds",
-           "Lifetime of closed connections.", "histogram");
-  b.HistogramSeries("useful_connection_lifetime_seconds", "",
-                    conn_lifetime_, bounds);
-
-  b.Family("useful_offload_wait_seconds",
-           "Queue wait of dispatched batches at the estimation offload "
-           "pool.",
-           "histogram");
-  b.HistogramSeries("useful_offload_wait_seconds", "", offload_wait_,
-                    bounds);
-  return b.TakeLines();
+  return nullptr;
 }
 
 std::vector<std::string> Stats::RenderSlowlog(std::size_t max_entries) const {

@@ -1,12 +1,17 @@
 // Live counters and latency histograms for the broker service, rendered
-// by the STATS command. Everything is atomic: recording is wait-free on
-// the request path, and Render takes no lock that a request could hold.
+// by the STATS and METRICS commands from one declarative metric table.
+// Everything is atomic: recording is a relaxed fetch_add or store with no
+// lookup and no lock, and rendering takes no lock a request could hold.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/slowlog.h"
@@ -17,127 +22,116 @@
 
 namespace useful::service {
 
+/// A metric's Prometheus TYPE.
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+/// How a cluster front-end folds one STATS key across the shards that
+/// report it: counters sum; gauges every replica reports alike take the
+/// max (a sum would inflate them by the replica count); latency
+/// percentiles are not aggregated (a sum of p99s is meaningless).
+enum class Aggregation : std::uint8_t { kNone, kSum, kMax };
+
+/// One row of a tier's metric table: a value and the names it renders
+/// under. STATS prints "<key> <value>"; METRICS prints the family under
+/// its HELP and TYPE headers. Rows render in table order. A row without
+/// a key is METRICS-only and one without a family is STATS-only: STATS
+/// and METRICS are frozen line orders, and a quantity they list at
+/// different places takes one row in each.
+///
+/// A labeled row has one series per label value: its key takes the value
+/// at "%s" and its samples carry `<label>="<value>"`. In STATS a
+/// histogram row prints <key>_p50_us, <key>_p99_us and <key>_max_us, led
+/// by <key>_count when labeled; a counter or gauge row over a histogram
+/// source shows the histogram's sample count.
+struct MetricRow {
+  const char* key;     // STATS key, or nullptr
+  const char* family;  // Prometheus family, or nullptr
+  MetricKind kind;
+  Aggregation agg;  // of the key; a histogram's percentiles never aggregate
+  int source;       // what the tier's reader returns for this row
+  const char* help;  // METRICS HELP text (nullptr on STATS-only rows)
+  const char* label = nullptr;  // label name of a labeled row
+};
+
+/// One series of a row, as a tier's reader returns it: a value, or a
+/// histogram for histogram sources.
+struct MetricSeries {
+  std::string label;  // label value; empty for an unlabeled row
+  std::uint64_t value = 0;
+  const util::LatencyHistogram* histogram = nullptr;
+};
+
+/// Returns the series of a row's source (one for an unlabeled row).
+using MetricReader = std::function<std::vector<MetricSeries>(int source)>;
+
+/// "key value" lines of the rows that have a STATS key.
+std::vector<std::string> RenderStatsRows(std::span<const MetricRow> rows,
+                                         const MetricReader& read);
+
+/// Prometheus text-exposition 0.0.4 lines of the rows that have a family;
+/// histograms render as _bucket/_sum/_count series.
+std::vector<std::string> RenderMetricsRows(std::span<const MetricRow> rows,
+                                           const MetricReader& read);
+
 /// Per-process serving statistics. Thread-safe.
 class Stats {
  public:
+  /// Values recorded through Add/Set and read through Get.
+  enum Stat : std::uint8_t {
+    kRequests,
+    kErrors,
+    kReloads,
+    kEnginesAdded,  // counts are engines, not commands
+    kEnginesDropped,
+    kEnginesUpdated,
+    kSnapshotEpoch,
+    kRepresentativeStale,
+    kPackedEngines,
+    kPackedBytes,
+    kConnsOpened,
+    kConnsShed,
+    kIdleTimeouts,
+    kRequestTimeouts,
+    kWriteTimeouts,
+    kAcceptErrors,
+    kEpollWakeups,
+    kDispatches,
+    kDispatchedLines,
+    kDispatchQueueDepth,
+    kTracesSampled,
+    kNumStats,
+  };
+
+  /// Bumps a counter.
+  void Add(Stat stat, std::uint64_t n = 1) {
+    values_[stat].fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Sets a gauge.
+  void Set(Stat stat, std::uint64_t value) {
+    values_[stat].store(value, std::memory_order_relaxed);
+  }
+  std::uint64_t Get(Stat stat) const {
+    return values_[stat].load(std::memory_order_relaxed);
+  }
+
   /// Records one completed command with its wall latency.
   void RecordCommand(CommandKind kind, std::uint64_t micros, bool ok);
 
   /// Records a request line that did not parse into any command.
   void RecordParseError();
 
+  /// Records a connection's close with its total lifetime.
+  void RecordConnectionClosed(std::uint64_t lifetime_micros);
+
+  /// Records how long a dispatched batch sat queued before an offload
+  /// worker picked it up.
+  void RecordOffloadWait(std::uint64_t micros);
+
   /// Folds one finished request trace into the registry: bumps the
   /// sampled-trace counter, adds every touched stage's microseconds to
   /// that stage's histogram, and offers the trace to the slow-query log.
   /// No-op for unsampled traces (the common case).
   void FinishTrace(const obs::Trace& trace);
-
-  /// Records one successful representative reload.
-  void RecordReload();
-
-  /// Records engines registered/removed/replaced by the churn verbs
-  /// (counts are engines, not commands — one ADD of a packed store may
-  /// register many).
-  void RecordEnginesAdded(std::size_t count);
-  void RecordEnginesDropped(std::size_t count);
-  void RecordEnginesUpdated(std::size_t count);
-
-  // --- Connection lifecycle (recorded by service::Server) ---------------
-
-  /// Records one accepted connection handed to a worker.
-  void RecordConnectionOpened();
-  /// Records a connection's close with its total lifetime.
-  void RecordConnectionClosed(std::uint64_t lifetime_micros);
-  /// Records a connection shed at accept time because the server was over
-  /// its connection or queue limit.
-  void RecordOverloadShed();
-  /// Records a connection dropped because it sat idle past the deadline.
-  void RecordIdleTimeout();
-  /// Records a connection dropped with a partial request pending too long
-  /// (slow-loris writer).
-  void RecordRequestTimeout();
-  /// Records a connection dropped because the peer stopped draining our
-  /// writes.
-  void RecordWriteTimeout();
-  /// Records one failed accept() worth backing off for (EMFILE & friends).
-  void RecordAcceptError();
-
-  // --- Reactor core (recorded by service::Server's epoll loops) ---------
-
-  /// Records one epoll_wait return on a reactor thread (event or timeout).
-  void RecordEpollWakeup();
-  /// Records one request batch handed to the estimation offload pool.
-  void RecordDispatch(std::size_t batch_lines);
-  /// Records how long a dispatched batch sat queued before an offload
-  /// worker picked it up.
-  void RecordOffloadWait(std::uint64_t micros);
-  /// Sets the estimation offload pool's queued-batch gauge.
-  void SetDispatchQueueDepth(std::size_t depth) {
-    dispatch_queue_depth_.store(depth, std::memory_order_relaxed);
-  }
-
-  std::uint64_t requests_total() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t errors_total() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t reloads() const {
-    return reloads_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t engines_added() const {
-    return engines_added_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t engines_dropped() const {
-    return engines_dropped_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t engines_updated() const {
-    return engines_updated_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t connections_opened() const {
-    return conns_opened_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t overload_sheds() const {
-    return sheds_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t idle_timeouts() const {
-    return idle_timeouts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t request_timeouts() const {
-    return request_timeouts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t write_timeouts() const {
-    return write_timeouts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t accept_errors() const {
-    return accept_errors_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t epoll_wakeups() const {
-    return epoll_wakeups_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dispatches() const {
-    return dispatches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dispatched_lines() const {
-    return dispatched_lines_.load(std::memory_order_relaxed);
-  }
-  std::size_t dispatch_queue_depth() const {
-    return dispatch_queue_depth_.load(std::memory_order_relaxed);
-  }
-  const util::LatencyHistogram& offload_wait() const { return offload_wait_; }
-  std::uint64_t command_count(CommandKind kind) const {
-    return counts_[static_cast<std::size_t>(kind)].load(
-        std::memory_order_relaxed);
-  }
-  const util::LatencyHistogram& latency(CommandKind kind) const {
-    return latency_[static_cast<std::size_t>(kind)];
-  }
-  const util::LatencyHistogram& stage_latency(obs::Stage stage) const {
-    return stage_latency_[static_cast<std::size_t>(stage)];
-  }
-  std::uint64_t traces_sampled() const {
-    return traces_sampled_.load(std::memory_order_relaxed);
-  }
 
   /// The sampling decision source for request traces; the service samples
   /// through it and tools configure its rate before serving.
@@ -147,48 +141,11 @@ class Stats {
   obs::SlowQueryLog* slowlog() { return &slowlog_; }
   const obs::SlowQueryLog& slowlog() const { return slowlog_; }
 
-  /// Sets the representative-staleness gauge (count of loaded
-  /// representatives whose max weights are upper bounds). Written after
-  /// every snapshot load; exposed by METRICS as representative_stale.
-  void SetRepresentativeStale(std::size_t count) {
-    representative_stale_.store(count, std::memory_order_relaxed);
-  }
-  std::size_t representative_stale() const {
-    return representative_stale_.load(std::memory_order_relaxed);
-  }
-
-  /// Sets the packed-store gauges: engines served zero-copy from mmap'd
-  /// URPZ stores and the total mapped bytes behind them. Written after
-  /// every snapshot load; exposed by METRICS as
-  /// representative_packed_engines / representative_packed_bytes.
-  void SetPackedStore(std::size_t engines, std::size_t bytes) {
-    representative_packed_engines_.store(engines, std::memory_order_relaxed);
-    representative_packed_bytes_.store(bytes, std::memory_order_relaxed);
-  }
-  std::size_t representative_packed_engines() const {
-    return representative_packed_engines_.load(std::memory_order_relaxed);
-  }
-  std::size_t representative_packed_bytes() const {
-    return representative_packed_bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Sets the snapshot-epoch gauge: the monotone version of the serving
-  /// snapshot, bumped by every successful RELOAD/ADD/DROP/UPDATE.
-  void SetSnapshotEpoch(std::uint64_t epoch) {
-    snapshot_epoch_.store(epoch, std::memory_order_relaxed);
-  }
-  std::uint64_t snapshot_epoch() const {
-    return snapshot_epoch_.load(std::memory_order_relaxed);
-  }
-
-  /// "key value" lines for the STATS payload: request totals, reloads, the
-  /// cache counters, engine count, then per-command count/p50/p99/max µs.
+  /// The STATS payload: the metric table's "key value" lines.
   std::vector<std::string> Render(const QueryCache::Counters& cache,
                                   std::size_t num_engines) const;
 
-  /// Prometheus text-exposition 0.0.4 lines for the METRICS payload:
-  /// every counter Render shows, the gauges, and the per-command and
-  /// per-stage latency histograms as _bucket/_sum/_count series.
+  /// The METRICS payload: the metric table's Prometheus families.
   std::vector<std::string> RenderMetrics(const QueryCache::Counters& cache,
                                          std::size_t num_engines) const;
 
@@ -196,29 +153,22 @@ class Stats {
   /// trace, slowest first, capped at `max_entries` when nonzero.
   std::vector<std::string> RenderSlowlog(std::size_t max_entries) const;
 
+  /// The service tier's metric table.
+  static std::span<const MetricRow> MetricTable();
+
+  /// The declared aggregation of a key Render prints; nullopt for a key
+  /// the table does not declare.
+  static std::optional<Aggregation> AggregationOf(std::string_view key);
+
+  /// The STATS key of a recorded value.
+  static const char* KeyOf(Stat stat);
+
  private:
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> reloads_{0};
-  std::atomic<std::uint64_t> engines_added_{0};
-  std::atomic<std::uint64_t> engines_dropped_{0};
-  std::atomic<std::uint64_t> engines_updated_{0};
-  std::atomic<std::uint64_t> snapshot_epoch_{0};
-  std::atomic<std::uint64_t> conns_opened_{0};
-  std::atomic<std::uint64_t> sheds_{0};
-  std::atomic<std::uint64_t> idle_timeouts_{0};
-  std::atomic<std::uint64_t> request_timeouts_{0};
-  std::atomic<std::uint64_t> write_timeouts_{0};
-  std::atomic<std::uint64_t> accept_errors_{0};
-  std::atomic<std::uint64_t> epoll_wakeups_{0};
-  std::atomic<std::uint64_t> dispatches_{0};
-  std::atomic<std::uint64_t> dispatched_lines_{0};
-  std::atomic<std::size_t> dispatch_queue_depth_{0};
-  std::atomic<std::uint64_t> traces_sampled_{0};
-  std::atomic<std::size_t> representative_stale_{0};
-  std::atomic<std::size_t> representative_packed_engines_{0};
-  std::atomic<std::size_t> representative_packed_bytes_{0};
-  std::array<std::atomic<std::uint64_t>, kNumCommands> counts_{};
+  std::vector<MetricSeries> Read(int source,
+                                 const QueryCache::Counters& cache,
+                                 std::size_t num_engines) const;
+
+  std::array<std::atomic<std::uint64_t>, kNumStats> values_{};
   std::array<util::LatencyHistogram, kNumCommands> latency_{};
   std::array<util::LatencyHistogram, obs::kNumStages> stage_latency_{};
   util::LatencyHistogram conn_lifetime_;

@@ -10,7 +10,7 @@
 //
 // Lives in util (not cluster) so a standalone service::Service can
 // filter ADD payloads by shard ownership without linking the cluster
-// front-end; cluster/hashing.h forwards here for existing callers.
+// front-end.
 #pragma once
 
 #include <cstdint>

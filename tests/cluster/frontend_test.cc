@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -330,6 +333,115 @@ TEST_F(FrontendTest, StatsAggregatesGaugesByMaxNotSum) {
   EXPECT_TRUE(has_line("agg_dispatch_queue_depth 8"));
   EXPECT_FALSE(has_line("agg_cache_entries 16000"));
   EXPECT_FALSE(has_line("agg_snapshot_epoch 8"));
+}
+
+std::vector<std::string> ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(USEFUL_GOLDEN_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Compares a payload with tests/golden/<name> line by line. The shard
+/// round-trip histogram times real calls, so its sample values are
+/// masked as "*" on both sides; its series names and order still count.
+void ExpectGolden(std::vector<std::string> actual, const std::string& name) {
+  for (std::string& line : actual) {
+    if (line.rfind("useful_shard_roundtrip_seconds_", 0) == 0) {
+      line.replace(line.rfind(' ') + 1, std::string::npos, "*");
+    }
+  }
+  std::vector<std::string> want = ReadGolden(name);
+  std::size_t common = std::min(want.size(), actual.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    ASSERT_EQ(want[i], actual[i]) << name << " line " << i + 1;
+  }
+  EXPECT_EQ(want.size(), actual.size()) << name;
+}
+
+/// A front-end whose shard 0 preferred replica is down (ejected on its
+/// first failure, so shard 0 reports one live replica and one reroute)
+/// and whose shards answer STATS with fixed counters, gauges, percentile
+/// keys and malformed lines.
+class FrontendGoldenTest : public FrontendTest {
+ protected:
+  void SetUp() override {
+    FrontendOptions options;
+    options.eject_failures = 1;
+    options.probe_backoff_ms = 60'000;
+    MakeFrontend(options);
+    scripts_[0][0].fail_start.store(true);
+    const std::vector<std::string> stats[2] = {
+        {"requests_total 10", "errors_total 1", "engines 3",
+         "snapshot_epoch 5", "cache_entries 100", "cache_hits 4",
+         "cmd_route_count 6", "cmd_route_p99_us 900",
+         "offload_wait_p50_us 20", "dispatch_queue_depth 2", "torn line",
+         "conns_opened x1"},
+        {"requests_total 7", "errors_total 0", "engines 2",
+         "snapshot_epoch 3", "cache_entries 250", "cache_hits 1",
+         "cmd_route_count 2", "cmd_route_p99_us 100",
+         "dispatch_queue_depth 9", "accept_errors 1"}};
+    for (std::size_t s = 0; s < 2; ++s) {
+      for (ReplicaScript& script : scripts_[s]) {
+        script.respond = [payload = stats[s]](const std::string& line) {
+          EXPECT_EQ(line, "STATS");
+          return OkReply(payload);
+        };
+      }
+    }
+  }
+};
+
+TEST_F(FrontendGoldenTest, StatsPayloadIsByteIdentical) {
+  service::Reply reply = Execute("STATS");
+  ASSERT_TRUE(reply.status.ok());
+  EXPECT_FALSE(reply.degraded);
+  ExpectGolden(reply.payload, "frontend_stats.txt");
+}
+
+TEST_F(FrontendGoldenTest, MetricsPayloadIsByteIdentical) {
+  service::Reply reply = Execute("METRICS");
+  ASSERT_TRUE(reply.status.ok());
+  EXPECT_FALSE(reply.degraded);
+  ExpectGolden(reply.payload, "frontend_metrics.txt");
+}
+
+TEST_F(FrontendTest, StatsAggregatesOnlyDeclaredKeys) {
+  MakeFrontend();
+  for (auto& shard : scripts_) {
+    for (ReplicaScript& script : shard) {
+      script.respond = [](const std::string&) {
+        return OkReply({"requests_total 4", "bogus_total 5", "cluster_shards 2",
+                        "cmd_route_count 3", "cmd_route_p50_us 40"});
+      };
+    }
+  }
+  service::Reply reply = Execute("STATS");
+  ASSERT_TRUE(reply.status.ok());
+  std::vector<std::string> agg;
+  for (const std::string& line : reply.payload) {
+    if (line.rfind("agg_", 0) == 0) agg.push_back(line);
+  }
+  EXPECT_EQ(agg, (std::vector<std::string>{"agg_cmd_route_count 6",
+                                           "agg_requests_total 8"}));
+}
+
+TEST(FrontendMetricTableTest, KeysAndFamiliesAreUniqueAcrossTiers) {
+  // The front-end's STATS/METRICS print its service::Stats rows and then
+  // its own, so a name may not repeat across the two tables.
+  std::set<std::string> keys;
+  std::set<std::string> families;
+  for (auto table : {service::Stats::MetricTable(), Frontend::MetricTable()}) {
+    for (const service::MetricRow& row : table) {
+      if (row.key != nullptr) {
+        EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+      }
+      if (row.family != nullptr) {
+        EXPECT_TRUE(families.insert(row.family).second) << row.family;
+      }
+    }
+  }
 }
 
 TEST_F(FrontendTest, AddFansToEveryReplicaAndSumsAdded) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cluster/frontend.h"
-#include "cluster/hashing.h"
 #include "cluster/topology.h"
 #include "estimate/registry.h"
 #include "ir/search_engine.h"
@@ -21,6 +20,7 @@
 #include "testing/fake_shard.h"
 #include "testing/synthetic.h"
 #include "text/analyzer.h"
+#include "util/engine_hash.h"
 
 namespace useful::cluster {
 namespace {
@@ -102,13 +102,14 @@ class MergeFidelityTest : public ::testing::Test {
     BuildEngine("delta", 14);
     BuildEngine("twin-a", 99);
     BuildEngine("twin-b", 99);
-    ASSERT_NE(ShardForEngine("twin-a", 2), ShardForEngine("twin-b", 2));
+    ASSERT_NE(util::ShardForEngine("twin-a", 2),
+              util::ShardForEngine("twin-b", 2));
 
     std::map<std::size_t, std::vector<std::string>> shard_paths;
     std::vector<std::string> all_paths;
     for (const std::string& name : names_) {
       std::string path = (dir_ / (name + ".rep")).string();
-      shard_paths[ShardForEngine(name, 2)].push_back(path);
+      shard_paths[util::ShardForEngine(name, 2)].push_back(path);
       all_paths.push_back(path);
     }
     ASSERT_EQ(shard_paths.size(), 2u)

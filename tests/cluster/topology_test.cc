@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/hashing.h"
+#include "util/engine_hash.h"
 
 namespace useful::cluster {
 namespace {
@@ -92,16 +92,17 @@ TEST(EngineHashTest, IsCanonicalFnv1a64) {
   // The placement hash is a wire format: these constants are the
   // published FNV-1a offset basis / single-byte values and must never
   // change, or every deployed shard's slice is stranded.
-  EXPECT_EQ(EngineHash(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(EngineHash("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(util::EngineHash(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(util::EngineHash("a"), 0xaf63dc4c8601ec8cull);
 }
 
 TEST(ShardForEngineTest, IsStableAndInRange) {
   for (std::size_t shards : {1u, 2u, 3u, 7u}) {
     for (const char* name : {"aurora", "borealis", "cascade", "delta"}) {
-      std::size_t s = ShardForEngine(name, shards);
+      std::size_t s = util::ShardForEngine(name, shards);
       EXPECT_LT(s, shards);
-      EXPECT_EQ(s, ShardForEngine(name, shards)) << "unstable: " << name;
+      EXPECT_EQ(s, util::ShardForEngine(name, shards))
+          << "unstable: " << name;
     }
   }
 }
@@ -111,7 +112,7 @@ TEST(ShardForEngineTest, SpreadsEnginesAcrossShards) {
   // not all pile onto one shard of four.
   std::set<std::size_t> used;
   for (int i = 0; i < 64; ++i) {
-    used.insert(ShardForEngine("engine" + std::to_string(i), 4));
+    used.insert(util::ShardForEngine("engine" + std::to_string(i), 4));
   }
   EXPECT_EQ(used.size(), 4u);
 }

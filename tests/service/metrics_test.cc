@@ -341,6 +341,27 @@ TEST_F(MetricsTest, CountersMonotoneAcrossScrapes) {
             first.samples["useful_cache_hits_total"]);
 }
 
+// A front-end aggregates only the keys the metric table declares, so a
+// key a real shard prints in STATS without a declaration would silently
+// vanish from the cluster view. Pins that no such key exists today.
+TEST_F(MetricsTest, EveryStatsKeyDeclaresAClusterAggregation) {
+  std::unique_ptr<Service> service = MakeService(1);
+  service->Execute("ROUTE subrange 0.1 0 football");
+  auto reply = service->Execute("STATS");
+  ASSERT_TRUE(reply.status.ok());
+  ASSERT_FALSE(reply.payload.empty());
+  for (const std::string& line : reply.payload) {
+    std::string key = line.substr(0, line.find(' '));
+    EXPECT_TRUE(Stats::AggregationOf(key).has_value()) << key;
+  }
+  EXPECT_EQ(Aggregation::kSum, Stats::AggregationOf("cmd_route_count"));
+  EXPECT_EQ(Aggregation::kNone, Stats::AggregationOf("cmd_route_p50_us"));
+  EXPECT_EQ(Aggregation::kNone, Stats::AggregationOf("cmd_quit_max_us"));
+  EXPECT_EQ(Aggregation::kSum, Stats::AggregationOf("engines"));
+  EXPECT_EQ(Aggregation::kMax, Stats::AggregationOf("snapshot_epoch"));
+  EXPECT_EQ(std::nullopt, Stats::AggregationOf("agg_engines"));
+}
+
 TEST_F(MetricsTest, SampleRateZeroKeepsStageHistogramsEmpty) {
   std::unique_ptr<Service> service = MakeService(0);
   service->Execute("ROUTE subrange 0.1 0 football");

@@ -255,7 +255,7 @@ TEST_F(ServerTest, MultipleConcurrentConnections) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(ok_count.load(), kClients);
   // 120 requests landed in the stats.
-  EXPECT_GE(service_->stats().requests_total(), 120u);
+  EXPECT_GE(service_->stats().Get(Stats::kRequests), 120u);
 }
 
 TEST_F(ServerTest, QuitShutsTheServerDownCleanly) {
@@ -330,7 +330,7 @@ TEST_F(ServerTest, IdleConnectionIsClosedAfterIdleTimeout) {
   ASSERT_TRUE(client.ReadLine(&line));
   EXPECT_NE(line.find("idle timeout"), std::string::npos) << line;
   EXPECT_TRUE(client.WaitForClose());
-  EXPECT_GE(service_->stats().idle_timeouts(), 1u);
+  EXPECT_GE(service_->stats().Get(Stats::kIdleTimeouts), 1u);
 }
 
 TEST_F(ServerTest, SlowLorisPartialRequestIsCutOff) {
@@ -357,8 +357,8 @@ TEST_F(ServerTest, SlowLorisPartialRequestIsCutOff) {
   EXPECT_NE(line.find("request timeout"), std::string::npos) << line;
   EXPECT_TRUE(client.WaitForClose());
   trickle.join();
-  EXPECT_GE(service_->stats().request_timeouts(), 1u);
-  EXPECT_EQ(service_->stats().idle_timeouts(), 0u);
+  EXPECT_GE(service_->stats().Get(Stats::kRequestTimeouts), 1u);
+  EXPECT_EQ(service_->stats().Get(Stats::kIdleTimeouts), 0u);
 }
 
 TEST_F(ServerTest, OverloadIsShedWithAnOverloadedError) {
@@ -384,7 +384,7 @@ TEST_F(ServerTest, OverloadIsShedWithAnOverloadedError) {
   EXPECT_EQ(line.substr(0, 4), "ERR ");
   EXPECT_NE(line.find("overloaded"), std::string::npos) << line;
   EXPECT_TRUE(shed.WaitForClose());
-  EXPECT_GE(service_->stats().overload_sheds(), 1u);
+  EXPECT_GE(service_->stats().Get(Stats::kConnsShed), 1u);
   // The pinned connections were never disturbed.
   auto wire = pinned1.RoundTrip("ROUTE subrange 0.1 0 football");
   ASSERT_FALSE(wire.empty());
@@ -417,10 +417,13 @@ TEST_F(ServerTest, IdlePeersNeverBlockANewcomerAndStillTimeOut) {
   ASSERT_FALSE(wire.empty());
   EXPECT_EQ(wire[0].substr(0, 3), "OK ");
   // Served well before any idle deadline could have reclaimed a peer.
-  EXPECT_EQ(service_->stats().idle_timeouts(), 0u);
+  EXPECT_EQ(service_->stats().Get(Stats::kIdleTimeouts), 0u);
 
   ASSERT_TRUE(WaitFor(
-      [&] { return service_->stats().idle_timeouts() >= kIdlers; }, 2000));
+      [&] {
+        return service_->stats().Get(Stats::kIdleTimeouts) >= kIdlers;
+      },
+      2000));
   for (TestClient& idler : idlers) {
     std::string line;
     ASSERT_TRUE(idler.ReadLine(&line));
@@ -480,7 +483,8 @@ TEST_F(ServerTest, StuckReaderIsDroppedByWriteTimeout) {
   for (int i = 0; i < 20'000; ++i) batch += "STATS\n";
   (void)client.SendRaw(batch);
   EXPECT_TRUE(WaitFor(
-      [&] { return service_->stats().write_timeouts() >= 1u; }, 30'000));
+      [&] { return service_->stats().Get(Stats::kWriteTimeouts) >= 1u; },
+      30'000));
 }
 
 TEST_F(ServerTest, MetricsScrapeOverTcpIsMonotoneAndCleanlyFramed) {
@@ -653,7 +657,7 @@ TEST_F(ServerTest, ReuseportAcceptorPerReactorServesEveryClient) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(ok_count.load(), kClients);
-  EXPECT_GE(service_->stats().requests_total(), 3u * kClients);
+  EXPECT_GE(service_->stats().Get(Stats::kRequests), 3u * kClients);
 }
 
 TEST_F(ServerTest, ReuseportWithOneReactorStillWorks) {

@@ -256,7 +256,7 @@ TEST_F(ServiceTest, ReloadSwapsRepresentativesAndInvalidatesCache) {
   // The cache did not leak the pre-reload (empty) answer: the second
   // volleyball ROUTE was a fresh miss under the new generation.
   EXPECT_EQ(service_->cache().counters().hits, 0u);
-  EXPECT_EQ(service_->stats().reloads(), 1u);
+  EXPECT_EQ(service_->stats().Get(Stats::kReloads), 1u);
 
   // Old snapshot still answers from the pre-reload world.
   ir::Query q = ir::ParseQuery(analyzer_, "volleyball");
@@ -282,7 +282,7 @@ TEST_F(ServiceTest, FailedReloadKeepsServingOldSnapshot) {
   auto after = service_->Execute("ROUTE subrange 0.1 0 football");
   ASSERT_TRUE(after.status.ok());
   ASSERT_FALSE(after.payload.empty());
-  EXPECT_EQ(service_->stats().reloads(), 0u);
+  EXPECT_EQ(service_->stats().Get(Stats::kReloads), 0u);
 }
 
 // --- Live churn: ADD / DROP / UPDATE -----------------------------------
@@ -303,7 +303,7 @@ TEST_F(ServiceTest, AddKeepsUntouchedEnginesCached) {
   EXPECT_EQ(reply.payload[0], "added 1");
   EXPECT_EQ(reply.payload[1], "engines 4");
   EXPECT_EQ(service_->num_engines(), 4u);
-  EXPECT_EQ(service_->stats().engines_added(), 1u);
+  EXPECT_EQ(service_->stats().Get(Stats::kEnginesAdded), 1u);
   EXPECT_EQ(service_->snapshot_epoch(), 1u);
 
   auto after = service_->Execute("ESTIMATE subrange 0.1 shared");
@@ -351,7 +351,7 @@ TEST_F(ServiceTest, DropSweepsOnlyTheDroppedEnginesEntries) {
   ASSERT_EQ(reply.payload.size(), 2u);
   EXPECT_EQ(reply.payload[0], "dropped 1");
   EXPECT_EQ(reply.payload[1], "engines 2");
-  EXPECT_EQ(service_->stats().engines_dropped(), 1u);
+  EXPECT_EQ(service_->stats().Get(Stats::kEnginesDropped), 1u);
   // Exactly the dropped engine's entry was swept — not the others'.
   EXPECT_EQ(service_->cache().counters().expired, 1u);
   EXPECT_EQ(service_->cache().counters().entries, 2u);
@@ -383,7 +383,7 @@ TEST_F(ServiceTest, UpdateReplacesOneEngineAndKeepsOthersCached) {
   ASSERT_EQ(reply.payload.size(), 2u);
   EXPECT_EQ(reply.payload[0], "updated 1");
   EXPECT_EQ(reply.payload[1], "engines 3");
-  EXPECT_EQ(service_->stats().engines_updated(), 1u);
+  EXPECT_EQ(service_->stats().Get(Stats::kEnginesUpdated), 1u);
 
   auto after = service_->Execute("ESTIMATE subrange 0.1 volleyball");
   ASSERT_TRUE(after.status.ok());
@@ -409,7 +409,7 @@ TEST_F(ServiceTest, UpdateOfUnregisteredEnginesIsANoOp) {
   EXPECT_EQ(reply.payload[1], "engines 3");
   // A no-op must not bump the epoch or sweep anything.
   EXPECT_EQ(service_->snapshot_epoch(), 0u);
-  EXPECT_EQ(service_->stats().engines_updated(), 0u);
+  EXPECT_EQ(service_->stats().Get(Stats::kEnginesUpdated), 0u);
 }
 
 TEST_F(ServiceTest, AddFiltersByShardOwnership) {
@@ -472,8 +472,8 @@ TEST_F(PackedServiceTest, MixedSnapshotLoadsPackedAndLegacyPaths) {
   auto service = Service::Create(&analyzer_, std::move(options));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_EQ(service.value()->num_engines(), 5u);
-  EXPECT_EQ(service.value()->stats().representative_packed_engines(), 2u);
-  EXPECT_GT(service.value()->stats().representative_packed_bytes(), 0u);
+  EXPECT_EQ(service.value()->stats().Get(Stats::kPackedEngines), 2u);
+  EXPECT_GT(service.value()->stats().Get(Stats::kPackedBytes), 0u);
 
   // Every engine — packed or legacy — answers on the shared term.
   auto reply = service.value()->Execute("ESTIMATE subrange 0.05 shared");
@@ -518,7 +518,7 @@ TEST_F(PackedServiceTest, ReloadSwapsPackedStoreInPlace) {
   ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
   ASSERT_EQ(reply.payload.size(), 1u);
   EXPECT_EQ(reply.payload[0], "engines 5");
-  EXPECT_EQ(service->stats().representative_packed_engines(), 2u);
+  EXPECT_EQ(service->stats().Get(Stats::kPackedEngines), 2u);
 
   auto after = service->Execute("ROUTE subrange 0.1 0 violin");
   ASSERT_TRUE(after.status.ok());

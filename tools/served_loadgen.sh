@@ -13,7 +13,10 @@
 #   - the server's STATS must account for the full trace, and the
 #     Zipfian repeats must have produced real cache hits;
 #   - the JSON report must carry the percentile rows bench_serving.sh
-#     folds into BENCH_serving.json.
+#     folds into BENCH_serving.json;
+#   - a low-rate phase (1 connection, 50 qps) must report p50 under
+#     10 ms, half its 20 ms send interval: replies are stamped when they
+#     arrive, not when the generator wakes for its next send.
 #
 # Sizes are modest (6k requests at 600 qps) because the tsan CI lane
 # runs this under a ~10x slowdown; bench/bench_serving.sh is where the
@@ -31,12 +34,14 @@ LOG="$DIR/loadgen_served.out"
 PORT_FILE="$DIR/loadgen_served.port"
 JSON="$DIR/loadgen_smoke.json"
 OUT="$DIR/loadgen_smoke.out"
-rm -f "$LOG" "$PORT_FILE" "$JSON" "$OUT"
+LOW="$DIR/loadgen_low.out"
+rm -f "$LOG" "$PORT_FILE" "$JSON" "$OUT" "$LOW"
 
 fail() {
   echo "FAIL: $1" >&2
   [ -f "$LOG" ] && { echo "--- $LOG" >&2; cat "$LOG" >&2; }
   [ -f "$OUT" ] && { echo "--- $OUT" >&2; cat "$OUT" >&2; }
+  [ -f "$LOW" ] && { echo "--- $LOW" >&2; cat "$LOW" >&2; }
   kill "$SERVED_PID" 2>/dev/null || true
   exit 1
 }
@@ -63,6 +68,14 @@ grep -q 'sent=6000 replies=6000 errors=0' "$OUT" \
   || fail "trace not fully answered: $(head -1 "$OUT")"
 grep -q '"p99_us"' "$JSON" || fail "JSON report missing percentile rows"
 
+"$LOADGEN" --port "$PORT" --connections 1 --qps 50 --queries 150 \
+           --distinct 128 --queries-file "$DIR/queries.tsv" \
+           --seed 8 --tag low > "$LOW" 2>&1 \
+  || fail "low-rate loadgen exited nonzero"
+P50=$(sed -n 's/^latency_us: p50=\([0-9]*\) .*/\1/p' "$LOW")
+[ "${P50:-20000}" -lt 10000 ] \
+  || fail "low-rate p50=${P50}us, expected < 10000 (half the send interval)"
+
 STATS=$("$CLIENT" --port "$PORT" STATS)
 REQUESTS=$(echo "$STATS" | awk '$1 == "requests_total" {print $2}')
 [ "${REQUESTS:-0}" -ge 6000 ] \
@@ -73,4 +86,5 @@ HITS=$(echo "$STATS" | awk '$1 == "cache_hits" {print $2}')
 printf 'QUIT\n' | "$CLIENT" --port "$PORT" > /dev/null
 wait "$SERVED_PID"
 grep -q 'shut down cleanly' "$LOG" || fail "server exit was not clean"
-echo "loadgen smoke ok: 6000 open-loop requests, 0 errors, hits=$HITS"
+echo "loadgen smoke ok: 6000 open-loop requests, 0 errors, hits=$HITS," \
+     "low-rate p50=${P50}us"

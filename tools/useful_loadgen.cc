@@ -22,8 +22,9 @@
 // replies have arrived, and each latency is measured from the request's
 // *scheduled* send time to its reply. A server that falls behind
 // therefore shows the queueing delay it actually inflicted
-// (coordinated omission is impossible by construction), and replies are
-// drained opportunistically so requests pipeline instead of waiting.
+// (coordinated omission is impossible by construction). Between sends a
+// connection waits in ppoll on its socket until the next request is due,
+// so each reply is stamped when it arrives and requests still pipeline.
 // With --qps 0 the generator is closed-loop at maximum rate: each
 // connection keeps a fixed window (--pipeline) of requests in flight —
 // the throughput-ceiling mode.
@@ -35,6 +36,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -44,6 +46,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <fstream>
 #include <random>
@@ -179,6 +182,16 @@ bool SendAll(int fd, const char* data, std::size_t len) {
   return true;
 }
 
+/// Blocks until `fd` is readable (or closed) or `timeout` passes; true
+/// when there is something to read.
+bool WaitReadable(int fd, Clock::duration timeout) {
+  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(timeout);
+  timespec ts{static_cast<std::time_t>(ns.count() / 1'000'000'000),
+              static_cast<long>(ns.count() % 1'000'000'000)};
+  pollfd pfd{fd, POLLIN, 0};
+  return ::ppoll(&pfd, 1, &ts, nullptr) > 0;
+}
+
 struct WorkerResult {
   std::size_t sent = 0;
   std::size_t replies = 0;
@@ -235,16 +248,13 @@ void RunWorker(const Options& opt, const std::vector<std::string>* pool,
   for (std::size_t i = 0; i < count; ++i) {
     if (open_loop) {
       Clock::time_point due = start + offset + interval * i;
-      // Sleep to the schedule, draining whatever has already arrived.
-      while (Clock::now() < due) {
-        if (!drain(/*block=*/false)) goto done;
-        Clock::time_point now = Clock::now();
-        if (now >= due) break;
-        auto remaining = due - now;
-        std::this_thread::sleep_for(
-            remaining < std::chrono::milliseconds(1)
-                ? remaining
-                : remaining - std::chrono::microseconds(200));
+      // Wait for the schedule in ppoll on the socket, draining each reply
+      // as it arrives so it is stamped then, not at the next send.
+      for (Clock::time_point now = Clock::now(); now < due;
+           now = Clock::now()) {
+        if (WaitReadable(fd, due - now) && !drain(/*block=*/false)) {
+          goto done;
+        }
       }
       in_flight.push_back(due);  // scheduled, not actual, send time
     } else {
