@@ -48,30 +48,54 @@ Status Metasearcher::RegisterEngine(const ir::SearchEngine* engine,
   }
   auto rep = represent::BuildRepresentative(*engine, kind);
   if (!rep.ok()) return rep.status();
-  index_by_name_.emplace(engine->name(), entries_.size());
-  entries_.push_back(Entry{std::move(rep).value(), std::nullopt, engine});
+  auto table = represent::TermTable::Freeze(rep.value());
+  if (!table.ok()) return table.status();
+  Append(Entry{std::make_shared<const represent::TermTable>(
+                   std::move(table).value()),
+               std::nullopt, engine});
   return Status::OK();
 }
 
-Status Metasearcher::RegisterRepresentative(represent::Representative rep) {
+Status Metasearcher::RegisterRepresentative(
+    const represent::Representative& rep) {
   if (IndexOf(rep.engine_name()) != entries_.size()) {
     return Status::InvalidArgument("duplicate engine name: " +
                                    rep.engine_name());
   }
-  if (rep.stale_max()) {
+  auto table = represent::TermTable::Freeze(rep);
+  if (!table.ok()) return table.status();
+  return RegisterTable(
+      std::make_shared<const represent::TermTable>(std::move(table).value()));
+}
+
+Status Metasearcher::RegisterTable(
+    std::shared_ptr<const represent::TermTable> table) {
+  if (table == nullptr) {
+    return Status::InvalidArgument("RegisterTable: null table");
+  }
+  if (IndexOf(table->engine_name()) != entries_.size()) {
+    return Status::InvalidArgument("duplicate engine name: " +
+                                   table->engine_name());
+  }
+  Append(Entry{std::move(table), std::nullopt, nullptr});
+  return Status::OK();
+}
+
+void Metasearcher::Append(Entry entry) {
+  if (entry.stale_max()) {
     // Stale max weights only err upward, so estimates remain safe upper
     // bounds — but the single-term exactness guarantee (paper §3.1) is
     // gone until the producer rebuilds. Loud here because reload is the
     // one moment an operator can act on it.
-    USEFUL_LOG(Warning) << "representative for '" << rep.engine_name()
+    USEFUL_LOG(Warning) << "representative for '" << entry.name()
                         << "' has stale max weights (produced after a "
                            "removal without rebuild); estimates are upper "
                            "bounds";
     ++num_stale_representatives_;
   }
-  index_by_name_.emplace(rep.engine_name(), entries_.size());
-  entries_.push_back(Entry{std::move(rep), std::nullopt, nullptr});
-  return Status::OK();
+  if (entry.view.has_value()) ++num_store_engines_;
+  index_by_name_.emplace(std::string(entry.name()), entries_.size());
+  entries_.push_back(std::move(entry));
 }
 
 Status Metasearcher::RegisterStore(
@@ -101,16 +125,7 @@ Status Metasearcher::RegisterStore(
   for (std::size_t i = 0; i < store->num_engines(); ++i) {
     const represent::RepresentativeView& view = store->engine(i);
     if (filter && !filter(view.engine_name())) continue;
-    if (view.stale_max()) {
-      USEFUL_LOG(Warning) << "representative for '" << view.engine_name()
-                          << "' has stale max weights (produced after a "
-                             "removal without rebuild); estimates are upper "
-                             "bounds";
-      ++num_stale_representatives_;
-    }
-    index_by_name_.emplace(std::string(view.engine_name()), entries_.size());
-    entries_.push_back(Entry{represent::Representative(), view, nullptr});
-    ++num_store_engines_;
+    Append(Entry{nullptr, view, nullptr});
   }
   store_bytes_ += store->file_bytes();
   stores_.push_back(std::move(store));
@@ -149,20 +164,19 @@ std::unique_ptr<Metasearcher> Metasearcher::Clone() const {
 estimate::UsefulnessEstimate Metasearcher::EstimateEngine(
     std::size_t i, const ir::Query& q, double threshold,
     const estimate::UsefulnessEstimator& estimator) const {
+  // Resolve straight off the table or the mapping and batch-score the
+  // single threshold. Every registry estimator routes its scalar Estimate
+  // through EstimateBatch, so this is bit-identical to
+  // estimator.Estimate(rep, q, threshold) on the source representative.
   const Entry& e = entries_[i];
-  if (e.view.has_value()) {
-    // Store-backed: resolve straight off the mapping and batch-score
-    // the single threshold. Every registry estimator routes its
-    // scalar Estimate through EstimateBatch, so this path is
-    // bit-identical to the materialized one.
-    estimate::ResolvedQuery rq(*e.view, q);
-    estimate::ExpansionWorkspace ws;
-    estimate::UsefulnessEstimate est;
-    estimator.EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                            std::span<estimate::UsefulnessEstimate>(&est, 1));
-    return est;
-  }
-  return estimator.Estimate(e.rep, q, threshold);
+  const estimate::ResolvedQuery rq =
+      e.table != nullptr ? estimate::ResolvedQuery(*e.table, q)
+                         : estimate::ResolvedQuery(*e.view, q);
+  estimate::ExpansionWorkspace ws;
+  estimate::UsefulnessEstimate est;
+  estimator.EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
+                          std::span<estimate::UsefulnessEstimate>(&est, 1));
+  return est;
 }
 
 std::vector<EngineSelection> Metasearcher::RankEngines(
@@ -237,20 +251,20 @@ Result<std::vector<MetasearchResult>> Metasearcher::Search(
   return merged;
 }
 
-Result<const represent::Representative*> Metasearcher::FindRepresentative(
+Result<const represent::TermTable*> Metasearcher::FindRepresentative(
     std::string_view engine_name) const {
   std::size_t idx = IndexOf(engine_name);
   if (idx == entries_.size()) {
     return Status::NotFound(std::string("no such engine: ") +
                             std::string(engine_name));
   }
-  if (entries_[idx].view.has_value()) {
+  if (entries_[idx].table == nullptr) {
     return Status::FailedPrecondition(
         std::string("engine is store-backed (no materialized "
                     "representative): ") +
         std::string(engine_name));
   }
-  return &entries_[idx].rep;
+  return entries_[idx].table.get();
 }
 
 }  // namespace useful::broker

@@ -17,6 +17,7 @@
 #include "obs/trace.h"
 #include "represent/representative.h"
 #include "represent/store.h"
+#include "represent/term_table.h"
 #include "text/analyzer.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -45,23 +46,35 @@ bool RankedBefore(const EngineSelection& a, const EngineSelection& b);
 
 /// The broker. Engines are registered with (optionally) a live
 /// ir::SearchEngine for dispatch; selection needs only representatives.
+/// Each engine is held as an immutable represent::TermTable or a packed
+/// store view, scored through estimate::ResolvedQuery and EstimateBatch:
+/// an estimator passed to RankEngines, SelectEngines, Search or
+/// EstimateEngine must override EstimateBatch (every registry estimator
+/// does; the base-class fallback aborts).
 class Metasearcher {
  public:
   /// `analyzer` parses user queries; it must match the engines' analyzers
   /// and outlive the broker.
   explicit Metasearcher(const text::Analyzer* analyzer);
 
-  /// Registers a live engine: its representative is built on the spot and
-  /// queries can be dispatched to it. The engine must be finalized and
-  /// outlive the broker. Duplicate names are rejected.
+  /// Registers a live engine: its representative is built and frozen into
+  /// a TermTable on the spot, and queries can be dispatched to it. The
+  /// engine must be finalized and outlive the broker. Duplicate names are
+  /// rejected.
   Status RegisterEngine(
       const ir::SearchEngine* engine,
       represent::RepresentativeKind kind =
           represent::RepresentativeKind::kQuadruplet);
 
   /// Registers a representative without a live engine (selection-only
-  /// mode, e.g. when the engine is remote). Duplicate names are rejected.
-  Status RegisterRepresentative(represent::Representative rep);
+  /// mode, e.g. when the engine is remote), frozen into a TermTable.
+  /// Duplicate names are rejected.
+  Status RegisterRepresentative(const represent::Representative& rep);
+
+  /// Registers an already-frozen table, selection-only. Snapshots and
+  /// clones share it by pointer. Duplicate names are rejected; a stale-max
+  /// table is counted and logged as a warning.
+  Status RegisterTable(std::shared_ptr<const represent::TermTable> table);
 
   /// Registers every engine of a packed URPZ store as a selection-only
   /// entry served zero-copy from the store's mapping (no Representative
@@ -91,10 +104,11 @@ class Metasearcher {
   /// the bookkeeping, a RELOAD rebuilds from scratch anyway.
   Status RemoveEngine(std::string_view engine_name);
 
-  /// Deep copy for copy-on-write churn (ADD/DROP/UPDATE build a mutated
-  /// clone aside, then swap it in). Representatives are copied,
-  /// packed-store mappings are shared (refcounted), and the clone gets
-  /// its own thread pool at the same configured parallelism.
+  /// Copy for copy-on-write churn (ADD/DROP/UPDATE build a mutated clone
+  /// aside, then swap it in). Term tables and packed-store mappings are
+  /// immutable and shared (refcounted), so a clone costs O(engines), not
+  /// O(terms); the clone gets its own thread pool at the same configured
+  /// parallelism.
   std::unique_ptr<Metasearcher> Clone() const;
 
   std::size_t num_engines() const { return entries_.size(); }
@@ -157,31 +171,36 @@ class Metasearcher {
       const estimate::UsefulnessEstimator& estimator,
       std::size_t max_engines = static_cast<std::size_t>(-1)) const;
 
-  /// The stored representative of `engine_name` (for inspection). Fails
-  /// with FailedPrecondition for store-backed engines, which have no
-  /// materialized Representative.
-  Result<const represent::Representative*> FindRepresentative(
+  /// The term table of `engine_name` (for inspection; clones share it, so
+  /// the pointer identifies the table). Fails with FailedPrecondition for
+  /// store-backed engines, which have no table.
+  Result<const represent::TermTable*> FindRepresentative(
       std::string_view engine_name) const;
 
  private:
+  /// One engine: exactly one of `table` and `view` is set.
   struct Entry {
-    represent::Representative rep;  // unused when `view` is set
+    std::shared_ptr<const represent::TermTable> table;
     // Set for store-backed engines: a zero-copy accessor into one of
     // stores_' mappings.
     std::optional<represent::RepresentativeView> view;
     const ir::SearchEngine* live = nullptr;  // null: selection-only
 
     std::string_view name() const {
-      return view.has_value() ? view->engine_name()
-                              : std::string_view(rep.engine_name());
+      return table != nullptr ? std::string_view(table->engine_name())
+                              : view->engine_name();
     }
     bool stale_max() const {
-      return view.has_value() ? view->stale_max() : rep.stale_max();
+      return table != nullptr ? table->stale_max() : view->stale_max();
     }
   };
 
   /// Index of `name` in entries_, or entries_.size() when unknown.
   std::size_t IndexOf(std::string_view name) const;
+
+  /// Appends `entry` (its name already checked unique), counting and
+  /// logging a stale-max representative.
+  void Append(Entry entry);
 
   const text::Analyzer* analyzer_;
   std::vector<Entry> entries_;

@@ -51,7 +51,9 @@ class UsefulnessEstimator {
   /// Contract: bit-identical to calling Estimate(rq.representative(),
   /// rq.query(), thresholds[i]) for each i — overrides exist purely to
   /// amortize term resolution and expansion work, never to change values.
-  /// The default implementation is that scalar loop.
+  /// The default implementation is that scalar loop; it aborts on a query
+  /// resolved from a term table or store view (no representative()), so
+  /// an estimator served by a broker must override this.
   virtual void EstimateBatch(const ResolvedQuery& rq,
                              std::span<const double> thresholds,
                              ExpansionWorkspace& ws,

@@ -49,4 +49,14 @@ ResolvedQuery::ResolvedQuery(const represent::RepresentativeView& view,
   num_positive_ = ResolveTerms(view, q, &terms_);
 }
 
+ResolvedQuery::ResolvedQuery(const represent::TermTable& table,
+                             const ir::Query& q)
+    : rep_(nullptr),
+      query_(&q),
+      min_should_match_(q.min_should_match),
+      num_docs_(table.num_docs()),
+      kind_(table.kind()) {
+  num_positive_ = ResolveTerms(table, q, &terms_);
+}
+
 }  // namespace useful::estimate

@@ -11,12 +11,13 @@
 // representative.
 //
 // Lifetime: a ResolvedQuery copies the matched TermStats (they are small
-// POD) but keeps non-owning pointers to the Representative and the Query
-// it was built from, because the generic UsefulnessEstimator::EstimateBatch
-// fallback routes through the scalar Estimate(rep, q, T) API. Both must
-// therefore outlive the ResolvedQuery and must not be mutated while it is
-// in use. Resolution is a snapshot: mutating the representative afterwards
-// does not update an existing ResolvedQuery.
+// POD) but keeps non-owning pointers to the Representative (when resolved
+// from one) and the Query it was built from, because the generic
+// UsefulnessEstimator::EstimateBatch fallback routes through the scalar
+// Estimate(rep, q, T) API. Both must therefore outlive the ResolvedQuery
+// and must not be mutated while it is in use. Resolution is a snapshot:
+// mutating the representative afterwards does not update an existing
+// ResolvedQuery.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +26,7 @@
 #include "ir/query.h"
 #include "represent/representative.h"
 #include "represent/store.h"
+#include "represent/term_table.h"
 #include "represent/term_stats.h"
 
 namespace useful::estimate {
@@ -63,6 +65,10 @@ class ResolvedQuery {
   /// EstimateBatch, so values are bit-identical across both backings).
   ResolvedQuery(const represent::RepresentativeView& view, const ir::Query& q);
 
+  /// Resolves `q` against a frozen term table: same semantics and the same
+  /// estimator restriction as the view-backed form (no representative()).
+  ResolvedQuery(const represent::TermTable& table, const ir::Query& q);
+
   /// The matched terms: the first num_positive() are positive, the rest
   /// negated; each group keeps the query's term order.
   const std::vector<ResolvedTerm>& terms() const { return terms_; }
@@ -82,7 +88,7 @@ class ResolvedQuery {
 
   /// The inputs the query was resolved from (non-owning; see lifetime note
   /// above). Used by the generic EstimateBatch fallback; never call on a
-  /// view-backed ResolvedQuery (has_representative() == false).
+  /// view- or table-backed ResolvedQuery (has_representative() == false).
   const represent::Representative& representative() const { return *rep_; }
   const ir::Query& query() const { return *query_; }
 

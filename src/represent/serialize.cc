@@ -1,9 +1,11 @@
 #include "represent/serialize.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 namespace useful::represent {
 
@@ -27,15 +29,9 @@ void WritePod(std::ostream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 Status WriteString(std::ostream& out, const std::string& s) {
   // The on-disk length is a u32 capped at kMaxStringLen; anything longer
-  // would either wrap (>= 4 GiB) or be rejected by ReadString, so refuse
+  // would either wrap (>= 4 GiB) or be rejected by TakeString, so refuse
   // to produce the unreadable file instead of reporting a phantom OK.
   if (s.size() > kMaxStringLen) {
     return Status::InvalidArgument(
@@ -47,14 +43,41 @@ Status WriteString(std::ostream& out, const std::string& s) {
   return Status::OK();
 }
 
-Status ReadString(std::istream& in, std::string* s) {
+/// Moves a fixed-width value off the front of `*bytes`; false when short.
+template <typename T>
+bool TakePod(std::string_view* bytes, T* value) {
+  if (bytes->size() < sizeof(T)) return false;
+  std::memcpy(value, bytes->data(), sizeof(T));
+  bytes->remove_prefix(sizeof(T));
+  return true;
+}
+
+Status TakeString(std::string_view* bytes, std::string_view* s) {
   std::uint32_t len = 0;
-  if (!ReadPod(in, &len)) return Status::Corruption("truncated string length");
+  if (!TakePod(bytes, &len)) {
+    return Status::Corruption("truncated string length");
+  }
   if (len > kMaxStringLen) return Status::Corruption("string too long");
-  s->resize(len);
-  in.read(s->data(), len);
-  if (!in) return Status::Corruption("truncated string body");
+  if (bytes->size() < len) return Status::Corruption("truncated string body");
+  *s = bytes->substr(0, len);
+  bytes->remove_prefix(len);
   return Status::OK();
+}
+
+Result<Representative> ParseRepresentative(std::string_view bytes) {
+  Result<Urp1Header> header = ParseUrp1Header(&bytes);
+  if (!header.ok()) return header.status();
+  const Urp1Header& h = header.value();
+  Representative rep(std::string(h.engine_name),
+                     static_cast<std::size_t>(h.num_docs), h.kind);
+  rep.set_stale_max(h.stale_max);
+  for (std::uint64_t i = 0; i < h.num_terms; ++i) {
+    std::string_view term;
+    TermStats ts;
+    USEFUL_RETURN_IF_ERROR(ParseUrp1Term(&bytes, &term, &ts));
+    rep.Put(std::string(term), ts);
+  }
+  return rep;
 }
 
 }  // namespace
@@ -79,61 +102,57 @@ Status WriteRepresentative(const Representative& rep, std::ostream& out) {
   return Status::OK();
 }
 
-Result<Representative> ReadRepresentative(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<Urp1Header> ParseUrp1Header(std::string_view* bytes) {
+  if (bytes->size() < sizeof(kMagic) ||
+      std::memcmp(bytes->data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad magic (not a representative file)");
   }
+  bytes->remove_prefix(sizeof(kMagic));
+  Urp1Header h;
   std::uint8_t kind_raw = 0;
-  std::uint64_t num_docs = 0;
-  if (!ReadPod(in, &kind_raw) || !ReadPod(in, &num_docs)) {
+  if (!TakePod(bytes, &kind_raw) || !TakePod(bytes, &h.num_docs)) {
     return Status::Corruption("truncated header");
   }
-  const bool stale_max = (kind_raw & kStaleMaxBit) != 0;
+  h.stale_max = (kind_raw & kStaleMaxBit) != 0;
   kind_raw &= static_cast<std::uint8_t>(~kStaleMaxBit);
   if (kind_raw > static_cast<std::uint8_t>(RepresentativeKind::kQuadruplet)) {
     return Status::Corruption("unknown representative kind");
   }
-  std::string name;
-  USEFUL_RETURN_IF_ERROR(ReadString(in, &name));
-
-  Representative rep(std::move(name), static_cast<std::size_t>(num_docs),
-                     static_cast<RepresentativeKind>(kind_raw));
-  rep.set_stale_max(stale_max);
-
-  std::uint64_t num_terms = 0;
-  if (!ReadPod(in, &num_terms)) return Status::Corruption("truncated count");
-  if (num_terms > kMaxTerms) return Status::Corruption("term count too large");
-  // A corrupt count must not drive a long incremental-allocation loop: on
-  // a seekable stream, every term record costs at least
-  // kMinTermRecordBytes, so the remaining byte count bounds the plausible
-  // term count up front.
-  const std::streampos body_start = in.tellg();
-  if (body_start != std::streampos(-1)) {
-    in.seekg(0, std::ios::end);
-    const std::streampos body_end = in.tellg();
-    in.seekg(body_start);
-    if (body_end != std::streampos(-1) && in) {
-      const auto remaining =
-          static_cast<std::uint64_t>(body_end - body_start);
-      if (num_terms > remaining / kMinTermRecordBytes) {
-        return Status::Corruption("term count exceeds stream size");
-      }
-    }
+  h.kind = static_cast<RepresentativeKind>(kind_raw);
+  USEFUL_RETURN_IF_ERROR(TakeString(bytes, &h.engine_name));
+  if (!TakePod(bytes, &h.num_terms)) {
+    return Status::Corruption("truncated count");
   }
-  for (std::uint64_t i = 0; i < num_terms; ++i) {
-    std::string term;
-    USEFUL_RETURN_IF_ERROR(ReadString(in, &term));
-    TermStats ts;
-    if (!ReadPod(in, &ts.doc_freq) || !ReadPod(in, &ts.p) ||
-        !ReadPod(in, &ts.avg_weight) || !ReadPod(in, &ts.stddev) ||
-        !ReadPod(in, &ts.max_weight)) {
-      return Status::Corruption("truncated term record");
-    }
-    rep.Put(std::move(term), ts);
+  if (h.num_terms > kMaxTerms) {
+    return Status::Corruption("term count too large");
   }
-  return rep;
+  // A corrupt count must not drive a long allocation loop: every term
+  // record costs at least kMinTermRecordBytes, so the remaining byte
+  // count bounds the plausible term count up front.
+  if (h.num_terms > bytes->size() / kMinTermRecordBytes) {
+    return Status::Corruption("term count exceeds stream size");
+  }
+  h.max_term_bytes = bytes->size() - h.num_terms * kMinTermRecordBytes;
+  return h;
+}
+
+Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
+                     TermStats* stats) {
+  USEFUL_RETURN_IF_ERROR(TakeString(bytes, term));
+  if (!TakePod(bytes, &stats->doc_freq) || !TakePod(bytes, &stats->p) ||
+      !TakePod(bytes, &stats->avg_weight) || !TakePod(bytes, &stats->stddev) ||
+      !TakePod(bytes, &stats->max_weight)) {
+    return Status::Corruption("truncated term record");
+  }
+  return Status::OK();
+}
+
+Result<Representative> ReadRepresentative(std::istream& in) {
+  std::ostringstream rest;
+  // An empty stream inserts nothing and fails `rest`, which is harmless:
+  // the empty string is then rejected as a bad magic.
+  rest << in.rdbuf();
+  return ParseRepresentative(rest.view());
 }
 
 Status SaveRepresentative(const Representative& rep, const std::string& path) {
@@ -143,9 +162,23 @@ Status SaveRepresentative(const Representative& rep, const std::string& path) {
 }
 
 Result<Representative> LoadRepresentative(const std::string& path) {
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  return ParseRepresentative(bytes.value());
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for reading: " + path);
-  return ReadRepresentative(in);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IOError(path + ": " + ec.message());
+  std::string bytes(size, '\0');
+  // A read larger than the stream's buffer goes straight to read(2).
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    return Status::IOError("read failed: " + path);
+  }
+  return bytes;
 }
 
 }  // namespace useful::represent

@@ -4,10 +4,17 @@
 //   magic "URP1" | u8 kind | u64 num_docs | u32 name_len | name bytes
 //   u64 num_terms | repeat: u32 term_len, term bytes, u32 doc_freq,
 //                            f64 p, f64 avg_weight, f64 stddev, f64 max_w
+//
+// The high bit of the kind byte is the stale-max flag. Every reader goes
+// through ParseUrp1Header/ParseUrp1Term, so ReadRepresentative,
+// LoadRepresentative and TermTable accept and reject exactly the same
+// files, with the same messages.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "represent/representative.h"
 #include "util/status.h"
@@ -18,10 +25,41 @@ namespace useful::represent {
 Status WriteRepresentative(const Representative& rep, std::ostream& out);
 
 /// Parses a representative from `in`, validating the header and structure.
+/// Consumes the rest of the stream: bytes after the last term record are
+/// read and ignored, so one stream holds one representative.
 Result<Representative> ReadRepresentative(std::istream& in);
 
 /// File convenience wrappers.
 Status SaveRepresentative(const Representative& rep, const std::string& path);
 Result<Representative> LoadRepresentative(const std::string& path);
+
+/// The whole regular file at `path`, read with one read() of its size
+/// (IOError when it cannot be opened, sized or read).
+Result<std::string> ReadFileBytes(const std::string& path);
+
+/// The header of one URP1 image. `engine_name` views the parsed bytes.
+struct Urp1Header {
+  std::string_view engine_name;
+  std::uint64_t num_docs = 0;
+  RepresentativeKind kind = RepresentativeKind::kQuadruplet;
+  bool stale_max = false;
+  /// Term records that follow; at most what the remaining bytes can hold.
+  std::uint64_t num_terms = 0;
+  /// Upper bound on the records' total term bytes (exact when no bytes
+  /// trail the last record).
+  std::uint64_t max_term_bytes = 0;
+};
+
+/// Parses the header at the front of `*bytes` and advances past it:
+/// magic, kind and stale-max bit, the engine name within the 1 MiB string
+/// cap, and the term count against the remaining bytes. Failures are
+/// Corruption.
+Result<Urp1Header> ParseUrp1Header(std::string_view* bytes);
+
+/// Parses the term record at the front of `*bytes` and advances past it.
+/// `*term` views the record's term bytes. A repeated term is not detected
+/// here; every consumer keeps the last record. Failures are Corruption.
+Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
+                     TermStats* stats);
 
 }  // namespace useful::represent

@@ -8,8 +8,8 @@
 
 #include "broker/selection_policy.h"
 #include "estimate/registry.h"
-#include "represent/serialize.h"
 #include "represent/store.h"
+#include "represent/term_table.h"
 #include "util/engine_hash.h"
 #include "util/string_util.h"
 
@@ -65,17 +65,19 @@ std::string EscapeLabelValue(std::string_view value) {
 }
 
 /// One representative file, either format: a packed URPZ store (possibly
-/// many engines, served zero-copy) or a single legacy URP1 representative.
+/// many engines, served zero-copy) or a single URP1 representative frozen
+/// into a term table.
 struct LoadedReps {
   std::shared_ptr<const represent::StoreView> store;   // URPZ
-  std::optional<represent::Representative> rep;        // URP1
+  std::shared_ptr<const represent::TermTable> table;   // URP1
 };
 
 Result<LoadedReps> LoadRepFile(const std::string& path) {
   LoadedReps out;
   // One path may carry either format; the magic decides. Packed URPZ
   // stores register zero-copy (mmap stays shared until the snapshot's
-  // last in-flight request drops), legacy URP1 files parse as before.
+  // last in-flight request drops); URP1 files become term tables that
+  // every later snapshot shares.
   auto packed = represent::SniffPackedStore(path);
   if (!packed.ok()) {
     return Status::IOError(path + ": " + packed.status().message());
@@ -91,15 +93,16 @@ Result<LoadedReps> LoadRepFile(const std::string& path) {
     out.store = std::move(store).value();
     return out;
   }
-  auto rep = represent::LoadRepresentative(path);
-  if (!rep.ok()) {
+  auto table = represent::TermTable::Load(path);
+  if (!table.ok()) {
     // Keep the original code (Corruption vs IOError) but add which file.
-    std::string msg = path + ": " + rep.status().message();
-    return rep.status().code() == Status::Code::kCorruption
+    std::string msg = path + ": " + table.status().message();
+    return table.status().code() == Status::Code::kCorruption
                ? Status::Corruption(std::move(msg))
                : Status::IOError(std::move(msg));
   }
-  out.rep = std::move(rep).value();
+  out.table =
+      std::make_shared<const represent::TermTable>(std::move(table).value());
   return out;
 }
 
@@ -147,7 +150,7 @@ Result<std::shared_ptr<const broker::Metasearcher>> Service::LoadSnapshot()
           next->RegisterStore(std::move(loaded.value().store)));
     } else {
       USEFUL_RETURN_IF_ERROR(
-          next->RegisterRepresentative(std::move(*loaded.value().rep)));
+          next->RegisterTable(std::move(loaded.value().table)));
     }
   }
   return std::shared_ptr<const broker::Metasearcher>(std::move(next));
@@ -220,11 +223,9 @@ Status Service::AddEngines(const std::string& path, std::size_t* added_out) {
     USEFUL_RETURN_IF_ERROR(clone->RegisterStore(
         std::move(loaded.value().store),
         [this](std::string_view name) { return OwnsEngine(name); }));
-  } else {
-    represent::Representative rep = std::move(*loaded.value().rep);
-    if (OwnsEngine(rep.engine_name())) {
-      USEFUL_RETURN_IF_ERROR(clone->RegisterRepresentative(std::move(rep)));
-    }
+  } else if (OwnsEngine(loaded.value().table->engine_name())) {
+    USEFUL_RETURN_IF_ERROR(
+        clone->RegisterTable(std::move(loaded.value().table)));
   }
   std::size_t added = clone->num_engines() - before;
   if (added_out != nullptr) *added_out = added;
@@ -275,8 +276,8 @@ Status Service::UpdateEngines(const std::string& path,
       std::string name(loaded.value().store->engine(i).engine_name());
       if (registered.count(name) > 0) touched.push_back(std::move(name));
     }
-  } else if (registered.count(loaded.value().rep->engine_name()) > 0) {
-    touched.push_back(loaded.value().rep->engine_name());
+  } else if (registered.count(loaded.value().table->engine_name()) > 0) {
+    touched.push_back(loaded.value().table->engine_name());
   }
   if (updated_out != nullptr) *updated_out = touched.size();
   if (touched.empty()) return Status::OK();  // nothing of ours in the file
@@ -295,7 +296,7 @@ Status Service::UpdateEngines(const std::string& path,
         }));
   } else {
     USEFUL_RETURN_IF_ERROR(
-        clone->RegisterRepresentative(std::move(*loaded.value().rep)));
+        clone->RegisterTable(std::move(loaded.value().table)));
   }
   for (const std::string& name : touched) {
     engine_gens_[name] = next_gen_++;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "estimate/registry.h"
 #include "estimate/subrange_estimator.h"
 #include "represent/builder.h"
@@ -136,6 +138,81 @@ TEST_F(MetasearcherTest, FindRepresentative) {
   auto missing = broker_->FindRepresentative("nope");
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), Status::Code::kNotFound);
+}
+
+// Engines live in the broker as frozen term tables. For every registry
+// estimator, plain and annotated queries, and several thresholds, a
+// table-backed estimate is bit-identical to the scalar estimator over the
+// source representative, whether the table came from RegisterEngine or
+// RegisterRepresentative.
+TEST_F(MetasearcherTest, TablesScoreBitIdenticalToScalarEstimate) {
+  std::vector<represent::Representative> reps;
+  Metasearcher from_reps(&analyzer_);
+  for (auto& engine : engines_) {
+    auto rep = represent::BuildRepresentative(*engine);
+    ASSERT_TRUE(rep.ok());
+    ASSERT_TRUE(from_reps.RegisterRepresentative(rep.value()).ok());
+    reps.push_back(std::move(rep).value());
+  }
+  const char* queries[] = {"football", "goal shared", "quantum^2 particle",
+                           "shared -oven", "recipe oven shared MSM 2",
+                           "ghostword"};
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const std::string& name : estimate::KnownEstimators()) {
+    auto est = estimate::MakeEstimator(name);
+    ASSERT_TRUE(est.ok()) << name;
+    for (const char* text : queries) {
+      auto q = ir::ParseAnnotatedQuery(analyzer_, text);
+      ASSERT_TRUE(q.ok()) << text;
+      for (double threshold : {0.05, 0.2, 0.5}) {
+        for (std::size_t i = 0; i < reps.size(); ++i) {
+          estimate::UsefulnessEstimate scalar =
+              est.value()->Estimate(reps[i], q.value(), threshold);
+          for (const Metasearcher* broker : {broker_.get(), &from_reps}) {
+            ASSERT_EQ(broker->engine_name(i), reps[i].engine_name());
+            estimate::UsefulnessEstimate served = broker->EstimateEngine(
+                i, q.value(), threshold, *est.value());
+            EXPECT_TRUE(same_bits(served.no_doc, scalar.no_doc))
+                << name << " '" << text << "' T=" << threshold << " " << i;
+            EXPECT_TRUE(same_bits(served.avg_sim, scalar.avg_sim))
+                << name << " '" << text << "' T=" << threshold << " " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Copy-on-write churn clones share every table with their source.
+TEST_F(MetasearcherTest, CloneSharesTables) {
+  std::unique_ptr<Metasearcher> clone = broker_->Clone();
+  for (const char* name : {"sports", "science", "cooking"}) {
+    auto mine = broker_->FindRepresentative(name);
+    auto theirs = clone->FindRepresentative(name);
+    ASSERT_TRUE(mine.ok() && theirs.ok()) << name;
+    EXPECT_EQ(mine.value(), theirs.value()) << name;
+  }
+  ASSERT_TRUE(clone->RemoveEngine("science").ok());
+  EXPECT_TRUE(broker_->FindRepresentative("science").ok());
+  EXPECT_EQ(clone->FindRepresentative("cooking").value(),
+            broker_->FindRepresentative("cooking").value());
+}
+
+TEST_F(MetasearcherTest, RegisterTableRejectsNullAndDuplicates) {
+  EXPECT_EQ(broker_->RegisterTable(nullptr).code(),
+            Status::Code::kInvalidArgument);
+  represent::Representative rep("sports", 3,
+                                represent::RepresentativeKind::kQuadruplet);
+  auto table = represent::TermTable::Freeze(rep);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(broker_
+                ->RegisterTable(std::make_shared<const represent::TermTable>(
+                    std::move(table).value()))
+                .code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(broker_->num_engines(), 3u);
 }
 
 TEST_F(MetasearcherTest, DuplicateRepresentativeRejected) {

@@ -145,5 +145,32 @@ TEST_F(ResolvedQueryTest, DefaultBatchFallbackLoopsScalar) {
   EXPECT_EQ(out[1].avg_sim, 0.7);
 }
 
+TEST_F(ResolvedQueryTest, DefaultBatchFallbackAbortsWithoutRepresentative) {
+  // A table-backed query has no Representative for the scalar loop: an
+  // estimator that does not override EstimateBatch must fail loudly there
+  // instead of dereferencing null.
+  class ScalarOnlyEstimator : public UsefulnessEstimator {
+   public:
+    std::string name() const override { return "scalar-only"; }
+    UsefulnessEstimate Estimate(const represent::Representative&,
+                                const ir::Query&, double) const override {
+      return UsefulnessEstimate{};
+    }
+  };
+  ScalarOnlyEstimator scalar_only;
+  auto table = represent::TermTable::Freeze(*rep_);
+  ASSERT_TRUE(table.ok());
+  ir::Query q = ir::ParseQuery(analyzer_, "zorp blat");
+  ResolvedQuery rq(table.value(), q);
+  ASSERT_FALSE(rq.has_representative());
+  const double threshold = 0.1;
+  UsefulnessEstimate out;
+  ExpansionWorkspace ws;
+  EXPECT_DEATH(scalar_only.EstimateBatch(
+                   rq, std::span<const double>(&threshold, 1), ws,
+                   std::span<UsefulnessEstimate>(&out, 1)),
+               "scalar-only does not override EstimateBatch");
+}
+
 }  // namespace
 }  // namespace useful::estimate

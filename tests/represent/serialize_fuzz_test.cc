@@ -1,12 +1,15 @@
-// Robustness of the representative reader against corrupted input: random
+// Robustness of the representative readers against corrupted input: random
 // byte flips and truncations must never crash, hang, or allocate absurdly
 // — they either fail with Corruption/IOError or (rarely, when the flip
 // lands in a numeric payload) yield a structurally valid representative.
+// Every input goes through both ReadRepresentative and TermTable::Parse,
+// which must agree (see urp1_parity.h).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "represent/serialize.h"
+#include "urp1_parity.h"
 #include "util/random.h"
 
 namespace useful::represent {
@@ -40,8 +43,7 @@ TEST_P(SerializeFuzz, SingleByteFlipsNeverCrash) {
         mutated.size()));
     mutated[pos] =
         static_cast<char>(mutated[pos] ^ (1 + rng.NextBounded(255)));
-    std::stringstream in(mutated);
-    auto r = ReadRepresentative(in);
+    auto r = ReadBoth(mutated);
     if (r.ok()) {
       // A surviving parse must still be structurally sound.
       EXPECT_LE(r.value().num_terms(), 64u);
@@ -62,9 +64,8 @@ TEST_P(SerializeFuzz, MultiByteScramblesNeverCrash) {
           mutated.size()));
       mutated[pos] = static_cast<char>(rng.NextU32());
     }
-    std::stringstream in(mutated);
-    auto r = ReadRepresentative(in);
-    (void)r;  // any outcome is fine as long as it returns
+    auto r = ReadBoth(mutated);
+    (void)r;  // any outcome is fine as long as both readers agree
     SUCCEED();
   }
 }
@@ -75,8 +76,7 @@ TEST_P(SerializeFuzz, RandomTruncationsFailCleanly) {
   for (int trial = 0; trial < 100; ++trial) {
     std::size_t cut = rng.NextBounded(
         static_cast<std::uint32_t>(bytes.size()));  // strictly shorter
-    std::stringstream in(bytes.substr(0, cut));
-    auto r = ReadRepresentative(in);
+    auto r = ReadBoth(bytes.substr(0, cut));
     EXPECT_FALSE(r.ok()) << "cut=" << cut;
   }
 }
@@ -86,8 +86,7 @@ TEST_P(SerializeFuzz, RandomGarbageFailsCleanly) {
   for (int trial = 0; trial < 100; ++trial) {
     std::string garbage(8 + rng.NextBounded(512), '\0');
     for (char& c : garbage) c = static_cast<char>(rng.NextU32());
-    std::stringstream in(garbage);
-    auto r = ReadRepresentative(in);
+    auto r = ReadBoth(garbage);
     EXPECT_FALSE(r.ok());
   }
 }

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <sstream>
 
+#include "represent/term_table.h"
+#include "urp1_parity.h"
 #include "util/random.h"
 
 namespace useful::represent {
@@ -22,7 +24,7 @@ TEST(SerializeTest, StreamRoundTrip) {
   Representative orig = MakeRep();
   std::stringstream ss;
   ASSERT_TRUE(WriteRepresentative(orig, ss).ok());
-  auto loaded = ReadRepresentative(ss);
+  auto loaded = ReadBoth(ss);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Representative& rep = loaded.value();
   EXPECT_EQ(rep.engine_name(), "engine-7");
@@ -44,7 +46,7 @@ TEST(SerializeTest, TripletKindRoundTrips) {
   orig.Put("x", TermStats{0.2, 0.3, 0.1, 0.0, 1});
   std::stringstream ss;
   ASSERT_TRUE(WriteRepresentative(orig, ss).ok());
-  auto loaded = ReadRepresentative(ss);
+  auto loaded = ReadBoth(ss);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().kind(), RepresentativeKind::kTriplet);
 }
@@ -53,7 +55,7 @@ TEST(SerializeTest, EmptyRepresentativeRoundTrips) {
   Representative orig("empty", 0, RepresentativeKind::kQuadruplet);
   std::stringstream ss;
   ASSERT_TRUE(WriteRepresentative(orig, ss).ok());
-  auto loaded = ReadRepresentative(ss);
+  auto loaded = ReadBoth(ss);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_terms(), 0u);
 }
@@ -61,7 +63,7 @@ TEST(SerializeTest, EmptyRepresentativeRoundTrips) {
 TEST(SerializeTest, RejectsBadMagic) {
   std::stringstream ss;
   ss << "NOPE garbage";
-  auto r = ReadRepresentative(ss);
+  auto r = ReadBoth(ss);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
 }
@@ -69,7 +71,7 @@ TEST(SerializeTest, RejectsBadMagic) {
 TEST(SerializeTest, RejectsTruncatedHeader) {
   std::stringstream ss;
   ss << "URP1";
-  auto r = ReadRepresentative(ss);
+  auto r = ReadBoth(ss);
   EXPECT_FALSE(r.ok());
 }
 
@@ -80,7 +82,7 @@ TEST(SerializeTest, RejectsTruncatedBody) {
   std::string bytes = ss.str();
   for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2, 6ul}) {
     std::stringstream truncated(bytes.substr(0, cut));
-    auto r = ReadRepresentative(truncated);
+    auto r = ReadBoth(truncated);
     EXPECT_FALSE(r.ok()) << "cut=" << cut;
     EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
   }
@@ -91,7 +93,7 @@ TEST(SerializeTest, StaleMaxFlagRoundTrips) {
   flagged.set_stale_max(true);
   std::stringstream ss;
   ASSERT_TRUE(WriteRepresentative(flagged, ss).ok());
-  auto loaded = ReadRepresentative(ss);
+  auto loaded = ReadBoth(ss);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value().stale_max());
   // The flag rides the kind byte's high bit; the kind itself survives.
@@ -99,7 +101,7 @@ TEST(SerializeTest, StaleMaxFlagRoundTrips) {
 
   std::stringstream clean;
   ASSERT_TRUE(WriteRepresentative(MakeRep(), clean).ok());
-  auto fresh = ReadRepresentative(clean);
+  auto fresh = ReadBoth(clean);
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh.value().stale_max());
 }
@@ -111,7 +113,7 @@ TEST(SerializeTest, RejectsUnknownKind) {
   std::string bytes = ss.str();
   bytes[4] = 9;  // kind byte
   std::stringstream bad(bytes);
-  auto r = ReadRepresentative(bad);
+  auto r = ReadBoth(bad);
   EXPECT_FALSE(r.ok());
 }
 
@@ -124,7 +126,7 @@ TEST(SerializeTest, RejectsAbsurdStringLength) {
   std::uint32_t len = 0xfffffff0;
   bytes.append(reinterpret_cast<const char*>(&len), 4);
   std::stringstream bad(bytes);
-  auto r = ReadRepresentative(bad);
+  auto r = ReadBoth(bad);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
 }
@@ -154,7 +156,7 @@ TEST(SerializeTest, RejectsTruncatedTermTable) {
   double numbers[4] = {0.4, 0.5, 0.1, 0.9};
   bytes.append(reinterpret_cast<const char*>(numbers), sizeof(numbers));
   std::stringstream in(bytes);
-  auto r = ReadRepresentative(in);
+  auto r = ReadBoth(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
 }
@@ -169,7 +171,7 @@ TEST(SerializeTest, RejectsTruncatedTermStringBody) {
   // (one minimum-width record), but short of the 100 announced above.
   bytes.append(36, '\0');
   std::stringstream in(bytes);
-  auto r = ReadRepresentative(in);
+  auto r = ReadBoth(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
   EXPECT_NE(r.status().message().find("truncated string body"),
@@ -186,7 +188,7 @@ TEST(SerializeTest, RejectsTermLengthOverCap) {
   // check is the one that fires.
   bytes.append(36, '\0');
   std::stringstream in(bytes);
-  auto r = ReadRepresentative(in);
+  auto r = ReadBoth(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
   EXPECT_NE(r.status().message().find("string too long"), std::string::npos);
@@ -228,7 +230,7 @@ TEST(SerializeTest, MaxLengthStringStillWrites) {
   rep.Put(std::string(1u << 20, 'x'), TermStats{0.1, 0.2, 0.1, 0.3, 1});
   std::stringstream ss;
   ASSERT_TRUE(WriteRepresentative(rep, ss).ok());
-  auto loaded = ReadRepresentative(ss);
+  auto loaded = ReadBoth(ss);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_terms(), 1u);
 }
@@ -239,7 +241,7 @@ TEST(SerializeTest, RejectsTermCountExceedingStreamSize) {
   // loop until it happened to hit EOF).
   std::string bytes = HeaderClaiming(1'000'000'000ull);
   std::stringstream in(bytes);
-  auto r = ReadRepresentative(in);
+  auto r = ReadBoth(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
   EXPECT_NE(r.status().message().find("term count exceeds stream size"),
@@ -252,7 +254,7 @@ TEST(SerializeTest, TermCountBoundUsesMinimumRecordWidth) {
   std::string bytes = HeaderClaiming(2);
   bytes.append(40, '\0');  // one minimum-width record's worth of bytes
   std::stringstream in(bytes);
-  auto r = ReadRepresentative(in);
+  auto r = ReadBoth(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
 }
@@ -264,6 +266,9 @@ TEST(SerializeTest, FileRoundTrip) {
   auto loaded = LoadRepresentative(path.string());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_terms(), orig.num_terms());
+  auto table = TermTable::Load(path.string());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ExpectSameTerms(loaded.value(), table.value());
   std::filesystem::remove(path);
 }
 
@@ -271,6 +276,72 @@ TEST(SerializeTest, LoadMissingFileFails) {
   auto r = LoadRepresentative("/nonexistent/rep.bin");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kIOError);
+  auto table = TermTable::Load("/nonexistent/rep.bin");
+  EXPECT_EQ(table.status().code(), Status::Code::kIOError);
+  EXPECT_EQ(table.status().message(), r.status().message());
+  // A directory opens but has no byte size to read.
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  EXPECT_EQ(LoadRepresentative(dir).status().code(), Status::Code::kIOError);
+  EXPECT_EQ(TermTable::Load(dir).status().code(), Status::Code::kIOError);
+}
+
+/// One on-disk term record, as WriteRepresentative lays it out.
+void AppendRecord(std::string* bytes, const std::string& term,
+                  const TermStats& ts) {
+  std::uint32_t len = static_cast<std::uint32_t>(term.size());
+  bytes->append(reinterpret_cast<const char*>(&len), 4);
+  bytes->append(term);
+  bytes->append(reinterpret_cast<const char*>(&ts.doc_freq), 4);
+  for (double v : {ts.p, ts.avg_weight, ts.stddev, ts.max_weight}) {
+    bytes->append(reinterpret_cast<const char*>(&v), 8);
+  }
+}
+
+TEST(SerializeTest, RepeatedTermKeepsLastRecord) {
+  const TermStats first{0.1, 0.2, 0.03, 0.4, 1};
+  const TermStats last{0.5, 0.6, 0.07, 0.8, 5};
+  std::string bytes = HeaderClaiming(3);
+  AppendRecord(&bytes, "dup", first);
+  AppendRecord(&bytes, "other", TermStats{0.3, 0.3, 0.0, 0.3, 3});
+  AppendRecord(&bytes, "dup", last);
+  auto r = ReadBoth(bytes);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().num_terms(), 2u);
+  EXPECT_TRUE(BitIdentical(*r.value().Find("dup"), last));
+  auto table = TermTable::Parse(bytes);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table.value().num_terms(), 2u);
+  EXPECT_TRUE(BitIdentical(*table.value().Find("dup"), last));
+}
+
+TEST(SerializeTest, EmptyTermIsAnOrdinaryKey) {
+  std::stringstream with_empty;
+  ASSERT_TRUE(WriteRepresentative(MakeRep(), with_empty).ok());
+  auto table = TermTable::Parse(with_empty.str());
+  ASSERT_TRUE(table.ok());
+  auto empty = table.value().Find("");
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->doc_freq, 308u);
+
+  Representative plain("plain", 4, RepresentativeKind::kQuadruplet);
+  plain.Put("a", TermStats{0.25, 0.5, 0.1, 0.6, 1});
+  auto frozen = TermTable::Freeze(plain);
+  ASSERT_TRUE(frozen.ok());
+  EXPECT_FALSE(frozen.value().Find("").has_value());
+  EXPECT_TRUE(frozen.value().Find("a").has_value());
+}
+
+TEST(SerializeTest, FreezeHoldsEveryTerm) {
+  Representative stale = MakeRep();
+  stale.set_stale_max(true);
+  auto table = TermTable::Freeze(stale);
+  ASSERT_TRUE(table.ok());
+  ExpectSameTerms(stale, table.value());
+  auto empty = TermTable::Freeze(
+      Representative("empty", 0, RepresentativeKind::kTriplet));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value().num_terms(), 0u);
+  EXPECT_FALSE(empty.value().Find("x").has_value());
 }
 
 TEST(SerializeTest, LargeRepresentativeRoundTrip) {
@@ -287,12 +358,20 @@ TEST(SerializeTest, LargeRepresentativeRoundTrip) {
   }
   std::stringstream ss;
   ASSERT_TRUE(WriteRepresentative(orig, ss).ok());
-  auto loaded = ReadRepresentative(ss);
+  auto loaded = ReadBoth(ss);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_terms(), 20000u);
   auto t = loaded.value().Find("term12345");
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->p, orig.Find("term12345")->p);
+  // 20,000 terms in a 65,536-slot index: ReadBoth has probed every one
+  // through the collision chains; absent neighbours must miss.
+  auto table = TermTable::Freeze(orig);
+  ASSERT_TRUE(table.ok());
+  ExpectSameTerms(orig, table.value());
+  for (int i = 20000; i < 21000; ++i) {
+    EXPECT_FALSE(table.value().Find("term" + std::to_string(i)).has_value());
+  }
 }
 
 }  // namespace

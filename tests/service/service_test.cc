@@ -19,6 +19,7 @@
 #include "represent/serialize.h"
 #include "represent/store.h"
 #include "util/engine_hash.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace useful::service {
@@ -62,7 +63,8 @@ class ServiceTest : public ::testing::Test {
     return (dir_ / (name + ".rep")).string();
   }
 
-  void WriteRep(const std::string& name, std::vector<std::string> docs) {
+  void WriteRep(const std::string& name, std::vector<std::string> docs,
+                bool stale_max = false) {
     ir::SearchEngine engine(name, &analyzer_);
     int i = 0;
     for (const std::string& text : docs) {
@@ -71,6 +73,7 @@ class ServiceTest : public ::testing::Test {
     ASSERT_TRUE(engine.Finalize().ok());
     auto rep = represent::BuildRepresentative(engine);
     ASSERT_TRUE(rep.ok());
+    rep.value().set_stale_max(stale_max);
     ASSERT_TRUE(
         represent::SaveRepresentative(rep.value(), RepPath(name)).ok());
   }
@@ -410,6 +413,99 @@ TEST_F(ServiceTest, UpdateOfUnregisteredEnginesIsANoOp) {
   // A no-op must not bump the epoch or sweep anything.
   EXPECT_EQ(service_->snapshot_epoch(), 0u);
   EXPECT_EQ(service_->stats().Get(Stats::kEnginesUpdated), 0u);
+}
+
+// Churn verbs build a clone that shares every untouched engine's frozen
+// table with the previous snapshot: only the engines a verb names are
+// loaded anew, so a verb costs O(engines), not O(terms).
+TEST_F(ServiceTest, ChurnSharesUntouchedTables) {
+  auto table_of = [&](const char* name) -> const represent::TermTable* {
+    auto found = service_->snapshot()->FindRepresentative(name);
+    EXPECT_TRUE(found.ok()) << name << ": " << found.status().ToString();
+    return found.ok() ? found.value() : nullptr;
+  };
+  // Holding every snapshot keeps its tables alive, so an address can't be
+  // reused and pointer equality means sharing.
+  std::vector<std::shared_ptr<const broker::Metasearcher>> held = {
+      service_->snapshot()};
+  const represent::TermTable* sports = table_of("sports");
+  const represent::TermTable* science = table_of("science");
+  const represent::TermTable* cooking = table_of("cooking");
+  std::unique_ptr<broker::Metasearcher> clone = held[0]->Clone();
+  EXPECT_EQ(clone->FindRepresentative("science").value(), science);
+
+  WriteRep("history", {"empire treaty shared", "dynasty empire war"});
+  ASSERT_TRUE(service_->Execute("ADD " + RepPath("history")).status.ok());
+  held.push_back(service_->snapshot());
+  EXPECT_EQ(table_of("sports"), sports);
+  EXPECT_EQ(table_of("science"), science);
+  EXPECT_EQ(table_of("cooking"), cooking);
+  const represent::TermTable* history = table_of("history");
+
+  WriteRep("sports", {"volleyball net serve", "goal keeper shared"});
+  ASSERT_TRUE(service_->Execute("UPDATE " + RepPath("sports")).status.ok());
+  held.push_back(service_->snapshot());
+  EXPECT_NE(table_of("sports"), sports);
+  sports = table_of("sports");
+  EXPECT_EQ(table_of("science"), science);
+  EXPECT_EQ(table_of("cooking"), cooking);
+  EXPECT_EQ(table_of("history"), history);
+
+  ASSERT_TRUE(service_->Execute("DROP cooking").status.ok());
+  EXPECT_EQ(table_of("sports"), sports);
+  EXPECT_EQ(table_of("science"), science);
+  EXPECT_EQ(table_of("history"), history);
+}
+
+std::vector<std::string>* CapturedWarnings() {
+  static std::vector<std::string> lines;
+  return &lines;
+}
+
+void CaptureWarning(LogLevel level, const std::string& line) {
+  if (level == LogLevel::kWarning) CapturedWarnings()->push_back(line);
+}
+
+// A stale-max file keeps being counted (representative_stale) and warned
+// about when it arrives by ADD or UPDATE, not just at startup.
+TEST_F(ServiceTest, StaleMaxSurvivesAddAndUpdate) {
+  CapturedWarnings()->clear();
+  SetLogSink(&CaptureWarning);
+  auto stale_count = [&] {
+    return service_->stats().Get(Stats::kRepresentativeStale);
+  };
+  auto warned_about = [&](const std::string& name) {
+    for (const std::string& line : *CapturedWarnings()) {
+      if (line.find("'" + name + "' has stale max weights") !=
+          std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_EQ(stale_count(), 0u);
+
+  WriteRep("history", {"empire treaty shared"}, /*stale_max=*/true);
+  ASSERT_TRUE(service_->Execute("ADD " + RepPath("history")).status.ok());
+  EXPECT_EQ(stale_count(), 1u);
+  EXPECT_TRUE(warned_about("history"));
+
+  CapturedWarnings()->clear();
+  WriteRep("sports", {"football goal referee"}, /*stale_max=*/true);
+  ASSERT_TRUE(service_->Execute("UPDATE " + RepPath("sports")).status.ok());
+  EXPECT_EQ(stale_count(), 2u);
+  EXPECT_TRUE(warned_about("sports"));
+
+  ASSERT_TRUE(service_->Execute("UPDATE " + RepPath("history")).status.ok());
+  EXPECT_EQ(stale_count(), 2u);
+  EXPECT_TRUE(warned_about("history"));
+
+  WriteRep("history", {"empire treaty shared"});
+  ASSERT_TRUE(service_->Execute("UPDATE " + RepPath("history")).status.ok());
+  EXPECT_EQ(stale_count(), 1u);
+  ASSERT_TRUE(service_->Execute("DROP sports").status.ok());
+  EXPECT_EQ(stale_count(), 0u);
+  SetLogSink(nullptr);
 }
 
 TEST_F(ServiceTest, AddFiltersByShardOwnership) {

@@ -27,10 +27,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "cluster/frontend.h"
 #include "cluster/topology.h"
 #include "service/server.h"
+#include "util/flags.h"
 
 namespace {
 useful::service::Server* g_server = nullptr;
@@ -55,44 +57,40 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--cluster") == 0) {
       cluster_spec = need_value("--cluster");
     } else if (std::strcmp(argv[i], "--host") == 0) {
       server_options.host = need_value("--host");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      server_options.port = static_cast<std::uint16_t>(
-          std::strtoul(need_value("--port"), nullptr, 10));
+      need_number("--port", &server_options.port);
     } else if (std::strcmp(argv[i], "--port-file") == 0) {
       port_file = need_value("--port-file");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      server_options.threads =
-          std::strtoul(need_value("--threads"), nullptr, 10);
+      need_number("--threads", &server_options.threads);
     } else if (std::strcmp(argv[i], "--reactor-threads") == 0) {
-      server_options.reactor_threads =
-          std::strtoul(need_value("--reactor-threads"), nullptr, 10);
+      need_number("--reactor-threads", &server_options.reactor_threads);
     } else if (std::strcmp(argv[i], "--reuseport") == 0) {
       server_options.reuseport = true;
     } else if (std::strcmp(argv[i], "--backlog") == 0) {
-      server_options.backlog = static_cast<int>(
-          std::strtol(need_value("--backlog"), nullptr, 10));
+      need_number("--backlog", &server_options.backlog);
     } else if (std::strcmp(argv[i], "--eject-failures") == 0) {
-      frontend_options.eject_failures = static_cast<int>(
-          std::strtol(need_value("--eject-failures"), nullptr, 10));
+      need_number("--eject-failures", &frontend_options.eject_failures);
     } else if (std::strcmp(argv[i], "--probe-backoff-ms") == 0) {
-      frontend_options.probe_backoff_ms = static_cast<int>(
-          std::strtol(need_value("--probe-backoff-ms"), nullptr, 10));
+      need_number("--probe-backoff-ms", &frontend_options.probe_backoff_ms);
     } else if (std::strcmp(argv[i], "--connect-timeout-ms") == 0) {
-      frontend_options.tcp.connect_timeout_ms = static_cast<int>(
-          std::strtol(need_value("--connect-timeout-ms"), nullptr, 10));
+      need_number("--connect-timeout-ms",
+                  &frontend_options.tcp.connect_timeout_ms);
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0) {
-      frontend_options.tcp.io_timeout_ms = static_cast<int>(
-          std::strtol(need_value("--io-timeout-ms"), nullptr, 10));
+      need_number("--io-timeout-ms", &frontend_options.tcp.io_timeout_ms);
     } else if (std::strcmp(argv[i], "--trace-sample-rate") == 0) {
-      frontend_options.trace_sample_rate = static_cast<std::uint32_t>(
-          std::strtoul(need_value("--trace-sample-rate"), nullptr, 10));
+      need_number("--trace-sample-rate", &frontend_options.trace_sample_rate);
     } else if (std::strcmp(argv[i], "--slowlog-size") == 0) {
-      frontend_options.slowlog_size =
-          std::strtoul(need_value("--slowlog-size"), nullptr, 10);
+      need_number("--slowlog-size", &frontend_options.slowlog_size);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;

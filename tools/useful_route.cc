@@ -13,13 +13,16 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "broker/metasearcher.h"
 #include "broker/selection_policy.h"
 #include "estimate/registry.h"
-#include "represent/serialize.h"
+#include "represent/term_table.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {
@@ -38,14 +41,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--estimator") == 0) {
       estimator_name = need_value("--estimator");
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
       threshold = std::strtod(need_value("--threshold"), nullptr);
     } else if (std::strcmp(argv[i], "--topk") == 0) {
-      topk = std::strtoul(need_value("--topk"), nullptr, 10);
+      need_number("--topk", &topk);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = std::strtoul(need_value("--threads"), nullptr, 10);
+      need_number("--threads", &threads);
     } else {
       rep_paths.push_back(argv[i]);
     }
@@ -70,16 +78,18 @@ int main(int argc, char** argv) {
   broker::Metasearcher broker(&analyzer);
   broker.SetParallelism(threads);
   for (const std::string& path : rep_paths) {
-    auto rep = represent::LoadRepresentative(path);
-    if (!rep.ok()) {
+    auto table = represent::TermTable::Load(path);
+    if (!table.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                   rep.status().ToString().c_str());
+                   table.status().ToString().c_str());
       return 1;
     }
     std::printf("loaded %s: engine \"%s\", %zu terms, n=%zu\n", path.c_str(),
-                rep.value().engine_name().c_str(), rep.value().num_terms(),
-                rep.value().num_docs());
-    if (Status s = broker.RegisterRepresentative(std::move(rep).value());
+                table.value().engine_name().c_str(), table.value().num_terms(),
+                table.value().num_docs());
+    if (Status s = broker.RegisterTable(
+            std::make_shared<const represent::TermTable>(
+                std::move(table).value()));
         !s.ok()) {
       std::fprintf(stderr, "register: %s\n", s.ToString().c_str());
       return 1;

@@ -51,11 +51,13 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "service/server.h"
 #include "service/service.h"
 #include "text/analyzer.h"
+#include "util/flags.h"
 
 namespace {
 useful::service::Server* g_server = nullptr;
@@ -81,57 +83,47 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--host") == 0) {
       server_options.host = need_value("--host");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      server_options.port = static_cast<std::uint16_t>(
-          std::strtoul(need_value("--port"), nullptr, 10));
+      need_number("--port", &server_options.port);
     } else if (std::strcmp(argv[i], "--port-file") == 0) {
       port_file = need_value("--port-file");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      server_options.threads =
-          std::strtoul(need_value("--threads"), nullptr, 10);
+      need_number("--threads", &server_options.threads);
     } else if (std::strcmp(argv[i], "--reactor-threads") == 0) {
-      server_options.reactor_threads =
-          std::strtoul(need_value("--reactor-threads"), nullptr, 10);
+      need_number("--reactor-threads", &server_options.reactor_threads);
     } else if (std::strcmp(argv[i], "--backlog") == 0) {
-      server_options.backlog = static_cast<int>(
-          std::strtol(need_value("--backlog"), nullptr, 10));
+      need_number("--backlog", &server_options.backlog);
     } else if (std::strcmp(argv[i], "--reuseport") == 0) {
       server_options.reuseport = true;
     } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0) {
-      server_options.idle_timeout_ms = static_cast<int>(
-          std::strtol(need_value("--idle-timeout-ms"), nullptr, 10));
+      need_number("--idle-timeout-ms", &server_options.idle_timeout_ms);
     } else if (std::strcmp(argv[i], "--request-timeout-ms") == 0) {
-      server_options.request_timeout_ms = static_cast<int>(
-          std::strtol(need_value("--request-timeout-ms"), nullptr, 10));
+      need_number("--request-timeout-ms", &server_options.request_timeout_ms);
     } else if (std::strcmp(argv[i], "--write-timeout-ms") == 0) {
-      server_options.write_timeout_ms = static_cast<int>(
-          std::strtol(need_value("--write-timeout-ms"), nullptr, 10));
+      need_number("--write-timeout-ms", &server_options.write_timeout_ms);
     } else if (std::strcmp(argv[i], "--max-connections") == 0) {
-      server_options.max_connections =
-          std::strtoul(need_value("--max-connections"), nullptr, 10);
+      need_number("--max-connections", &server_options.max_connections);
     } else if (std::strcmp(argv[i], "--max-accept-queue") == 0) {
-      server_options.max_accept_queue =
-          std::strtoul(need_value("--max-accept-queue"), nullptr, 10);
+      need_number("--max-accept-queue", &server_options.max_accept_queue);
     } else if (std::strcmp(argv[i], "--cache-entries") == 0) {
-      service_options.cache.max_entries =
-          std::strtoul(need_value("--cache-entries"), nullptr, 10);
+      need_number("--cache-entries", &service_options.cache.max_entries);
     } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
-      service_options.cache.max_bytes =
-          std::strtoul(need_value("--cache-bytes"), nullptr, 10);
+      need_number("--cache-bytes", &service_options.cache.max_bytes);
     } else if (std::strcmp(argv[i], "--trace-sample-rate") == 0) {
-      service_options.trace_sample_rate = static_cast<std::uint32_t>(
-          std::strtoul(need_value("--trace-sample-rate"), nullptr, 10));
+      need_number("--trace-sample-rate", &service_options.trace_sample_rate);
     } else if (std::strcmp(argv[i], "--slowlog-size") == 0) {
-      service_options.slowlog_size =
-          std::strtoul(need_value("--slowlog-size"), nullptr, 10);
+      need_number("--slowlog-size", &service_options.slowlog_size);
     } else if (std::strcmp(argv[i], "--num-shards") == 0) {
-      service_options.num_shards =
-          std::strtoul(need_value("--num-shards"), nullptr, 10);
+      need_number("--num-shards", &service_options.num_shards);
     } else if (std::strcmp(argv[i], "--shard-index") == 0) {
-      service_options.shard_index =
-          std::strtoul(need_value("--shard-index"), nullptr, 10);
+      need_number("--shard-index", &service_options.shard_index);
     } else {
       service_options.representative_paths.push_back(argv[i]);
     }
