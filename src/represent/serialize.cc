@@ -15,9 +15,11 @@ constexpr char kMagic[4] = {'U', 'R', 'P', '1'};
 // Guards against corrupt headers allocating absurd buffers.
 constexpr std::uint32_t kMaxStringLen = 1u << 20;
 constexpr std::uint64_t kMaxTerms = 1ull << 32;
+// What follows a record's term bytes: u32 doc_freq + four f64 statistics.
+constexpr std::size_t kTermStatsBytes = 4 + 4 * sizeof(double);
 // Smallest possible on-disk term record: u32 length + empty term bytes +
-// u32 doc_freq + four f64 statistics.
-constexpr std::uint64_t kMinTermRecordBytes = 4 + 4 + 4 * sizeof(double);
+// the statistics.
+constexpr std::uint64_t kMinTermRecordBytes = 4 + kTermStatsBytes;
 // High bit of the kind byte carries the stale-max flag; the low 7 bits
 // remain the RepresentativeKind, so files written before the flag existed
 // read back with the flag clear and old readers reject flagged files as an
@@ -132,18 +134,18 @@ Result<Urp1Header> ParseUrp1Header(std::string_view* bytes) {
   if (h.num_terms > bytes->size() / kMinTermRecordBytes) {
     return Status::Corruption("term count exceeds stream size");
   }
-  h.max_term_bytes = bytes->size() - h.num_terms * kMinTermRecordBytes;
   return h;
 }
 
 Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
                      TermStats* stats) {
+  const char* record = bytes->data();
   USEFUL_RETURN_IF_ERROR(TakeString(bytes, term));
-  if (!TakePod(bytes, &stats->doc_freq) || !TakePod(bytes, &stats->p) ||
-      !TakePod(bytes, &stats->avg_weight) || !TakePod(bytes, &stats->stddev) ||
-      !TakePod(bytes, &stats->max_weight)) {
+  if (bytes->size() < kTermStatsBytes) {
     return Status::Corruption("truncated term record");
   }
+  bytes->remove_prefix(kTermStatsBytes);
+  DecodeUrp1Term(record, stats);
   return Status::OK();
 }
 

@@ -8,10 +8,12 @@
 // The high bit of the kind byte is the stale-max flag. Every reader goes
 // through ParseUrp1Header/ParseUrp1Term, so ReadRepresentative,
 // LoadRepresentative and TermTable accept and reject exactly the same
-// files, with the same messages.
+// files, with the same messages, and every term record is decoded by
+// DecodeUrp1Term.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -45,9 +47,6 @@ struct Urp1Header {
   bool stale_max = false;
   /// Term records that follow; at most what the remaining bytes can hold.
   std::uint64_t num_terms = 0;
-  /// Upper bound on the records' total term bytes (exact when no bytes
-  /// trail the last record).
-  std::uint64_t max_term_bytes = 0;
 };
 
 /// Parses the header at the front of `*bytes` and advances past it:
@@ -61,5 +60,24 @@ Result<Urp1Header> ParseUrp1Header(std::string_view* bytes);
 /// here; every consumer keeps the last record. Failures are Corruption.
 Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
                      TermStats* stats);
+
+/// Decodes the term record starting at `record` with memcpy only and no
+/// bounds checks, so only a record ParseUrp1Term has accepted may be
+/// passed. Returns its term bytes; when `stats` is non-null, also stores
+/// its statistics there.
+inline std::string_view DecodeUrp1Term(const char* record, TermStats* stats) {
+  std::uint32_t len;
+  std::memcpy(&len, record, sizeof(len));
+  const char* term = record + sizeof(len);
+  if (stats != nullptr) {
+    const char* tail = term + len;
+    std::memcpy(&stats->doc_freq, tail, 4);
+    std::memcpy(&stats->p, tail + 4, 8);
+    std::memcpy(&stats->avg_weight, tail + 12, 8);
+    std::memcpy(&stats->stddev, tail + 20, 8);
+    std::memcpy(&stats->max_weight, tail + 28, 8);
+  }
+  return std::string_view(term, len);
+}
 
 }  // namespace useful::represent

@@ -19,6 +19,8 @@ constexpr char kMagic[4] = {'U', 'R', 'P', 'Z'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kFileHeaderBytes = 32;
 constexpr std::size_t kEngineHeaderBytes = 80;
+// An index entry without its name: block offset, block bytes, name length.
+constexpr std::size_t kIndexEntryBytes = 20;
 // Same cap the URP1 reader enforces per string.
 constexpr std::size_t kMaxNameLen = 1u << 20;
 
@@ -321,7 +323,9 @@ std::optional<TermStats> RepresentativeView::Find(std::string_view term) const {
 
   // Scan the block, tracking lcp = common prefix of `term` and the current
   // dictionary entry. Entries only re-materialize the bytes they change,
-  // so the scan never copies a term.
+  // so the scan never copies a term. An entry may share fewer bytes with
+  // its predecessor than it could (validation accepts any ascending
+  // coding), so one sharing fewer than lcp is compared, not skipped.
   const unsigned char* pos = terms_ + RestartOffset(lo);
   const unsigned char* end = terms_ + terms_bytes_;
   std::size_t idx = lo * restart_interval_;
@@ -347,21 +351,20 @@ std::optional<TermStats> RepresentativeView::Find(std::string_view term) const {
     ReadVarint(&pos, end, &suffix_len);
     suffix = reinterpret_cast<const char*>(pos);
     pos += suffix_len;
-    if (shared > lcp) continue;           // still below `term`
-    if (shared < lcp) return std::nullopt;  // stepped past `term`
-    const std::size_t m = CommonPrefixLen(term.substr(lcp),
+    if (shared > lcp) continue;  // still below `term`
+    // The entry's first `shared` bytes are `term`'s; compare the rest.
+    const std::size_t m = CommonPrefixLen(term.substr(shared),
                                           {suffix, suffix_len});
+    lcp = shared + m;
     if (m == suffix_len) {
-      if (lcp + m == term.size()) return StatsAt(idx);
-      lcp += m;  // dictionary term is a proper prefix of `term`: below it
-      continue;
+      if (lcp == term.size()) return StatsAt(idx);
+      continue;  // dictionary term is a proper prefix of `term`: below it
     }
-    if (lcp + m == term.size() ||
+    if (lcp == term.size() ||
         static_cast<unsigned char>(suffix[m]) >
-            static_cast<unsigned char>(term[lcp + m])) {
+            static_cast<unsigned char>(term[lcp])) {
       return std::nullopt;  // dictionary term is above `term`
     }
-    lcp += m;
   }
   return std::nullopt;
 }
@@ -411,6 +414,11 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
   if (index_offset > size) {
     return Status::Corruption("URPZ: index offset out of bounds");
   }
+  // Every index entry takes at least kIndexEntryBytes, so a count the
+  // index cannot hold is corrupt before it sizes an allocation.
+  if (num_engines > (size - index_offset) / kIndexEntryBytes) {
+    return Status::Corruption("URPZ: engine count exceeds index size");
+  }
 
   // Walk the index first: engine extents and names.
   view->engines_.reserve(num_engines);
@@ -418,13 +426,13 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
   const unsigned char* file_end = data + size;
   std::string_view prev_name;
   for (std::uint32_t e = 0; e < num_engines; ++e) {
-    if (file_end - cursor < 20) {
+    if (file_end - cursor < static_cast<std::ptrdiff_t>(kIndexEntryBytes)) {
       return Status::Corruption("URPZ: truncated engine index");
     }
     const std::uint64_t block_offset = ReadU64(cursor);
     const std::uint64_t block_bytes = ReadU64(cursor + 8);
     const std::uint32_t name_len = ReadU32(cursor + 16);
-    cursor += 20;
+    cursor += kIndexEntryBytes;
     if (name_len > kMaxNameLen ||
         static_cast<std::uint64_t>(file_end - cursor) < name_len) {
       return Status::Corruption("URPZ: engine name out of bounds");
@@ -499,10 +507,12 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
     // Walk the whole front-coded blob once: exact term count, restart
     // offsets that match the recorded table, shared prefixes that stay
     // within the previous term, and strictly ascending terms (the binary
-    // search and scan both rely on sortedness).
+    // search and scan both rely on sortedness). An entry is
+    // prev[0, shared) + suffix, so it is above `prev` exactly when
+    // `suffix` is above prev[shared:]; `prev` is extended in place.
     const unsigned char* pos = rv.terms_;
     const unsigned char* end = rv.terms_ + rv.terms_bytes_;
-    std::string prev, cur;
+    std::string prev;
     for (std::uint64_t i = 0; i < rv.num_terms_; ++i) {
       if (i % rv.restart_interval_ == 0) {
         const std::uint64_t r = i / rv.restart_interval_;
@@ -523,13 +533,14 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
           suffix_len > static_cast<std::uint64_t>(end - pos)) {
         return Status::Corruption("URPZ: term entry out of bounds");
       }
-      cur.assign(prev, 0, shared);
-      cur.append(reinterpret_cast<const char*>(pos), suffix_len);
+      const std::string_view suffix(reinterpret_cast<const char*>(pos),
+                                    suffix_len);
       pos += suffix_len;
-      if (i > 0 && !(prev < cur)) {
+      if (i > 0 && !(std::string_view(prev).substr(shared) < suffix)) {
         return Status::Corruption("URPZ: terms not strictly ascending");
       }
-      std::swap(prev, cur);
+      prev.resize(shared);
+      prev.append(suffix);
     }
     if (pos != end) {
       return Status::Corruption("URPZ: trailing bytes in term blob");

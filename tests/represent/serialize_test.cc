@@ -344,6 +344,19 @@ TEST(SerializeTest, FreezeHoldsEveryTerm) {
   EXPECT_FALSE(empty.value().Find("x").has_value());
 }
 
+TEST(SerializeTest, FreezeRefusesWhatSaveRefuses) {
+  // A table is indexed over the writer's bytes, so a term no URP1 file can
+  // hold cannot be frozen either.
+  Representative rep("engine", 10, RepresentativeKind::kQuadruplet);
+  rep.Put(std::string((1u << 20) + 1, 'x'), TermStats{0.1, 0.2, 0.1, 0.3, 1});
+  std::stringstream ss;
+  const Status written = WriteRepresentative(rep, ss);
+  auto frozen = TermTable::Freeze(rep);
+  ASSERT_FALSE(frozen.ok());
+  EXPECT_EQ(frozen.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(frozen.status().message(), written.message());
+}
+
 TEST(SerializeTest, LargeRepresentativeRoundTrip) {
   Pcg32 rng(9);
   Representative orig("big", 100000, RepresentativeKind::kQuadruplet);

@@ -473,5 +473,247 @@ TEST_F(StoreCorruptionTest, RejectsUnsortedIndex) {
   ExpectCorrupt(std::move(bad), "unsorted index");
 }
 
+TEST_F(StoreCorruptionTest, RejectsEngineCountBeyondIndex) {
+  // The count is checked against the index bytes before it sizes the
+  // engine table: 0xffffffff used to throw std::bad_alloc out of open.
+  for (std::uint32_t count : {2u, 0xffffffffu}) {
+    std::string bad = image_;
+    Patch32(&bad, 8, count);
+    auto r = StoreView::FromBuffer(std::move(bad));
+    ASSERT_FALSE(r.ok()) << count;
+    EXPECT_EQ(r.status().code(), Status::Code::kCorruption) << count;
+    EXPECT_EQ(r.status().message(), "URPZ: engine count exceeds index size")
+        << count;
+  }
+}
+
+// --- Term entries in place: the validator compares each front-coded
+// entry's suffix with the previous term's tail instead of building the
+// term. These pin what it accepts and rejects, message for message. -----
+
+/// One front-coded term entry: bytes shared with the previous term, then
+/// the rest of the term.
+struct TermEntry {
+  std::uint32_t shared;
+  std::string suffix;
+};
+
+void AppendVarint(std::string* out, std::uint32_t v) {
+  for (; v >= 0x80; v >>= 7) out->push_back(static_cast<char>(v | 0x80));
+  out->push_back(static_cast<char>(v));
+}
+
+std::uint64_t ReadU64At(const std::string& bytes, std::size_t off) {
+  std::uint64_t v;
+  std::memcpy(&v, bytes.data() + off, 8);
+  return v;
+}
+
+void WriteU64At(std::string* bytes, std::size_t off, std::uint64_t v) {
+  std::memcpy(bytes->data() + off, &v, 8);
+}
+
+/// A one-engine store of `entries.size()` terms whose term section is
+/// exactly `entries`, with every offset that depends on the section's size
+/// fixed: the restart table, the engine header's terms_bytes, codes_offset
+/// and block_bytes, the index entry's block_bytes, and the file header's
+/// index_offset and file_bytes.
+std::string ImageWithTerms(const std::vector<TermEntry>& entries,
+                           std::uint32_t restart_interval = 16) {
+  Representative rep("db", 100, RepresentativeKind::kQuadruplet);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    rep.Put("t" + std::to_string(i), TermStats{0.5, 0.3, 0.1, 0.6, 50});
+  }
+  auto encoded = EncodeStore({&rep}, PackOptions{restart_interval});
+  EXPECT_TRUE(encoded.ok());
+  const std::string image = std::move(encoded).value();
+  constexpr std::size_t kBlock = 32;  // the only engine block's offset
+  const std::uint64_t restarts_offset = ReadU64At(image, kBlock + 32);
+  const std::uint64_t dfbits_offset = ReadU64At(image, kBlock + 40);
+  const std::uint64_t terms_offset = ReadU64At(image, kBlock + 48);
+  const std::uint64_t codes_offset = ReadU64At(image, kBlock + 64);
+  const std::uint64_t block_bytes = ReadU64At(image, kBlock + 72);
+  const std::uint64_t index_offset = ReadU64At(image, 16);
+
+  std::string terms, restarts;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i % restart_interval == 0) {
+      const auto off = static_cast<std::uint32_t>(terms.size());
+      restarts.append(reinterpret_cast<const char*>(&off), 4);
+    }
+    AppendVarint(&terms, entries[i].shared);
+    AppendVarint(&terms, static_cast<std::uint32_t>(entries[i].suffix.size()));
+    terms += entries[i].suffix;
+  }
+  std::string block = image.substr(kBlock, restarts_offset) + restarts +
+                      image.substr(kBlock + dfbits_offset,
+                                   terms_offset - dfbits_offset) +
+                      terms +
+                      image.substr(kBlock + codes_offset,
+                                   block_bytes - codes_offset);
+  WriteU64At(&block, 56, terms.size());
+  WriteU64At(&block, 64, terms_offset + terms.size());
+  WriteU64At(&block, 72, block.size());
+  std::string file = image.substr(0, kBlock) + block;
+  const std::uint64_t new_index_offset = file.size();
+  file += image.substr(index_offset);
+  WriteU64At(&file, new_index_offset + 8, block.size());
+  WriteU64At(&file, 16, new_index_offset);
+  WriteU64At(&file, 24, file.size());
+  return file;
+}
+
+/// The status of opening a store whose only engine holds `entries`.
+Status OpenWithTerms(const std::vector<TermEntry>& entries,
+                     std::uint32_t restart_interval = 16) {
+  return StoreView::FromBuffer(ImageWithTerms(entries, restart_interval))
+      .status();
+}
+
+/// Opens a store whose only engine holds `entries` and expects it to list
+/// exactly `terms`, each found by Find.
+void ExpectTermsFound(const std::vector<TermEntry>& entries,
+                      const std::vector<std::string>& terms) {
+  auto store = MustOpen(ImageWithTerms(entries));
+  ASSERT_NE(store, nullptr);
+  const RepresentativeView& view = store->engine(0);
+  std::vector<std::string> listed;
+  view.ForEachTerm([&](std::string_view term, const TermStats&) {
+    listed.emplace_back(term);
+  });
+  EXPECT_EQ(listed, terms);
+  for (const std::string& term : terms) {
+    EXPECT_TRUE(view.Find(term).has_value()) << term;
+  }
+}
+
+TEST(StoreTermEntryTest, ShorterSharedPrefixThatAscendsIsAccepted) {
+  // "apricot" shares 2 bytes with "apple" and "band" 3 with "banana";
+  // storing fewer still describes the same ascending terms.
+  ExpectTermsFound({{0, "apple"},
+                    {1, "pricot"},
+                    {0, "banana"},
+                    {2, "nd"},
+                    {0, "bandit"},
+                    {4, "s"}},
+                   {"apple", "apricot", "banana", "band", "bandit", "bands"});
+}
+
+TEST(StoreTermEntryTest, RejectsEqualAndDescendingEntries) {
+  const Status equal = OpenWithTerms({{0, "abc"}, {3, ""}});
+  EXPECT_EQ(equal.code(), Status::Code::kCorruption);
+  EXPECT_EQ(equal.message(), "URPZ: terms not strictly ascending");
+  const Status descending = OpenWithTerms({{0, "abd"}, {2, "c"}});
+  EXPECT_EQ(descending.code(), Status::Code::kCorruption);
+  EXPECT_EQ(descending.message(), "URPZ: terms not strictly ascending");
+  const Status proper_prefix = OpenWithTerms({{0, "abc"}, {0, "ab"}});
+  EXPECT_EQ(proper_prefix.message(), "URPZ: terms not strictly ascending");
+}
+
+TEST(StoreTermEntryTest, RejectsSharedPrefixLongerThanPreviousTerm) {
+  const Status s = OpenWithTerms({{0, "ab"}, {3, "c"}});
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_EQ(s.message(), "URPZ: term entry out of bounds");
+}
+
+TEST(StoreTermEntryTest, RejectsSharedPrefixAtRestart) {
+  const Status first = OpenWithTerms({{1, "a"}, {0, "b"}});
+  EXPECT_EQ(first.code(), Status::Code::kCorruption);
+  EXPECT_EQ(first.message(), "URPZ: nonzero shared prefix at restart");
+  const Status later =
+      OpenWithTerms({{0, "a"}, {0, "b"}, {1, "c"}}, /*restart_interval=*/2);
+  EXPECT_EQ(later.code(), Status::Code::kCorruption);
+  EXPECT_EQ(later.message(), "URPZ: nonzero shared prefix at restart");
+}
+
+TEST(StoreTermEntryTest, HighBytesSortAboveAscii) {
+  // Bytes >= 0x80 order as unsigned, as Find compares them: "ab\xe9" is
+  // above "abc" and "\x80" above "zebra".
+  ExpectTermsFound({{0, "abc"}, {2, "\xe9"}, {0, "zebra"}, {0, "\x80"},
+                    {1, "\xff"}},
+                   {"abc", "ab\xe9", "zebra", "\x80", "\x80\xff"});
+}
+
+// --- Sweep: no image makes open throw, and every image that opens is
+// searchable for every term it lists. ---------------------------------
+
+/// Opens `bytes` and checks the outcome: OK or Corruption, never a throw;
+/// when it opens, every engine is found by name and every term it lists
+/// is found with the stats it lists.
+void ExpectOpensCleanly(std::string bytes, const std::string& what) {
+  std::optional<Result<std::shared_ptr<const StoreView>>> r;
+  try {
+    r.emplace(StoreView::FromBuffer(std::move(bytes)));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": open threw " << e.what();
+    return;
+  }
+  if (!r->ok()) {
+    EXPECT_EQ(r->status().code(), Status::Code::kCorruption) << what;
+    return;
+  }
+  const StoreView& store = *r->value();
+  for (std::size_t e = 0; e < store.num_engines(); ++e) {
+    const RepresentativeView& view = store.engine(e);
+    EXPECT_TRUE(store.Find(view.engine_name()).has_value()) << what;
+    view.ForEachTerm([&](std::string_view term, const TermStats& ts) {
+      auto found = view.Find(term);
+      ASSERT_TRUE(found.has_value()) << what << " term " << term;
+      ExpectSameStats(*found, ts, what);
+    });
+  }
+}
+
+TEST(StoreSweepTest, NoImageThrowsAndEveryOpenedTermIsFound) {
+  Representative a = MakeRep("alpha", 40, 1, RepresentativeKind::kQuadruplet);
+  Representative b = MakeRep("beta", 30, 2, RepresentativeKind::kTriplet);
+  Representative c = MakeRep("gamma", 50, 3, RepresentativeKind::kQuadruplet);
+  auto encoded = EncodeStore({&a, &b, &c});
+  ASSERT_TRUE(encoded.ok());
+  const std::string image = std::move(encoded).value();
+  ExpectOpensCleanly(image, "unmodified");
+
+  // Every u32/u64 field of the file header, the index entries and the
+  // engine headers, set to 0, 1 and all-ones.
+  std::vector<std::pair<std::size_t, int>> fields = {
+      {4, 4}, {8, 4}, {12, 4}, {16, 8}, {24, 8}};
+  std::size_t entry = ReadU64At(image, 16);
+  for (int e = 0; e < 3; ++e) {
+    const std::uint64_t block = ReadU64At(image, entry);
+    for (std::size_t off : {0, 4, 24, 28}) fields.emplace_back(block + off, 4);
+    for (std::size_t off : {8, 16, 32, 40, 48, 56, 64, 72}) {
+      fields.emplace_back(block + off, 8);
+    }
+    fields.emplace_back(entry, 8);
+    fields.emplace_back(entry + 8, 8);
+    fields.emplace_back(entry + 16, 4);
+    std::uint32_t name_len;
+    std::memcpy(&name_len, image.data() + entry + 16, 4);
+    entry += 20 + name_len;
+  }
+  ASSERT_EQ(entry, image.size());
+  for (const auto& [off, width] : fields) {
+    for (std::uint64_t v : {0ull, 1ull, ~0ull}) {
+      std::string bad = image;
+      std::memcpy(bad.data() + off, &v, static_cast<std::size_t>(width));
+      ExpectOpensCleanly(std::move(bad), "field at " + std::to_string(off) +
+                                             " = " + std::to_string(v));
+    }
+  }
+
+  Pcg32 rng(2024);
+  const auto size = static_cast<std::uint32_t>(image.size());
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string bad = image;
+    const std::size_t pos = rng.NextBounded(size);
+    bad[pos] = static_cast<char>(bad[pos] ^ (1 + rng.NextBounded(255)));
+    ExpectOpensCleanly(std::move(bad), "flip at " + std::to_string(pos));
+  }
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t cut = rng.NextBounded(size);
+    ExpectOpensCleanly(image.substr(0, cut), "cut at " + std::to_string(cut));
+  }
+}
+
 }  // namespace
 }  // namespace useful::represent

@@ -647,5 +647,27 @@ TEST_F(PackedServiceTest, CorruptPackedFileFailsLoudWithPath) {
             std::string::npos);
 }
 
+TEST_F(PackedServiceTest, AddOfImpossibleEngineCountFailsAndKeepsServing) {
+  PackEngines({{"history", {"empire treaty dynasty", "treaty shared"}}});
+  // An engine count (file offset 8) no index could hold: opening it used
+  // to throw std::bad_alloc, which ended a live server.
+  {
+    std::fstream f(StorePath(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);
+    const std::uint32_t count = 0xffffffffu;
+    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  auto reply = service_->Execute("ADD " + StorePath());
+  ASSERT_FALSE(reply.status.ok());
+  EXPECT_EQ(reply.status.ToString().rfind("Corruption: " + StorePath(), 0),
+            0u)
+      << reply.status.ToString();
+  EXPECT_EQ(service_->num_engines(), 3u);
+  auto after = service_->Execute("ESTIMATE subrange 0.05 shared");
+  ASSERT_TRUE(after.status.ok()) << after.status.ToString();
+  EXPECT_EQ(after.payload.size(), 3u);
+}
+
 }  // namespace
 }  // namespace useful::service
