@@ -1,20 +1,18 @@
 // The front-end's seam to one shard replica.
 //
-// ShardBackend abstracts "send one protocol line to a replica and read
-// the framed response". The TCP implementation (TcpShardBackend in
-// shard_client.h) owns a persistent connection; tests and the fuzzer
-// inject in-process fakes that execute against a local service::Service
-// and can be killed/revived mid-run.
+// A ShardBackend is one connection to a replica: Send() writes a
+// protocol line, Receive() reads its framed response. The TCP
+// implementation (TcpShardBackend in shard_client.h) owns a socket;
+// tests and the fuzzer inject in-process fakes that execute against a
+// local service::Service and can be killed/revived mid-run.
 //
-// The API is two-phase so one offload-pool worker can scatter a request
-// to every shard CONCURRENTLY without spawning threads: Start() writes
-// the request to each replica's socket and returns a pending Call;
-// Finish() then blocks reading each reply in turn. While the worker sits
-// in shard 0's Finish, shards 1..S-1 are already computing — the fan-out
-// costs max(shard latency), not the sum.
+// The two halves let one offload-pool worker scatter a request to every
+// shard CONCURRENTLY without spawning threads: it Sends on one
+// connection per shard, then Receives each reply in turn. While the
+// worker waits on shard 0's reply, shards 1..S-1 are already computing
+// — the fan-out costs max(shard latency), not the sum.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,35 +30,23 @@ struct ShardReply {
   std::string error;                 // valid when !ok: "<Code>: <msg>"
 };
 
-/// One replica connection. Implementations need not be thread-safe; the
-/// front-end serializes all use of a replica behind a per-replica mutex.
+/// One replica connection, used by one request at a time: a Send, then
+/// the Receive of its reply. Implementations need not be thread-safe; the
+/// front-end hands each in-flight leg a connection of its own. After a
+/// failed Send or Receive the connection is discarded, never reused.
 class ShardBackend {
  public:
-  /// An in-flight request: Start() succeeded, Finish() not yet called.
-  class Call {
-   public:
-    virtual ~Call() = default;
-  };
-
   virtual ~ShardBackend() = default;
 
-  /// Writes `line` downstream. A non-OK result means the replica is
-  /// unreachable (connect/send failure) and nothing is in flight.
-  virtual Result<std::unique_ptr<Call>> Start(const std::string& line) = 0;
+  /// Writes `line` downstream. A non-OK status means the replica is
+  /// unreachable (connect/send failure).
+  virtual Status Send(const std::string& line) = 0;
 
-  /// Reads the framed response for `call`. A non-OK status means the
-  /// transport failed mid-read (timeout, disconnect, corrupt framing) and
-  /// the connection is no longer usable for pipelining; implementations
-  /// must reset it so the next Start reconnects. A protocol-level "ERR
-  /// ..." from the replica is a SUCCESSFUL finish with reply->ok false.
-  virtual Status Finish(std::unique_ptr<Call> call, ShardReply* reply) = 0;
-
-  /// Convenience: Start + Finish.
-  Status Roundtrip(const std::string& line, ShardReply* reply) {
-    auto call = Start(line);
-    if (!call.ok()) return call.status();
-    return Finish(std::move(call).value(), reply);
-  }
+  /// Reads the framed response to the last Send. A non-OK status means
+  /// the transport failed mid-read (timeout, disconnect, corrupt
+  /// framing). A protocol-level "ERR ..." from the replica is a
+  /// SUCCESSFUL receive with reply->ok false.
+  virtual Status Receive(ShardReply* reply) = 0;
 };
 
 }  // namespace useful::cluster

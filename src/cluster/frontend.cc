@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -91,6 +92,9 @@ std::vector<std::pair<std::string, std::uint64_t>> ParseKeyValues(
 /// The engine count key of STATS and of the admin verbs' replies.
 constexpr char kEnginesKey[] = "engines";
 
+/// Cap on an ejected replica's doubling re-probe delay.
+constexpr int kMaxProbeBackoffMs = 8'000;
+
 using enum service::MetricKind;
 using enum service::Aggregation;
 
@@ -149,17 +153,17 @@ struct Frontend::StatsFan {
   std::size_t answered = 0;
 };
 
-struct Frontend::PendingCall {
-  std::ptrdiff_t replica = -1;  // candidate that accepted the Start
-  std::unique_ptr<ShardBackend::Call> call;
-  std::unique_lock<std::mutex> lock;  // held on `replica` across the leg
-  std::vector<std::size_t> remaining;  // untried candidates, in order
-  std::size_t tried = 0;               // candidates attempted so far
-};
-
 Frontend::Frontend(ClusterSpec spec, FrontendOptions options,
                    BackendFactory factory)
-    : spec_(std::move(spec)), options_(std::move(options)) {
+    : spec_(std::move(spec)),
+      options_(std::move(options)),
+      factory_(std::move(factory)) {
+  if (factory_ == nullptr) {
+    factory_ = [tcp = options_.tcp](const Endpoint& endpoint, std::size_t,
+                                    std::size_t) {
+      return std::make_unique<TcpShardBackend>(endpoint, tcp);
+    };
+  }
   stats_.sampler()->set_rate(options_.trace_sample_rate);
   stats_.slowlog()->Reset(options_.slowlog_size);
   shards_.reserve(spec_.shards.size());
@@ -169,11 +173,6 @@ Frontend::Frontend(ClusterSpec spec, FrontendOptions options,
     for (std::size_t r = 0; r < spec_.shards[s].replicas.size(); ++r) {
       auto replica = std::make_unique<Replica>();
       replica->endpoint = spec_.shards[s].replicas[r];
-      replica->backend =
-          factory != nullptr
-              ? factory(replica->endpoint, s, r)
-              : std::make_unique<TcpShardBackend>(replica->endpoint,
-                                                  options_.tcp);
       shard->replicas.push_back(std::move(replica));
     }
     shards_.push_back(std::move(shard));
@@ -190,141 +189,90 @@ bool Frontend::ReplicaLive(const Replica& r) const {
   return NowMs() >= r.retry_at_ms.load(std::memory_order_relaxed);
 }
 
-void Frontend::OnReplicaSuccess(Replica* r) {
-  r->consecutive_failures.store(0, std::memory_order_relaxed);
-  r->backoff_ms.store(0, std::memory_order_relaxed);
-  r->retry_at_ms.store(0, std::memory_order_relaxed);
-}
-
 void Frontend::OnReplicaFailure(Replica* r) {
   shard_errors_.fetch_add(1, std::memory_order_relaxed);
   int failures =
       r->consecutive_failures.fetch_add(1, std::memory_order_relaxed) + 1;
   if (failures < options_.eject_failures) return;
   int backoff = r->backoff_ms.load(std::memory_order_relaxed);
-  backoff = backoff == 0
-                ? options_.probe_backoff_ms
-                : std::min(backoff * 2, options_.max_probe_backoff_ms);
+  backoff = backoff == 0 ? options_.probe_backoff_ms
+                         : std::min(backoff * 2, kMaxProbeBackoffMs);
   r->backoff_ms.store(backoff, std::memory_order_relaxed);
   r->retry_at_ms.store(NowMs() + backoff, std::memory_order_relaxed);
 }
 
-void Frontend::StartOnShard(std::size_t shard, const std::string& line,
-                            PendingCall* pending) {
-  Shard& s = *shards_[shard];
-  // Candidate order: live replicas by preference, then ejected ones — an
-  // all-ejected shard still gets probed, so a restarted shard recovers on
-  // the next request instead of waiting out its backoff.
-  std::vector<std::size_t> candidates;
-  candidates.reserve(s.replicas.size());
-  for (std::size_t r = 0; r < s.replicas.size(); ++r) {
-    if (ReplicaLive(*s.replicas[r])) candidates.push_back(r);
-  }
-  for (std::size_t r = 0; r < s.replicas.size(); ++r) {
-    if (!ReplicaLive(*s.replicas[r])) candidates.push_back(r);
-  }
-
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    Replica* replica = s.replicas[candidates[i]].get();
-    std::unique_lock<std::mutex> lock(replica->mu);
-    ++pending->tried;
-    auto call = replica->backend->Start(line);
-    if (call.ok()) {
-      pending->replica = static_cast<std::ptrdiff_t>(candidates[i]);
-      pending->call = std::move(call).value();
-      pending->lock = std::move(lock);
-      pending->remaining.assign(candidates.begin() + i + 1,
-                                candidates.end());
-      return;
-    }
-    OnReplicaFailure(replica);
-  }
-}
-
-void Frontend::GatherFromShard(std::size_t shard, const std::string& line,
-                               PendingCall* pending, ShardOutcome* outcome) {
-  Shard& s = *shards_[shard];
-  if (pending->replica >= 0) {
-    Replica* replica =
-        s.replicas[static_cast<std::size_t>(pending->replica)].get();
-    Status st = replica->backend->Finish(std::move(pending->call),
-                                         &outcome->reply);
-    pending->lock.unlock();
-    if (st.ok()) {
-      OnReplicaSuccess(replica);
-      outcome->reached = true;
-      return;
-    }
-    OnReplicaFailure(replica);
-  }
-  // Synchronous failover over the untried candidates. Requests are
-  // idempotent reads, so re-sending the whole line is safe. This runs
-  // with no other lock held (the pending lock above was released, and
-  // FanOut retries only after every shard's pending leg finished), so
-  // lock order stays single-acquisition and deadlock-free.
-  for (std::size_t r : pending->remaining) {
-    Replica* replica = s.replicas[r].get();
-    std::lock_guard<std::mutex> lock(replica->mu);
-    ++pending->tried;
-    Status st = replica->backend->Roundtrip(line, &outcome->reply);
-    if (st.ok()) {
-      OnReplicaSuccess(replica);
-      outcome->reached = true;
-      return;
-    }
-    OnReplicaFailure(replica);
-  }
-}
-
-void Frontend::FanOut(const std::string& line,
-                      std::vector<ShardOutcome>* outcomes) {
-  auto start = std::chrono::steady_clock::now();
-  outcomes->clear();
-  outcomes->resize(shards_.size());
-  std::vector<PendingCall> pending(shards_.size());
-
-  // Scatter: Start on one replica per shard. Locks are acquired in shard
-  // order and each pending leg keeps its replica locked until its gather.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    StartOnShard(i, line, &pending[i]);
-  }
-  // Gather the pending legs, releasing each lock as its reply lands.
-  std::vector<std::size_t> needs_retry;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    ShardOutcome* outcome = &(*outcomes)[i];
-    if (pending[i].replica >= 0) {
-      Replica* replica = shards_[i]
-                             ->replicas[static_cast<std::size_t>(
-                                 pending[i].replica)]
-                             .get();
-      Status st = replica->backend->Finish(std::move(pending[i].call),
-                                           &outcome->reply);
-      pending[i].lock.unlock();
-      pending[i].replica = -1;
-      if (st.ok()) {
-        OnReplicaSuccess(replica);
-        outcome->reached = true;
-        continue;
+void Frontend::SendLeg(const std::string& line, Leg* leg) {
+  Shard& s = *shards_[leg->shard];
+  while (leg->tried < leg->candidates.size()) {
+    std::size_t index = leg->candidates[leg->tried++];
+    Replica* replica = s.replicas[index].get();
+    {
+      std::lock_guard<std::mutex> lock(replica->idle_mu);
+      if (!replica->idle.empty()) {
+        leg->conn = std::move(replica->idle.back());
+        replica->idle.pop_back();
       }
-      OnReplicaFailure(replica);
     }
-    if (!pending[i].remaining.empty()) needs_retry.push_back(i);
+    if (leg->conn == nullptr) {
+      leg->conn = factory_(replica->endpoint, leg->shard, index);
+    }
+    if (leg->conn->Send(line).ok()) return;
+    leg->conn.reset();
+    OnReplicaFailure(replica);
   }
-  // Retry legs that lost their replica mid-read, now that no scatter lock
-  // is held (single-lock-at-a-time from here on: no deadlock).
-  for (std::size_t i : needs_retry) {
-    GatherFromShard(i, line, &pending[i], &(*outcomes)[i]);
+}
+
+void Frontend::ReceiveLeg(const std::string& line, Leg* leg) {
+  while (leg->conn != nullptr) {
+    Replica* replica =
+        shards_[leg->shard]->replicas[leg->candidates[leg->tried - 1]].get();
+    if (leg->conn->Receive(&leg->reply).ok()) {
+      replica->consecutive_failures.store(0, std::memory_order_relaxed);
+      replica->backoff_ms.store(0, std::memory_order_relaxed);
+      replica->retry_at_ms.store(0, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(replica->idle_mu);
+      replica->idle.push_back(std::move(leg->conn));
+      leg->reached = true;
+      return;
+    }
+    leg->conn.reset();
+    OnReplicaFailure(replica);
+    // Fail over at once: no lock is held, and requests are idempotent
+    // reads, so re-sending the whole line to the next candidate is safe.
+    SendLeg(line, leg);
   }
+}
+
+std::vector<Frontend::Leg> Frontend::FanOut(const std::string& line) {
+  auto start = std::chrono::steady_clock::now();
+  std::vector<Leg> legs(shards_.size());
+  // Scatter: send on one replica per shard. Candidate order: live
+  // replicas by preference, then ejected ones — an all-ejected shard
+  // still gets probed, so a restarted shard recovers on the next request
+  // instead of waiting out its backoff.
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const auto& replicas = shards_[i]->replicas;
+    Leg& leg = legs[i];
+    leg.shard = i;
+    leg.candidates.resize(replicas.size());
+    std::iota(leg.candidates.begin(), leg.candidates.end(), 0);
+    std::stable_partition(
+        leg.candidates.begin(), leg.candidates.end(),
+        [&](std::size_t r) { return ReplicaLive(*replicas[r]); });
+    SendLeg(line, &leg);
+  }
+  // Gather: receive each shard's reply in turn.
+  for (Leg& leg : legs) ReceiveLeg(line, &leg);
 
   std::uint64_t micros = MicrosSince(start);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    ShardOutcome* outcome = &(*outcomes)[i];
     shards_[i]->roundtrip.Record(micros);
-    shards_[i]->down.store(!outcome->reached, std::memory_order_relaxed);
-    if (outcome->reached && pending[i].tried > 1) {
+    shards_[i]->down.store(!legs[i].reached, std::memory_order_relaxed);
+    if (legs[i].reached && legs[i].tried > 1) {
       rerouted_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  return legs;
 }
 
 std::size_t Frontend::stale_shards() const {
@@ -414,18 +362,18 @@ Reply Frontend::DoRank(const Request& request, obs::Trace* trace) {
                            service::FormatScore(request.threshold) +
                            (route ? " 0 " : " ") + request.query_text;
 
-  std::vector<ShardOutcome> outcomes;
+  std::vector<Leg> legs;
   {
     obs::Trace::Span span =
         obs::Trace::StartSpan(trace, obs::Stage::kFanout);
-    FanOut(downstream, &outcomes);
+    legs = FanOut(downstream);
   }
 
   // A downstream protocol error (bad estimator, empty query, ...) is the
   // same error every shard would produce — pass the first one through.
-  for (const ShardOutcome& outcome : outcomes) {
-    if (outcome.reached && !outcome.reply.ok) {
-      reply.status = ParseWireStatus(outcome.reply.error);
+  for (const Leg& leg : legs) {
+    if (leg.reached && !leg.reply.ok) {
+      reply.status = ParseWireStatus(leg.reply.error);
       return reply;
     }
   }
@@ -433,10 +381,10 @@ Reply Frontend::DoRank(const Request& request, obs::Trace* trace) {
   std::vector<RankedLine> merged;
   std::size_t shards_answered = 0;
   bool downstream_degraded = false;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].reached) continue;
+  for (const Leg& leg : legs) {
+    if (!leg.reached) continue;
     std::vector<RankedLine> parsed_lines;
-    Status st = ParseRankingPayload(outcomes[i].reply.payload, &parsed_lines);
+    Status st = ParseRankingPayload(leg.reply.payload, &parsed_lines);
     if (!st.ok()) {
       // A framed but garbled payload: treat the shard as lost for this
       // request rather than surfacing a corruption the client can't act
@@ -445,7 +393,7 @@ Reply Frontend::DoRank(const Request& request, obs::Trace* trace) {
       continue;
     }
     ++shards_answered;
-    downstream_degraded |= outcomes[i].reply.degraded;
+    downstream_degraded |= leg.reply.degraded;
     merged.insert(merged.end(),
                   std::make_move_iterator(parsed_lines.begin()),
                   std::make_move_iterator(parsed_lines.end()));
@@ -476,8 +424,7 @@ Reply Frontend::DoRank(const Request& request, obs::Trace* trace) {
 }
 
 Frontend::StatsFan Frontend::FanStats() {
-  std::vector<ShardOutcome> outcomes;
-  FanOut("STATS", &outcomes);
+  std::vector<Leg> legs = FanOut("STATS");
   StatsFan fan;
   fan.requests.resize(shards_.size());
   fan.errors.resize(shards_.size());
@@ -485,11 +432,10 @@ Frontend::StatsFan Frontend::FanStats() {
       service::Stats::KeyOf(service::Stats::kRequests);
   const std::string_view errors_key =
       service::Stats::KeyOf(service::Stats::kErrors);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].reached || !outcomes[i].reply.ok) continue;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    if (!legs[i].reached || !legs[i].reply.ok) continue;
     ++fan.answered;
-    for (const auto& [key, value] :
-         ParseKeyValues(outcomes[i].reply.payload)) {
+    for (const auto& [key, value] : ParseKeyValues(legs[i].reply.payload)) {
       if (key == requests_key) fan.requests[i] = value;
       if (key == errors_key) fan.errors[i] = value;
       // A key the service table does not declare is not aggregated.
@@ -589,19 +535,17 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
     std::string first_error;
     std::uint64_t shard_engines = 0;
     std::uint64_t shard_count = 0;
-    for (const auto& replica : shards_[s]->replicas) {
-      ShardReply shard_reply;
-      Status st;
-      {
-        std::lock_guard<std::mutex> lock(replica->mu);
-        st = replica->backend->Roundtrip(line, &shard_reply);
-      }
-      if (!st.ok()) {
-        OnReplicaFailure(replica.get());
+    for (std::size_t r = 0; r < shards_[s]->replicas.size(); ++r) {
+      Leg leg;
+      leg.shard = s;
+      leg.candidates = {r};
+      SendLeg(line, &leg);
+      ReceiveLeg(line, &leg);
+      if (!leg.reached) {
         any_replica_failed = true;
         continue;
       }
-      OnReplicaSuccess(replica.get());
+      const ShardReply& shard_reply = leg.reply;
       if (!shard_reply.ok) {
         if (tolerate_not_found &&
             ParseWireStatus(shard_reply.error).code() ==

@@ -5,13 +5,14 @@
 // is the SAME protocol stacked twice. Upstream it answers the ordinary
 // line protocol; downstream it is a client of one replica per shard:
 //
-//   ROUTE/ESTIMATE  scatter to every shard concurrently (Start on all,
-//                   then Finish in turn — the fan-out costs the slowest
-//                   shard, not the sum), merge the partial rankings with
-//                   the exact RankEngines comparator (bit-identical to a
-//                   single process holding every representative; the
-//                   paper's per-engine independence is what makes this
-//                   safe), apply the ROUTE top-k cap after the merge.
+//   ROUTE/ESTIMATE  scatter to every shard concurrently (send to one
+//                   replica per shard, then receive each reply — the
+//                   fan-out costs the slowest shard, not the sum), merge
+//                   the partial rankings with the exact RankEngines
+//                   comparator (bit-identical to a single process
+//                   holding every representative; the paper's per-engine
+//                   independence is what makes this safe), apply the
+//                   ROUTE top-k cap after the merge.
 //   STATS           local stats + the cluster health rows + agg_<key>
 //                   lines folding each downstream key by the aggregation
 //                   the service metric table declares for it.
@@ -37,9 +38,18 @@
 // eject_failures it is ejected and only re-probed after a doubling
 // backoff. A request tries a shard's live replicas in preference order,
 // then — only if none is live — its ejected ones (so a fully-restarted
-// shard recovers on the next request, regardless of backoff). A Finish
-// failure retries the remaining candidates synchronously; reads are
-// idempotent, so a retried request can never double-count anything.
+// shard recovers on the next request, regardless of backoff). A failed
+// send or receive moves the leg on to the next candidate at once, with
+// no lock held; reads are idempotent, so a retried request can never
+// double-count anything.
+//
+// Connections: each replica keeps a list of idle connections. A leg
+// takes one (opening one through the BackendFactory when the list is
+// empty), sends and receives on it with no lock held, and returns it
+// after a successful receive; a connection that failed is destroyed.
+// One request holds at most one connection per replica, so a replica
+// never has more connections than the front-end has workers, and
+// concurrent requests reach a replica at the same time.
 //
 // Degraded mode: when every replica of some shard fails, the reply is
 // still served from the shards that answered, marked with the DEGRADED
@@ -78,16 +88,17 @@ struct FrontendOptions {
   std::size_t slowlog_size = 64;
   /// Consecutive transport failures before a replica is ejected.
   int eject_failures = 2;
-  /// First re-probe delay for an ejected replica; doubles per ejection.
+  /// First re-probe delay for an ejected replica; doubles per ejection
+  /// up to 8 s.
   int probe_backoff_ms = 500;
-  /// Re-probe delay cap.
-  int max_probe_backoff_ms = 8'000;
   /// Options for the default TCP backends (ignored with a custom factory).
   TcpBackendOptions tcp;
 };
 
-/// Builds the backend for one replica; injectable so tests and the
-/// fuzzer can wire in-process fakes with kill/revive switches.
+/// Opens one connection to a replica; injectable so tests and the
+/// fuzzer can wire in-process fakes with kill/revive switches. Called
+/// from worker threads whenever a replica has no idle connection, so it
+/// must be thread-safe.
 using BackendFactory = std::function<std::unique_ptr<ShardBackend>(
     const Endpoint& endpoint, std::size_t shard, std::size_t replica)>;
 
@@ -125,10 +136,10 @@ class Frontend : public service::RequestHandler {
  private:
   struct Replica {
     Endpoint endpoint;
-    std::unique_ptr<ShardBackend> backend;
-    /// Serializes backend use; the line protocol is in-order per
-    /// connection, so concurrent requests take turns per replica.
-    std::mutex mu;
+    /// Connections not in use by any request; guarded by idle_mu, which
+    /// is held only to take or return one.
+    std::mutex idle_mu;
+    std::vector<std::unique_ptr<ShardBackend>> idle;
     std::atomic<int> consecutive_failures{0};
     /// Steady-clock milliseconds before which an ejected replica is not
     /// probed (0: live).
@@ -144,27 +155,31 @@ class Frontend : public service::RequestHandler {
     util::LatencyHistogram roundtrip;
   };
 
-  /// Outcome of one shard's leg of a fan-out.
-  struct ShardOutcome {
-    bool reached = false;   // some replica produced a framed response
-    ShardReply reply;       // valid when reached
+  /// One shard's leg of a request: the replicas to try, in order, and
+  /// the connection in flight to the current one.
+  struct Leg {
+    std::size_t shard = 0;
+    std::vector<std::size_t> candidates;  // replica indices, in order
+    std::size_t tried = 0;                // candidates[0, tried) were used
+    std::unique_ptr<ShardBackend> conn;   // sent to candidates[tried - 1]
+    bool reached = false;  // some replica produced a framed response
+    ShardReply reply;      // valid when reached
   };
 
   bool ReplicaLive(const Replica& r) const;
-  void OnReplicaSuccess(Replica* r);
   void OnReplicaFailure(Replica* r);
 
+  /// Sends the leg's line on the first candidate that accepts it; the
+  /// leg's conn stays null when none does.
+  void SendLeg(const std::string& line, Leg* leg);
+  /// Receives the reply of the leg's in-flight send. A failed replica
+  /// fails over to the remaining candidates inline.
+  void ReceiveLeg(const std::string& line, Leg* leg);
+
   /// Sends `line` to one live replica of every shard concurrently and
-  /// gathers the framed responses, failing over within each shard.
-  /// outcomes->size() == shards_.size() on return.
-  void FanOut(const std::string& line, std::vector<ShardOutcome>* outcomes);
-  /// One shard's leg: Start on the best candidate (the scatter half) —
-  /// returns the pending call's replica index or -1.
-  struct PendingCall;
-  void StartOnShard(std::size_t shard, const std::string& line,
-                    PendingCall* pending);
-  void GatherFromShard(std::size_t shard, const std::string& line,
-                       PendingCall* pending, ShardOutcome* outcome);
+  /// receives the framed responses, failing over within each shard.
+  /// Returns one leg per shard.
+  std::vector<Leg> FanOut(const std::string& line);
 
   service::Reply DoRank(const service::Request& request, obs::Trace* trace);
   service::Reply DoStats();
@@ -189,6 +204,7 @@ class Frontend : public service::RequestHandler {
 
   ClusterSpec spec_;
   FrontendOptions options_;
+  BackendFactory factory_;
   std::vector<std::unique_ptr<Shard>> shards_;
   service::Stats stats_;
 

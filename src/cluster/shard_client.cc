@@ -23,6 +23,9 @@ Status ErrnoStatus(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
+/// A response line longer than this marks the stream corrupt.
+constexpr std::size_t kMaxLineBytes = 1u << 20;
+
 void SetIoTimeout(int fd, int timeout_ms) {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;
@@ -36,14 +39,8 @@ void SetIoTimeout(int fd, int timeout_ms) {
 TcpShardBackend::TcpShardBackend(Endpoint endpoint, TcpBackendOptions options)
     : endpoint_(std::move(endpoint)), options_(options) {}
 
-TcpShardBackend::~TcpShardBackend() { Reset(); }
-
-void TcpShardBackend::Reset() {
+TcpShardBackend::~TcpShardBackend() {
   if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  buf_.clear();
-  buf_off_ = 0;
-  in_flight_ = 0;
 }
 
 Status TcpShardBackend::EnsureConnected() {
@@ -125,7 +122,7 @@ Result<std::string> TcpShardBackend::ReadLine() {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    if (buf_.size() - buf_off_ > options_.max_line_bytes) {
+    if (buf_.size() - buf_off_ > kMaxLineBytes) {
       return Status::Corruption("response line too long from " +
                                 endpoint_.ToString());
     }
@@ -153,36 +150,28 @@ Result<std::string> TcpShardBackend::ReadLine() {
   }
 }
 
-Result<std::unique_ptr<ShardBackend::Call>> TcpShardBackend::Start(
-    const std::string& line) {
+Status TcpShardBackend::Send(const std::string& line) {
+  if (fd_ >= 0) {
+    // Bytes on a kept connection between requests mean the replica
+    // closed it (see the header): reconnect instead of sending into it.
+    pollfd pfd{fd_, POLLIN, 0};
+    if (buf_off_ < buf_.size() || ::poll(&pfd, 1, 0) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+      buf_.clear();
+      buf_off_ = 0;
+    }
+  }
   Status s = EnsureConnected();
   if (!s.ok()) return s;
-  s = SendAll(line + '\n');
-  if (!s.ok()) {
-    Reset();
-    return s;
-  }
-  ++in_flight_;
-  return std::unique_ptr<Call>(new TcpCall());
+  return SendAll(line + '\n');
 }
 
-Status TcpShardBackend::Finish(std::unique_ptr<Call> call, ShardReply* reply) {
-  (void)call;
-  if (fd_ < 0 || in_flight_ == 0) {
-    // The connection died under an earlier pipelined call.
-    return Status::IOError("finish " + endpoint_.ToString() +
-                           ": connection already reset");
-  }
-  --in_flight_;
-  auto fail = [&](Status s) {
-    Reset();
-    return s;
-  };
-
+Status TcpShardBackend::Receive(ShardReply* reply) {
   auto header_line = ReadLine();
-  if (!header_line.ok()) return fail(header_line.status());
+  if (!header_line.ok()) return header_line.status();
   auto header = service::ParseResponseHeader(header_line.value());
-  if (!header.ok()) return fail(header.status());
+  if (!header.ok()) return header.status();
 
   reply->ok = header.value().ok;
   reply->degraded = header.value().degraded;
@@ -195,7 +184,7 @@ Status TcpShardBackend::Finish(std::unique_ptr<Call> call, ShardReply* reply) {
   reply->payload.reserve(header.value().payload_lines);
   for (std::size_t i = 0; i < header.value().payload_lines; ++i) {
     auto line = ReadLine();
-    if (!line.ok()) return fail(line.status());
+    if (!line.ok()) return line.status();
     reply->payload.push_back(std::move(line).value());
   }
   return Status::OK();

@@ -1,17 +1,21 @@
-// TCP ShardBackend: one persistent client connection to a replica.
+// TCP ShardBackend: one client connection to a replica.
 //
-// The connection is lazy (first Start connects) and persistent (reused
-// across requests; the line protocol is strictly request/response in
-// order, so pipelined Starts finish in Start order). Connect is
-// non-blocking with a poll deadline so a black-holed replica costs
-// connect_timeout_ms, not a kernel-default 2 minutes; established
-// sockets run blocking under SO_RCVTIMEO/SO_SNDTIMEO so a replica dying
-// mid-reply surfaces as DeadlineExceeded instead of a hang. Any
-// transport failure tears the connection down — the next Start
-// reconnects from scratch, which is what makes replica restart recovery
-// automatic.
+// The connection is lazy (the first Send connects) and kept: the
+// front-end returns it to its replica's idle list after a successful
+// Receive, so later requests reuse it. Connect is non-blocking with a
+// poll deadline so a black-holed replica costs connect_timeout_ms, not a
+// kernel-default 2 minutes; established sockets run blocking under
+// SO_RCVTIMEO/SO_SNDTIMEO so a replica dying mid-reply surfaces as
+// DeadlineExceeded instead of a hang. After a transport failure the
+// front-end destroys the backend, and the next request opens a fresh
+// connection — which is what makes replica restart recovery automatic.
 //
-// Not thread-safe; the front-end serializes use per replica.
+// A replica closes a connection left idle past its --idle-timeout-ms,
+// writing a parting ERR line first. A replica sends nothing between
+// requests, so Send treats a kept connection with anything to read (that
+// line, or EOF) as closed and reconnects before sending.
+//
+// Not thread-safe; one request uses a connection at a time.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +31,6 @@ struct TcpBackendOptions {
   int connect_timeout_ms = 1'000;
   /// Per-syscall send/recv deadline once connected.
   int io_timeout_ms = 5'000;
-  /// A response line longer than this marks the stream corrupt.
-  std::size_t max_line_bytes = 1u << 20;
 };
 
 class TcpShardBackend : public ShardBackend {
@@ -39,29 +41,20 @@ class TcpShardBackend : public ShardBackend {
   TcpShardBackend(const TcpShardBackend&) = delete;
   TcpShardBackend& operator=(const TcpShardBackend&) = delete;
 
-  Result<std::unique_ptr<Call>> Start(const std::string& line) override;
-  Status Finish(std::unique_ptr<Call> call, ShardReply* reply) override;
-
-  const Endpoint& endpoint() const { return endpoint_; }
-  bool connected() const { return fd_ >= 0; }
+  Status Send(const std::string& line) override;
+  Status Receive(ShardReply* reply) override;
 
  private:
-  class TcpCall : public Call {};
-
   Status EnsureConnected();
   Status SendAll(std::string_view data);
   /// One '\n'-terminated line off the buffered stream (newline stripped).
   Result<std::string> ReadLine();
-  /// Tears down the connection and any buffered bytes; pending pipelined
-  /// calls become Finish errors.
-  void Reset();
 
   const Endpoint endpoint_;
   const TcpBackendOptions options_;
   int fd_ = -1;
   std::string buf_;          // received-but-unconsumed bytes
   std::size_t buf_off_ = 0;  // consumed prefix of buf_
-  std::size_t in_flight_ = 0;
 };
 
 }  // namespace useful::cluster

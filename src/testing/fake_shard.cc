@@ -4,39 +4,29 @@
 
 namespace useful::testing {
 
-namespace {
-
-struct FakeCall : cluster::ShardBackend::Call {
-  cluster::ShardReply reply;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<cluster::ShardBackend::Call>> FakeShardBackend::Start(
-    const std::string& line) {
+Status FakeShardBackend::Send(const std::string& line) {
   if (killed_->load(std::memory_order_acquire)) {
     return Status::IOError("replica killed");
   }
-  auto call = std::make_unique<FakeCall>();
   service::Reply executed = service_->Execute(line);
+  reply_ = cluster::ShardReply{};
   if (executed.status.ok()) {
-    call->reply.ok = true;
-    call->reply.payload = std::move(executed.payload);
-    call->reply.degraded = executed.degraded;
+    reply_.ok = true;
+    reply_.payload = std::move(executed.payload);
+    reply_.degraded = executed.degraded;
   } else {
     // What FormatErrorHeader would put after "ERR " on a real socket.
-    call->reply.ok = false;
-    call->reply.error = executed.status.ToString();
+    reply_.ok = false;
+    reply_.error = executed.status.ToString();
   }
-  return std::unique_ptr<cluster::ShardBackend::Call>(std::move(call));
+  return Status::OK();
 }
 
-Status FakeShardBackend::Finish(std::unique_ptr<Call> call,
-                                cluster::ShardReply* reply) {
+Status FakeShardBackend::Receive(cluster::ShardReply* reply) {
   if (killed_->load(std::memory_order_acquire)) {
     return Status::IOError("replica killed mid-request");
   }
-  *reply = std::move(static_cast<FakeCall*>(call.get())->reply);
+  *reply = std::move(reply_);
   return Status::OK();
 }
 

@@ -5,24 +5,23 @@
 // replicas that (a) answer exactly like a real useful_served process —
 // same Execute, same framing semantics — and (b) can be killed and
 // revived mid-run without sockets or child processes. FakeShardBackend
-// maps the ShardBackend two-phase API onto Service::Execute:
+// maps one ShardBackend connection onto Service::Execute:
 //
-//   Start    killed -> IOError (connect/send failure, nothing in
-//            flight); alive -> executes the line immediately and holds
-//            the framed reply in the pending Call.
-//   Finish   killed -> IOError (the "connection" died between write and
+//   Send     killed -> IOError (connect/send failure); alive -> executes
+//            the line immediately and holds the framed reply.
+//   Receive  killed -> IOError (the "connection" died between write and
 //            read — the mid-request death the failover path must
 //            survive); alive -> hands the held reply over. A non-OK
-//            Execute status becomes a SUCCESSFUL finish with ok=false
+//            Execute status becomes a SUCCESSFUL receive with ok=false
 //            and the wire-format error string, exactly like a framed
 //            "ERR ..." line off a socket.
 //
-// The kill switch is an external atomic so one flag can drop a replica
-// while a fan-out is between Start and Finish on another thread.
+// The kill switch is an external atomic shared by every connection the
+// factory opens to one replica, so one flag can drop a replica while a
+// fan-out is between Send and Receive on another thread.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <string>
 
 #include "cluster/backend.h"
@@ -38,12 +37,13 @@ class FakeShardBackend : public cluster::ShardBackend {
   FakeShardBackend(service::Service* service, const std::atomic<bool>* killed)
       : service_(service), killed_(killed) {}
 
-  Result<std::unique_ptr<Call>> Start(const std::string& line) override;
-  Status Finish(std::unique_ptr<Call> call, cluster::ShardReply* reply) override;
+  Status Send(const std::string& line) override;
+  Status Receive(cluster::ShardReply* reply) override;
 
  private:
   service::Service* service_;
   const std::atomic<bool>* killed_;
+  cluster::ShardReply reply_;  // the executed reply awaiting Receive
 };
 
 }  // namespace useful::testing

@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,11 +27,13 @@ namespace {
 /// One replica's scripted behavior plus call counters. Shared between
 /// the test body and the backend the factory handed the Frontend.
 struct ReplicaScript {
+  /// Send fails — the replica is unreachable.
   std::atomic<bool> fail_start{false};
-  /// Start succeeds, Finish fails — the mid-request death.
+  /// Send succeeds, Receive fails — the mid-request death.
   std::atomic<bool> fail_finish{false};
-  std::atomic<int> starts{0};
-  std::atomic<int> finishes{0};
+  std::atomic<int> starts{0};    // Send calls
+  std::atomic<int> finishes{0};  // Receive calls
+  std::atomic<int> opened{0};    // connections the factory opened
   /// Response for any request line; defaults to an empty-OK frame.
   std::function<ShardReply(const std::string&)> respond;
 };
@@ -43,28 +49,25 @@ class ScriptedBackend : public ShardBackend {
  public:
   explicit ScriptedBackend(ReplicaScript* script) : script_(script) {}
 
-  Result<std::unique_ptr<Call>> Start(const std::string& line) override {
+  Status Send(const std::string& line) override {
     script_->starts.fetch_add(1);
     if (script_->fail_start.load()) return Status::IOError("scripted: down");
-    auto call = std::make_unique<ScriptedCall>();
-    call->reply = script_->respond ? script_->respond(line) : OkReply({});
-    return std::unique_ptr<Call>(std::move(call));
+    reply_ = script_->respond ? script_->respond(line) : OkReply({});
+    return Status::OK();
   }
 
-  Status Finish(std::unique_ptr<Call> call, ShardReply* reply) override {
+  Status Receive(ShardReply* reply) override {
     script_->finishes.fetch_add(1);
     if (script_->fail_finish.load()) {
       return Status::IOError("scripted: died mid-request");
     }
-    *reply = std::move(static_cast<ScriptedCall*>(call.get())->reply);
+    *reply = std::move(reply_);
     return Status::OK();
   }
 
  private:
-  struct ScriptedCall : Call {
-    ShardReply reply;
-  };
   ReplicaScript* script_;
+  ShardReply reply_;
 };
 
 /// 2 shards x 2 replicas of scripted backends.
@@ -76,6 +79,7 @@ class FrontendTest : public ::testing::Test {
     frontend_ = std::make_unique<Frontend>(
         std::move(spec).value(), options,
         [this](const Endpoint&, std::size_t shard, std::size_t replica) {
+          scripts_[shard][replica].opened.fetch_add(1);
           return std::make_unique<ScriptedBackend>(&scripts_[shard][replica]);
         });
   }
@@ -154,6 +158,83 @@ TEST_F(FrontendTest, FailsOverWhenAReplicaDiesMidRequest) {
   EXPECT_FALSE(reply.degraded);
   EXPECT_EQ(reply.payload, (std::vector<std::string>{"borealis 5 0.5"}));
   EXPECT_EQ(scripts_[0][1].starts.load(), 1);
+  EXPECT_EQ(frontend_->rerouted(), 1u);
+}
+
+TEST_F(FrontendTest, ConcurrentRequestsReachOneReplicaAtOnce) {
+  // Shard 0's replicas hold each request inside Send until a second one
+  // has arrived (or 2 s pass), counting the requests inside at once. No
+  // lock is held across a leg, so both requests reach replica (0,0)
+  // together instead of queueing behind each other.
+  MakeFrontend();
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  int inside = 0;
+  int max_inside = 0;
+  for (ReplicaScript& script : scripts_[0]) {
+    script.respond = [&](const std::string&) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      max_inside = std::max(max_inside, ++inside);
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(2), [&] { return arrived >= 2; });
+      --inside;
+      return OkReply({"borealis 5 0.5", "gamma 1 0.25"});
+    };
+  }
+  RespondWithRanking(1, {"aurora 3 0.75"});
+
+  service::Reply replies[2];
+  std::thread clients[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    clients[i] = std::thread(
+        [&, i] { replies[i] = Execute("ROUTE subrange 0.1 0 fox"); });
+  }
+  for (std::thread& client : clients) client.join();
+
+  EXPECT_EQ(max_inside, 2);
+  for (const service::Reply& reply : replies) {
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    EXPECT_FALSE(reply.degraded);
+    EXPECT_EQ(reply.payload,
+              (std::vector<std::string>{"borealis 5 0.5", "aurora 3 0.75",
+                                        "gamma 1 0.25"}));
+  }
+  EXPECT_EQ(scripts_[0][0].starts.load(), 2);
+  EXPECT_EQ(scripts_[0][1].starts.load(), 0);
+  EXPECT_EQ(frontend_->rerouted(), 0u);
+}
+
+TEST_F(FrontendTest, ConnectionsAreReusedAndReplacedAfterAFailure) {
+  MakeFrontend();
+  RespondWithRanking(0, {"borealis 5 0.5"});
+  RespondWithRanking(1, {});
+
+  // Connections open on first use and are kept between requests.
+  ASSERT_TRUE(Execute("ROUTE subrange 0.1 0 fox").status.ok());
+  ASSERT_TRUE(Execute("ROUTE subrange 0.1 0 fox").status.ok());
+  EXPECT_EQ(scripts_[0][0].opened.load(), 1);
+  EXPECT_EQ(scripts_[0][1].opened.load(), 0);
+
+  // A failed Receive destroys that connection, and the leg fails over to
+  // replica (0,1) on a new connection.
+  scripts_[0][0].fail_finish.store(true);
+  service::Reply reply = Execute("ROUTE subrange 0.1 0 fox");
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.payload, (std::vector<std::string>{"borealis 5 0.5"}));
+  EXPECT_EQ(scripts_[0][0].opened.load(), 1);
+  EXPECT_EQ(scripts_[0][1].opened.load(), 1);
+  EXPECT_EQ(frontend_->rerouted(), 1u);
+
+  // One failure is below eject_failures, so the next request goes back to
+  // replica (0,0), over a second connection.
+  scripts_[0][0].fail_finish.store(false);
+  ASSERT_TRUE(Execute("ROUTE subrange 0.1 0 fox").status.ok());
+  EXPECT_EQ(scripts_[0][0].opened.load(), 2);
+  EXPECT_EQ(scripts_[0][0].starts.load(), 4);
+  EXPECT_EQ(scripts_[0][1].starts.load(), 1);
+  EXPECT_EQ(scripts_[1][0].opened.load(), 1);
   EXPECT_EQ(frontend_->rerouted(), 1u);
 }
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/frontend.h"
@@ -16,6 +18,7 @@
 #include "obs/trace.h"
 #include "represent/builder.h"
 #include "represent/serialize.h"
+#include "service/server.h"
 #include "service/service.h"
 #include "testing/fake_shard.h"
 #include "testing/synthetic.h"
@@ -288,6 +291,114 @@ TEST_F(MergeFidelityTest, DuplicateScoreTwinsTieBreakByNameAcrossShards) {
   EXPECT_EQ(pos_b, pos_a + 1);
   EXPECT_EQ(lines[pos_a].no_doc_token, lines[pos_b].no_doc_token);
   EXPECT_EQ(lines[pos_a].avg_sim_token, lines[pos_b].avg_sim_token);
+}
+
+TEST_F(MergeFidelityTest, ConcurrentRequestsThroughFailoverMatchTheOracle) {
+  // Two replicas per shard. Four threads fan requests out while a fifth
+  // kills and revives replica (0,0): idle connection lists, lazy factory
+  // calls and inline failover race each other. Replica (0,1) stays up,
+  // so every reply is whole and byte-identical to the single process.
+  std::atomic<bool> killed[2][2] = {};
+  auto spec = ParseClusterSpec("a:1,a:2|b:1,b:2");
+  ASSERT_TRUE(spec.ok());
+  FrontendOptions options;
+  options.probe_backoff_ms = 1;  // re-probe the killed replica eagerly
+  Frontend frontend(
+      std::move(spec).value(), options,
+      [&](const Endpoint&, std::size_t shard, std::size_t replica) {
+        return std::make_unique<testing::FakeShardBackend>(
+            shard_services_[shard].get(), &killed[shard][replica]);
+      });
+
+  std::vector<std::string> lines;
+  for (const std::string& text : testing::MakeSyntheticQueryTexts(
+           testing::VaryForSeed(21), {}, 8)) {
+    lines.push_back("ROUTE subrange 0.05 0 " + text);
+    lines.push_back("ESTIMATE subrange 0 " + text);
+  }
+  std::vector<service::Reply> expected;
+  for (const std::string& line : lines) {
+    expected.push_back(oracle_->Execute(line));
+  }
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kLinesPerClient = 200;
+  std::atomic<bool> done{false};
+  std::thread killer([&] {
+    while (!done.load()) {
+      killed[0][0].store(!killed[0][0].load());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<service::Reply> replies[kClients];
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = 0; i < kLinesPerClient; ++i) {
+        obs::Trace trace;
+        replies[c].push_back(
+            frontend.Execute(lines[(c + i) % lines.size()], &trace));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  done.store(true);
+  killer.join();
+
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t i = 0; i < kLinesPerClient; ++i) {
+      const std::size_t k = (c + i) % lines.size();
+      const service::Reply& reply = replies[c][i];
+      ASSERT_TRUE(reply.status.ok()) << lines[k] << ": "
+                                     << reply.status.ToString();
+      EXPECT_FALSE(reply.degraded) << lines[k];
+      EXPECT_EQ(reply.payload, expected[k].payload) << lines[k];
+    }
+  }
+}
+
+TEST_F(MergeFidelityTest, ShardIdleTimeoutCostsTheFrontendNoRequest) {
+  // Real shard servers close a connection idle for 200 ms, writing a
+  // parting ERR line first. The front-end's kept connections must be
+  // reopened, not read that line as the next request's reply.
+  service::ServerOptions server_options;
+  server_options.threads = 1;
+  server_options.reactor_threads = 1;
+  server_options.idle_timeout_ms = 200;
+  std::unique_ptr<service::Server> servers[2];
+  std::string spec_text;
+  for (std::size_t s = 0; s < 2; ++s) {
+    servers[s] = std::make_unique<service::Server>(shard_services_[s].get(),
+                                                   server_options);
+    ASSERT_TRUE(servers[s]->Start().ok());
+    spec_text += (s == 0 ? "127.0.0.1:" : "|127.0.0.1:") +
+                 std::to_string(servers[s]->port());
+  }
+  auto spec = ParseClusterSpec(spec_text);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  Frontend frontend(std::move(spec).value(), FrontendOptions{});
+
+  Status served[2];
+  std::thread serving[2];
+  for (std::size_t s = 0; s < 2; ++s) {
+    serving[s] = std::thread([&, s] { served[s] = servers[s]->Serve(); });
+  }
+  const std::string line = "ROUTE subrange 0.05 0 zq0x zq1x";
+  obs::Trace trace;
+  service::Reply first = frontend.Execute(line, &trace);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  service::Reply second = frontend.Execute(line, &trace);
+  for (auto& server : servers) server->RequestStop();
+  for (std::thread& thread : serving) thread.join();
+
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_EQ(first.payload, oracle_->Execute(line).payload);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_FALSE(second.degraded);
+  EXPECT_EQ(second.payload, first.payload);
+  EXPECT_EQ(frontend.shard_errors(), 0u);
+  EXPECT_EQ(frontend.rerouted(), 0u);
+  for (const Status& status : served) EXPECT_TRUE(status.ok());
 }
 
 }  // namespace
