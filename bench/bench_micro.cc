@@ -4,25 +4,15 @@
 // and broker selection across 53 engines.
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "broker/metasearcher.h"
-#include "cluster/frontend.h"
-#include "cluster/topology.h"
 #include "common.h"
-#include "service/protocol.h"
-#include "service/server.h"
 #include "service/service.h"
 #include "estimate/adaptive_estimator.h"
 #include "estimate/basic_estimator.h"
@@ -249,59 +239,6 @@ BENCHMARK(BM_EstimatorViewSweep<estimate::SubrangeEstimator>);
 BENCHMARK(BM_EstimatorViewSweep<estimate::BasicEstimator>);
 BENCHMARK(BM_EstimatorViewSweep<estimate::AdaptiveEstimator>);
 
-// --- Expansion kernels (scalar vs AVX2) --------------------------------
-
-// ns/estimate with the cross-factor kernel pinned. The AVX2 kernel is
-// bit-identical to scalar (FMA identities keep one rounding per lane), so
-// any delta here is pure throughput.
-void BM_EstimatorKernel(benchmark::State& state) {
-  const auto& f = GetD1();
-  estimate::ExpandKernel want = state.range(0) == 0
-                                    ? estimate::ExpandKernel::kScalar
-                                    : estimate::ExpandKernel::kAvx2;
-  if (!estimate::SetExpandKernel(want)) {
-    state.SkipWithError("kernel unavailable on this host");
-    return;
-  }
-  estimate::SubrangeEstimator est;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const ir::Query& q = f.queries[i++ % f.queries.size()];
-    auto u = est.Estimate(f.rep, q, 0.2);
-    benchmark::DoNotOptimize(u);
-  }
-  estimate::SetExpandKernel(estimate::ExpandKernel::kAuto);
-}
-BENCHMARK(BM_EstimatorKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"avx2"});
-
-void BM_ExpansionKernel(benchmark::State& state) {
-  // 6 terms x 10 subranges, kernel pinned: the polynomial-product inner
-  // loop the SIMD path accelerates.
-  estimate::ExpandKernel want = state.range(0) == 0
-                                    ? estimate::ExpandKernel::kScalar
-                                    : estimate::ExpandKernel::kAvx2;
-  if (!estimate::SetExpandKernel(want)) {
-    state.SkipWithError("kernel unavailable on this host");
-    return;
-  }
-  std::vector<estimate::TermPolynomial> factors(6);
-  for (std::size_t t = 0; t < factors.size(); ++t) {
-    for (std::size_t k = 0; k < 10; ++k) {
-      factors[t].spikes.push_back(estimate::Spike{
-          0.05 + 0.9 * static_cast<double>(t * 10 + k) / 60.0, 0.08});
-    }
-  }
-  for (auto _ : state) {
-    auto dist = estimate::SimilarityDistribution::Expand(factors);
-    benchmark::DoNotOptimize(dist);
-  }
-  estimate::SetExpandKernel(estimate::ExpandKernel::kAuto);
-}
-BENCHMARK(BM_ExpansionKernel)->Arg(0)->Arg(1)->ArgNames({"avx2"});
-
 void BM_ExactEvaluation(benchmark::State& state) {
   const auto& f = GetD1();
   std::size_t i = 0;
@@ -364,6 +301,8 @@ BENCHMARK(BM_BrokerSelection53Engines);
 // Thread scaling of the broker's rank/select fan-out over 53 engines.
 // Arg = thread count; 1 is the serial path. Selections are bit-identical
 // at every setting (asserted by the broker tests); only latency moves.
+// The work runs on pool threads while the calling thread waits, so the
+// rows are timed by the wall clock, not by the caller's CPU time.
 void BM_BrokerSelectionThreads(benchmark::State& state) {
   static const auto* setup = [] {
     const auto& tb = bench::GetTestbed();
@@ -388,10 +327,16 @@ void BM_BrokerSelectionThreads(benchmark::State& state) {
   setup->second->SetParallelism(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 53);
 }
-BENCHMARK(BM_BrokerSelectionThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BrokerSelectionThreads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 // Thread scaling of the full experiment runner (512 queries x 6
-// thresholds x subrange) — the eval-side parallel reduction.
+// thresholds x subrange) — the eval-side parallel reduction. Wall-clock
+// timed, like BM_BrokerSelectionThreads.
 void BM_ExperimentRunnerThreads(benchmark::State& state) {
   const auto& f = GetD1();
   estimate::SubrangeEstimator est;
@@ -411,13 +356,14 @@ BENCHMARK(BM_ExperimentRunnerThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // --- Serving layer ---------------------------------------------------------
-// Cached vs uncached ROUTE latency through service::Service (socket-free),
-// and single-connection QPS through the full TCP server. The cached row is
-// the steady-state repeat-query path; the uncached row forces a miss every
-// iteration by shrinking the cache to one entry and cycling queries.
+// Cached vs uncached ROUTE latency through service::Service (socket-free).
+// The cached row is the steady-state repeat-query path; the uncached row
+// forces a miss every iteration by shrinking the cache to one entry and
+// cycling queries. Serving over sockets is measured by bench/e2e.
 
 struct ServiceFixture {
   std::filesystem::path dir;
@@ -514,264 +460,6 @@ void BM_ServiceRouteUncached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceRouteUncached);
-
-// One client, one connection, request/response round-trips over loopback:
-// items/sec is the single-connection QPS ceiling (wire framing + service).
-void BM_ServerSingleConnQPS(benchmark::State& state) {
-  const auto& f = GetServiceFixture();
-  const auto& tb = bench::GetTestbed();
-  service::ServiceOptions options;
-  options.representative_paths = f.rep_paths;
-  auto service = service::Service::Create(&tb.analyzer, options);
-  if (!service.ok()) std::abort();
-  service::ServerOptions server_options;
-  server_options.threads = 2;
-  service::Server server(service.value().get(), server_options);
-  if (!server.Start().ok()) std::abort();
-  std::thread serve_thread([&server] { (void)server.Serve(); });
-
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::abort();
-  }
-
-  std::string buffer;
-  auto read_line = [&](std::string* line) {
-    for (;;) {
-      std::size_t pos = buffer.find('\n');
-      if (pos != std::string::npos) {
-        *line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  };
-  auto round_trip = [&](const std::string& request) {
-    std::string data = request + "\n";
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-      ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                         MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    std::string header;
-    if (!read_line(&header)) return false;
-    auto parsed = service::ParseResponseHeader(header);
-    if (!parsed.ok() || !parsed.value().ok) return false;
-    for (std::size_t i = 0; i < parsed.value().payload_lines; ++i) {
-      std::string payload;
-      if (!read_line(&payload)) return false;
-    }
-    return true;
-  };
-
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (!round_trip(f.route_lines[i++ % f.route_lines.size()])) std::abort();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-
-  ::close(fd);
-  server.RequestStop();
-  serve_thread.join();
-}
-BENCHMARK(BM_ServerSingleConnQPS);
-
-// Pipelined variant: a batch of requests lands in one write and the
-// replies are drained together — the throughput the consumed-offset
-// framing enables (per-line head erase would make this quadratic in the
-// batch). Compare items/sec against BM_ServerSingleConnQPS to see what
-// the per-round-trip latency costs.
-void BM_ServerPipelinedQPS(benchmark::State& state) {
-  const auto& f = GetServiceFixture();
-  const auto& tb = bench::GetTestbed();
-  service::ServiceOptions options;
-  options.representative_paths = f.rep_paths;
-  auto service = service::Service::Create(&tb.analyzer, options);
-  if (!service.ok()) std::abort();
-  service::ServerOptions server_options;
-  server_options.threads = 2;
-  service::Server server(service.value().get(), server_options);
-  if (!server.Start().ok()) std::abort();
-  std::thread serve_thread([&server] { (void)server.Serve(); });
-
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::abort();
-  }
-
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  std::string request_block;
-  for (std::size_t i = 0; i < batch; ++i) {
-    request_block += f.route_lines[i % f.route_lines.size()];
-    request_block.push_back('\n');
-  }
-
-  std::string buffer;
-  auto read_line = [&](std::string* line) {
-    for (;;) {
-      std::size_t pos = buffer.find('\n');
-      if (pos != std::string::npos) {
-        *line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  };
-
-  for (auto _ : state) {
-    std::size_t sent = 0;
-    while (sent < request_block.size()) {
-      ssize_t n = ::send(fd, request_block.data() + sent,
-                         request_block.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) std::abort();
-      sent += static_cast<std::size_t>(n);
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      std::string header;
-      if (!read_line(&header)) std::abort();
-      auto parsed = service::ParseResponseHeader(header);
-      if (!parsed.ok() || !parsed.value().ok) std::abort();
-      for (std::size_t j = 0; j < parsed.value().payload_lines; ++j) {
-        std::string payload;
-        if (!read_line(&payload)) std::abort();
-      }
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * batch));
-
-  ::close(fd);
-  server.RequestStop();
-  serve_thread.join();
-}
-BENCHMARK(BM_ServerPipelinedQPS)->Arg(16)->Arg(256);
-
-// Scatter-gather front-end QPS: the same pipelined client, but the
-// requests cross THREE servers on loopback — two shard servers each
-// holding half the representatives, and a cluster::Frontend fanning every
-// ROUTE out to both and merging the partial rankings. Compare items/sec
-// against BM_ServerPipelinedQPS at the same batch size: the delta is the
-// whole cost of the extra protocol hop plus the merge (expect a loss on a
-// single core, where the three processes' threads contend; the tier buys
-// capacity, not single-box latency).
-void BM_FrontendPipelinedQPS(benchmark::State& state) {
-  const auto& f = GetServiceFixture();
-  const auto& tb = bench::GetTestbed();
-
-  std::vector<std::string> shard_paths[2];
-  for (std::size_t i = 0; i < f.rep_paths.size(); ++i) {
-    shard_paths[i % 2].push_back(f.rep_paths[i]);
-  }
-  std::unique_ptr<service::Service> shard_services[2];
-  std::vector<std::unique_ptr<service::Server>> servers;
-  std::vector<std::thread> serve_threads;
-  std::string spec_text;
-  for (int s = 0; s < 2; ++s) {
-    service::ServiceOptions options;
-    options.representative_paths = shard_paths[s];
-    auto service = service::Service::Create(&tb.analyzer, options);
-    if (!service.ok()) std::abort();
-    shard_services[s] = std::move(service).value();
-    service::ServerOptions server_options;
-    server_options.threads = 2;
-    servers.push_back(std::make_unique<service::Server>(
-        shard_services[s].get(), server_options));
-    if (!servers.back()->Start().ok()) std::abort();
-    if (s > 0) spec_text += "|";
-    spec_text += "127.0.0.1:" + std::to_string(servers.back()->port());
-  }
-  auto spec = cluster::ParseClusterSpec(spec_text);
-  if (!spec.ok()) std::abort();
-  cluster::Frontend frontend(std::move(spec).value(),
-                             cluster::FrontendOptions{});
-  service::ServerOptions frontend_server_options;
-  frontend_server_options.threads = 2;
-  servers.push_back(
-      std::make_unique<service::Server>(&frontend, frontend_server_options));
-  if (!servers.back()->Start().ok()) std::abort();
-  for (auto& server : servers) {
-    serve_threads.emplace_back([&server] { (void)server->Serve(); });
-  }
-
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(servers.back()->port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::abort();
-  }
-
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  std::string request_block;
-  for (std::size_t i = 0; i < batch; ++i) {
-    request_block += f.route_lines[i % f.route_lines.size()];
-    request_block.push_back('\n');
-  }
-
-  std::string buffer;
-  auto read_line = [&](std::string* line) {
-    for (;;) {
-      std::size_t pos = buffer.find('\n');
-      if (pos != std::string::npos) {
-        *line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  };
-
-  for (auto _ : state) {
-    std::size_t sent = 0;
-    while (sent < request_block.size()) {
-      ssize_t n = ::send(fd, request_block.data() + sent,
-                         request_block.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) std::abort();
-      sent += static_cast<std::size_t>(n);
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      std::string header;
-      if (!read_line(&header)) std::abort();
-      auto parsed = service::ParseResponseHeader(header);
-      if (!parsed.ok() || !parsed.value().ok || parsed.value().degraded) {
-        std::abort();
-      }
-      for (std::size_t j = 0; j < parsed.value().payload_lines; ++j) {
-        std::string payload;
-        if (!read_line(&payload)) std::abort();
-      }
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * batch));
-
-  ::close(fd);
-  for (auto& server : servers) server->RequestStop();
-  for (std::thread& thread : serve_threads) thread.join();
-}
-BENCHMARK(BM_FrontendPipelinedQPS)->Arg(16)->Arg(256);
 
 }  // namespace
 

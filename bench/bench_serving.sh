@@ -1,165 +1,139 @@
 #!/bin/sh
-# Regenerate BENCH_serving.json, the serving-layer perf trajectory.
+# Add a measurement to BENCH_serving.json, the serving benchmark's record.
 #
-#   bench/bench_serving.sh [build-dir] [output-json]
+#   bench/bench_serving.sh [build-dir]
 #
-# Runs the BM_Server* microbenchmarks (bench_micro) against the current
-# server core and rewrites the "current" block of BENCH_serving.json.
-# The "baseline" block — the thread-per-connection core that PRs 3-5
-# shipped — is frozen: it is carried over verbatim from the existing
-# file so every future core can be compared against the same anchor.
-# If the output file does not exist yet, the fresh numbers are written
-# as BOTH baseline and current (bootstrap case).
+# Run from the repository root. It runs the end-to-end benchmark
+# (bench/e2e/run.py, --trace 0) for seeds 1-5, seed-major, over every
+# workload of BENCHMARK.json at its run_seconds, and appends one entry to
+# the "e2e" list: for each workload, the first quartile, median and third
+# quartile over the seeds of every gated and reported number, with the
+# commit the runs measured. Earlier entries are kept as they are. If any
+# run exits non-zero, is incorrect or failed a request, the file is left
+# untouched.
 #
-# The benchmarks drive a real Server over loopback sockets:
-#   BM_ServerSingleConnQPS     one request per write/read round trip
-#   BM_ServerPipelinedQPS/N    N requests per write, replies streamed back
-#   BM_FrontendPipelinedQPS/N  same pipelined load through a 2-shard
-#                              scatter-gather front-end (3 servers total)
-# items_per_second is answered requests per second.
-#
-# It also refreshes the "representative_store" block: URPZ vs URP1 bytes
-# per engine (BM_PackStoreEncode counters), shard warm-up (BM_StoreWarmup),
-# map- vs view-backed estimation (BM_Estimator{Batch,View}Sweep), and the
-# scalar vs AVX2 expansion kernels (BM_EstimatorKernel).
-#
-# Finally it replays a million-query Zipfian trace with useful_loadgen —
-# open-loop (timer-paced), so the latency percentiles are free of
-# coordinated omission — against a live useful_served and records
-# throughput plus p50/p95/p99/p999 in the "loadgen" block.
+# It also rewrites the "representative_store" block from bench_micro's
+# store rows in [build-dir] (default build): URPZ vs quantized URP1 bytes
+# per engine (BM_PackStoreEncode), store open (BM_StoreWarmup), and map-
+# vs view-backed estimation (BM_Estimator{Batch,View}Sweep).
 set -e
 
 BUILD=${1:-build}
-OUT=${2:-BENCH_serving.json}
-RAW=$(mktemp /tmp/bench_serving.XXXXXX.json)
-LG=$(mktemp /tmp/bench_loadgen.XXXXXX.json)
-trap 'rm -f "$RAW" "$LG"' EXIT
+OUT=BENCH_serving.json
+SEEDS="1 2 3 4 5"
+TMP=$(mktemp -d /tmp/bench_serving.XXXXXX)
+trap 'rm -rf "$TMP"' EXIT
 
 "$BUILD"/bench/bench_micro \
-  --benchmark_filter='BM_Server|BM_Frontend|BM_PackStoreEncode|BM_StoreWarmup|BM_EstimatorViewSweep|BM_EstimatorBatchSweep|BM_EstimatorKernel' \
-  --benchmark_format=json --benchmark_out="$RAW" \
-  --benchmark_out_format=json >/dev/null
+  --benchmark_filter='BM_PackStoreEncode|BM_StoreWarmup|BM_EstimatorViewSweep|BM_EstimatorBatchSweep' \
+  --benchmark_out="$TMP/micro.json" --benchmark_out_format=json >/dev/null
 
-# --- Million-query open-loop trace replay ------------------------------
-# Self-contained fixture: a three-group synthetic corpus and two
-# representatives, regenerated in a scratch dir so the script does not
-# depend on ctest having run.
-LGDIR=$(mktemp -d /tmp/bench_loadgen.XXXXXX)
-SERVER_PID=
-cleanup_loadgen() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null
-  rm -rf "$LGDIR"
-}
-trap 'rm -f "$RAW" "$LG"; cleanup_loadgen' EXIT
-
-"$BUILD"/tools/useful_corpusgen "$LGDIR" --groups 3 --queries 200 >/dev/null
-"$BUILD"/tools/useful_repgen "$LGDIR/group00.trec" "$LGDIR/g0.rep" >/dev/null
-"$BUILD"/tools/useful_repgen "$LGDIR/group01.trec" "$LGDIR/g1.rep" >/dev/null
-
-PORT_FILE="$LGDIR/served.port"
-"$BUILD"/tools/useful_served --port 0 --port-file "$PORT_FILE" \
-  "$LGDIR/g0.rep" "$LGDIR/g1.rep" > "$LGDIR/served.out" 2>&1 &
-SERVER_PID=$!
-i=0
-while [ ! -f "$PORT_FILE" ] && [ $i -lt 100 ]; do
-  sleep 0.1; i=$((i + 1))
+RUN_SECONDS=$(python3 -c 'import json
+print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+WORKLOADS=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for seed in $SEEDS; do
+  for w in $WORKLOADS; do
+    echo "bench_serving: $w seed $seed" >&2
+    python3 bench/e2e/run.py --workload "$w" --seed "$seed" \
+      --seconds "$RUN_SECONDS" --trace 0 --out "$TMP/e2e" > "$TMP/run.out" \
+      || { cat "$TMP/run.out"; echo "bench_serving: $w seed $seed failed;" \
+             "$OUT left untouched" >&2; exit 1; }
+  done
 done
-[ -f "$PORT_FILE" ] || { echo "useful_served never published a port"; exit 1; }
 
-"$BUILD"/tools/useful_loadgen --port "$(cat "$PORT_FILE")" \
-  --connections 8 --qps 25000 --queries 1000000 \
-  --distinct 4096 --zipf 0.99 --seed 42 \
-  --queries-file "$LGDIR/queries.tsv" \
-  --json "$LG" --tag bench_serving
+python3 - "$TMP/micro.json" "$TMP/e2e" "$OUT" "$RUN_SECONDS" $SEEDS <<'EOF'
+import datetime, json, os, subprocess, sys
 
-printf 'QUIT\n' | "$BUILD"/tools/useful_client --port "$(cat "$PORT_FILE")" \
-  > /dev/null 2>&1 || true
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=
+sys.dont_write_bytecode = True  # leave bench/e2e as checked out
+sys.path.insert(0, "bench/e2e")
+from compare import load_runs, quartiles
 
-python3 - "$RAW" "$OUT" "$LG" <<'EOF'
-import json, sys
+micro_path, e2e_dir, out_path, seconds = sys.argv[1:5]
+seeds = [int(s) for s in sys.argv[5:]]
+with open("BENCHMARK.json") as f:
+    spec = json.load(f)
 
-raw_path, out_path, loadgen_path = sys.argv[1], sys.argv[2], sys.argv[3]
-raw = json.load(open(raw_path))
 
-serving = [b for b in raw["benchmarks"]
-           if b.get("run_type") == "iteration"
-           and b["name"].startswith(("BM_Server", "BM_Frontend"))]
-store = [b for b in raw["benchmarks"]
-         if b.get("run_type") == "iteration"
-         and not b["name"].startswith(("BM_Server", "BM_Frontend"))]
+def sig(x):
+    return float(f"{x:.4g}")
 
-rows = {
-    b["name"]: {
-        "items_per_second": round(b["items_per_second"]),
-        "real_time_ns": round(b["real_time"]),
-        "cpu_time_ns": round(b["cpu_time"]),
-    }
-    for b in serving
+
+runs = load_runs(e2e_dir, 0)
+workloads = {}
+for name in (w["name"] for w in spec["workloads"]):
+    by_seed = runs.get(name, {})
+    bad = [s for s in seeds if s not in by_seed
+           or not by_seed[s]["correct"] or by_seed[s]["failed"]]
+    if bad:
+        sys.exit(f"bench_serving: {name} seeds {bad} missing, incorrect or "
+                 f"failed; {out_path} left untouched")
+    numbers = {}
+    for key in ("metrics", "info"):
+        for metric, m in by_seed[seeds[0]][key].items():
+            q1, median, q3 = quartiles(
+                [by_seed[s][key][metric]["value"] for s in seeds])
+            numbers[metric] = {"q1": sig(q1), "median": sig(median),
+                               "q3": sig(q3), "unit": m["unit"]}
+    workloads[name] = numbers
+
+
+def git(*args):
+    return subprocess.run(["git", *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+entry = {
+    "commit": git("rev-parse", "HEAD"),
+    "dirty": git("status", "--porcelain", "--", ".",
+                 f":(exclude){out_path}") != "",
+    "date": datetime.datetime.now(datetime.timezone.utc)
+            .strftime("%Y-%m-%dT%H:%MZ"),
+    "cpus": os.cpu_count(),
+    "seeds": seeds,
+    "seconds": int(seconds),
+    "workloads": workloads,
 }
 
-# Time unit varies across the store rows (ms/us/ns); normalize to ns.
-_ns = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
-store_rows = {}
-for b in store:
-    row = {"real_time_ns": round(b["real_time"] * _ns[b["time_unit"]]),
-           "cpu_time_ns": round(b["cpu_time"] * _ns[b["time_unit"]])}
+with open(micro_path) as f:
+    raw = json.load(f)
+to_ns = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+rows = {}
+for b in raw["benchmarks"]:
+    if b.get("run_type") != "iteration":
+        continue
+    row = {"real_time_ns": round(b["real_time"] * to_ns[b["time_unit"]])}
     for k in ("urpz_bytes_per_engine", "urp1_quantized_bytes_per_engine"):
         if k in b:
             row[k] = round(b[k])
-    if "items_per_second" in b:
-        row["items_per_second"] = round(b["items_per_second"])
-    store_rows[b["name"]] = row
-
-current = {
-    "core": "epoll-reactor",
-    "date": raw["context"]["date"][:10],
-    "rows": rows,
-}
-
-try:
-    doc = json.load(open(out_path))
-except (FileNotFoundError, json.JSONDecodeError):
-    doc = {
-        "comment": "Serving-layer perf trajectory; regenerate the "
-                   "'current' block with bench/bench_serving.sh. The "
-                   "'baseline' block is the frozen thread-per-connection "
-                   "core (pre-reactor) and must not be regenerated.",
-        "machine": {
-            "num_cpus": raw["context"]["num_cpus"],
-            "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
-        },
-        "baseline": dict(current, core="bootstrap"),
-    }
-
-doc["current"] = current
-doc["representative_store"] = {
-    "comment": "URPZ packed store vs quantized URP1, plus scalar vs AVX2 "
-               "expansion kernels; regenerated alongside 'current'.",
-    "date": raw["context"]["date"][:10],
-    "rows": store_rows,
-}
-if ("BM_PackStoreEncode" in store_rows
-        and "urpz_bytes_per_engine" in store_rows["BM_PackStoreEncode"]):
-    enc = store_rows["BM_PackStoreEncode"]
-    doc["representative_store"]["urpz_size_ratio_vs_urp1"] = round(
+    rows[b["name"]] = row
+store = {"date": raw["context"]["date"][:10], "rows": rows}
+enc = rows.get("BM_PackStoreEncode", {})
+if "urpz_bytes_per_engine" in enc:
+    store["urpz_size_ratio_vs_urp1"] = round(
         enc["urp1_quantized_bytes_per_engine"]
         / enc["urpz_bytes_per_engine"], 2)
-doc["loadgen"] = dict(
-    json.load(open(loadgen_path)),
-    comment="Open-loop (coordinated-omission-free) million-query Zipfian "
-            "trace replayed by tools/useful_loadgen against a live "
-            "useful_served; regenerated alongside 'current'.",
-    date=raw["context"]["date"][:10],
-)
-doc["speedup_vs_baseline"] = {
-    name: round(row["items_per_second"]
-                / doc["baseline"]["rows"][name]["items_per_second"], 2)
-    for name, row in rows.items()
-    if name in doc["baseline"].get("rows", {})
-}
 
-json.dump(doc, open(out_path, "w"), indent=2)
-print(open(out_path).read())
+try:
+    with open(out_path) as f:
+        history = json.load(f).get("e2e", [])
+except FileNotFoundError:
+    history = []
+doc = {
+    "comment": "Serving benchmark record, appended to by "
+               "bench/bench_serving.sh. Each e2e entry gives, per workload "
+               "of BENCHMARK.json, the first quartile, median and third "
+               "quartile over seeds of every number bench/e2e/run.py "
+               "reports at --trace 0 (wall-clock latency and capacity, "
+               "server CPU, setup_s, rss_mb). representative_store holds "
+               "bench_micro's store rows from the latest run.",
+    "e2e": history + [entry],
+    "representative_store": store,
+}
+with open(out_path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+print(f"bench_serving: appended e2e entry {len(doc['e2e'])} "
+      f"({entry['commit'][:12]}{' dirty' if entry['dirty'] else ''}) "
+      f"to {out_path}")
 EOF

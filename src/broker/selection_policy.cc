@@ -19,17 +19,4 @@ std::vector<EngineSelection> TopKPolicy::Apply(
   return ranked;
 }
 
-std::vector<EngineSelection> CoveragePolicy::Apply(
-    std::vector<EngineSelection> ranked) const {
-  ranked = ThresholdPolicy(1).Apply(std::move(ranked));
-  double covered = 0.0;
-  std::size_t keep = 0;
-  while (keep < ranked.size() && covered < desired_docs_) {
-    covered += ranked[keep].estimate.no_doc;
-    ++keep;
-  }
-  ranked.resize(keep);
-  return ranked;
-}
-
 }  // namespace useful::broker

@@ -1,13 +1,8 @@
 #include "estimate/generating_function.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace useful::estimate {
 
@@ -74,12 +69,11 @@ void Canonicalize(std::vector<Spike>* spikes, const ExpandOptions& options) {
 // `have` spike, the term-absent outcome (exponent unchanged, probability
 // scaled by `zero`) followed by one outcome per factor spike. Appends to
 // `next` in exactly this order — canonicalization sorts with std::sort
-// (unstable) and merges with order-sensitive float summation, so every
-// kernel must emit the same spikes in the same sequence to stay
-// bit-identical.
-void CrossFactorScalar(const std::vector<Spike>& cur,
-                       const std::vector<Spike>& adds, double zero,
-                       std::vector<Spike>* next) {
+// (unstable) and merges with order-sensitive float summation, so the
+// emission order is part of the result's bits.
+void CrossFactor(const std::vector<Spike>& cur,
+                 const std::vector<Spike>& adds, double zero,
+                 std::vector<Spike>* next) {
   for (const Spike& have : cur) {
     if (zero > 0.0) {
       next->push_back(Spike{have.exponent, have.prob * zero});
@@ -91,91 +85,7 @@ void CrossFactorScalar(const std::vector<Spike>& cur,
   }
 }
 
-#if defined(__x86_64__)
-
-// AVX2+FMA variant. A Spike is two contiguous doubles, so one 256-bit
-// lane holds two spikes [e0, p0, e1, p1]. With multiplier
-// [1.0, p_have, 1.0, p_have] and addend [e_have, 0.0, e_have, 0.0],
-// fmadd computes [e0 + e_have, p0 * p_have, ...]: fma(x, 1.0, y) and
-// fma(x, y, 0.0) round once, exactly like the scalar add and multiply,
-// so results are bit-identical to CrossFactorScalar (probabilities are
-// non-negative, so the ±0.0 corner of the 0.0-addend form cannot differ
-// either: +0*y++0 = +0 in both).
-__attribute__((target("avx2,fma")))
-void CrossFactorAvx2(const std::vector<Spike>& cur,
-                     const std::vector<Spike>& adds, double zero,
-                     std::vector<Spike>* next) {
-  static_assert(sizeof(Spike) == 2 * sizeof(double),
-                "Spike must be two packed doubles for the SIMD kernel");
-  const std::size_t n_adds = adds.size();
-  const std::size_t per_have = n_adds + (zero > 0.0 ? 1 : 0);
-  const std::size_t base = next->size();
-  next->resize(base + cur.size() * per_have);
-  Spike* out = next->data() + base;
-  const double* add_d = reinterpret_cast<const double*>(adds.data());
-  for (const Spike& have : cur) {
-    if (zero > 0.0) {
-      *out = Spike{have.exponent, have.prob * zero};
-      ++out;
-    }
-    double* out_d = reinterpret_cast<double*>(out);
-    const __m256d mul =
-        _mm256_set_pd(have.prob, 1.0, have.prob, 1.0);
-    const __m256d addend =
-        _mm256_set_pd(0.0, have.exponent, 0.0, have.exponent);
-    std::size_t i = 0;
-    for (; i + 2 <= n_adds; i += 2) {
-      const __m256d pair = _mm256_loadu_pd(add_d + 2 * i);
-      _mm256_storeu_pd(out_d + 2 * i, _mm256_fmadd_pd(pair, mul, addend));
-    }
-    if (i < n_adds) {
-      out[i] = Spike{have.exponent + adds[i].exponent,
-                     have.prob * adds[i].prob};
-    }
-    out += n_adds;
-  }
-}
-
-#endif  // defined(__x86_64__)
-
-using CrossFactorFn = void (*)(const std::vector<Spike>&,
-                               const std::vector<Spike>&, double,
-                               std::vector<Spike>*);
-
-bool Avx2Available() {
-#if defined(__x86_64__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-CrossFactorFn KernelFor(ExpandKernel kernel) {
-#if defined(__x86_64__)
-  if (kernel == ExpandKernel::kAvx2) return CrossFactorAvx2;
-#endif
-  (void)kernel;
-  return CrossFactorScalar;
-}
-
-std::atomic<ExpandKernel> g_expand_kernel{
-    Avx2Available() ? ExpandKernel::kAvx2 : ExpandKernel::kScalar};
-
 }  // namespace
-
-bool SetExpandKernel(ExpandKernel kernel) {
-  if (kernel == ExpandKernel::kAuto) {
-    kernel = Avx2Available() ? ExpandKernel::kAvx2 : ExpandKernel::kScalar;
-  } else if (kernel == ExpandKernel::kAvx2 && !Avx2Available()) {
-    return false;
-  }
-  g_expand_kernel.store(kernel, std::memory_order_relaxed);
-  return true;
-}
-
-ExpandKernel ActiveExpandKernel() {
-  return g_expand_kernel.load(std::memory_order_relaxed);
-}
 
 void ExpansionWorkspace::ResetFactors(std::size_t count) {
   if (factors_.size() > count) factors_.resize(count);
@@ -189,12 +99,11 @@ void SimilarityDistribution::ExpandCore(
   cur->clear();
   cur->push_back(Spike{0.0, 1.0});
 
-  const CrossFactorFn cross = KernelFor(ActiveExpandKernel());
   for (const TermPolynomial& factor : factors) {
     double zero = factor.ZeroProb();
     next->clear();
     next->reserve(cur->size() * (factor.spikes.size() + 1));
-    cross(*cur, factor.spikes, zero, next);
+    CrossFactor(*cur, factor.spikes, zero, next);
     Canonicalize(next, options);
     std::swap(*cur, *next);
   }
@@ -228,7 +137,6 @@ std::span<const Spike> SimilarityDistribution::ExpandWithMinMatch(
   cur[0].push_back(Spike{0.0, 1.0});
 
   static const std::vector<Spike> kNoSpikes;
-  const CrossFactorFn cross = KernelFor(ActiveExpandKernel());
   for (std::size_t fi = 0; fi < ws.factors_.size(); ++fi) {
     const TermPolynomial& factor = ws.factors_[fi];
     const double zero = factor.ZeroProb();
@@ -238,16 +146,16 @@ std::span<const Spike> SimilarityDistribution::ExpandWithMinMatch(
       if (counts_match) {
         // Term-absent outcomes stay in bucket c; term-present outcomes
         // arrive from bucket c-1 (and, at the cap, saturate in place).
-        if (!cur[c].empty()) cross(cur[c], kNoSpikes, zero, &next[c]);
+        if (!cur[c].empty()) CrossFactor(cur[c], kNoSpikes, zero, &next[c]);
         if (c > 0 && !cur[c - 1].empty()) {
-          cross(cur[c - 1], factor.spikes, 0.0, &next[c]);
+          CrossFactor(cur[c - 1], factor.spikes, 0.0, &next[c]);
         }
         if (c == cap && !cur[cap].empty()) {
-          cross(cur[cap], factor.spikes, 0.0, &next[c]);
+          CrossFactor(cur[cap], factor.spikes, 0.0, &next[c]);
         }
       } else if (!cur[c].empty()) {
         // Negated factors never advance the match count.
-        cross(cur[c], factor.spikes, zero, &next[c]);
+        CrossFactor(cur[c], factor.spikes, zero, &next[c]);
       }
       Canonicalize(&next[c], options);
     }

@@ -31,28 +31,6 @@ struct Spike {
   double prob = 0.0;
 };
 
-/// Which inner-loop implementation ExpandCore's factor cross-product uses.
-/// kAuto picks AVX2+FMA when the CPU supports it, scalar otherwise. The
-/// AVX2 kernel is bit-identical to the scalar one: it computes the spike
-/// adds/multiplies as fma(x, 1.0, y) and fma(x, y, 0.0), which round
-/// exactly like the scalar `x + y` and `x * y`, and emits spikes in the
-/// same order, so the order-sensitive canonicalization downstream sees
-/// identical input.
-enum class ExpandKernel {
-  kAuto,
-  kScalar,
-  kAvx2,
-};
-
-/// Forces the expansion kernel (tests and benches). Returns false — and
-/// changes nothing — when the requested kernel is unsupported on this
-/// CPU/build. Not thread-safe against concurrent expansions; call at
-/// startup.
-bool SetExpandKernel(ExpandKernel kernel);
-
-/// The kernel expansions currently run with (never kAuto).
-ExpandKernel ActiveExpandKernel();
-
 /// A single query term's polynomial factor. `spikes` hold the
 /// positive-contribution outcomes; the implicit remaining mass
 /// (1 - sum of spike probs) is the term-absent outcome X^0.

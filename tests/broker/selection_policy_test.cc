@@ -47,38 +47,9 @@ TEST(TopKPolicyTest, KZeroSelectsNothing) {
   EXPECT_TRUE(TopKPolicy(0).Apply(Ranked()).empty());
 }
 
-TEST(CoveragePolicyTest, StopsWhenCovered) {
-  // e0 alone covers 12.3 >= 10.
-  auto kept = CoveragePolicy(10.0).Apply(Ranked());
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].engine, "e0");
-}
-
-TEST(CoveragePolicyTest, AccumulatesAcrossEngines) {
-  // Needs e0 (12.3) + e1 (5.6) to reach 15.
-  auto kept = CoveragePolicy(15.0).Apply(Ranked());
-  ASSERT_EQ(kept.size(), 2u);
-}
-
-TEST(CoveragePolicyTest, ExhaustsUsefulEngines) {
-  // Demand more than the federation can offer: all useful engines kept.
-  auto kept = CoveragePolicy(1000.0).Apply(Ranked());
-  EXPECT_EQ(kept.size(), 4u);
-}
-
-TEST(CoveragePolicyTest, ZeroDemandSelectsNothing) {
-  EXPECT_TRUE(CoveragePolicy(0.0).Apply(Ranked()).empty());
-}
-
 TEST(PolicyTest, PreservesRankOrder) {
-  ThresholdPolicy threshold;
-  TopKPolicy topk(3);
-  CoveragePolicy coverage(18.0);
-  for (const SelectionPolicy* policy :
-       {static_cast<const SelectionPolicy*>(&threshold),
-        static_cast<const SelectionPolicy*>(&topk),
-        static_cast<const SelectionPolicy*>(&coverage)}) {
-    auto kept = policy->Apply(Ranked());
+  for (const auto& kept :
+       {ThresholdPolicy().Apply(Ranked()), TopKPolicy(3).Apply(Ranked())}) {
     for (std::size_t i = 1; i < kept.size(); ++i) {
       EXPECT_GE(kept[i - 1].estimate.no_doc, kept[i].estimate.no_doc);
     }

@@ -236,79 +236,6 @@ TEST(GeneratingFunctionTest, SixTermsBySixSpikesStaysTractable) {
   EXPECT_LE(dist.spikes().size(), 117649u);  // 7^6
 }
 
-class ForcedKernel {
- public:
-  explicit ForcedKernel(ExpandKernel k) : ok_(SetExpandKernel(k)) {}
-  ~ForcedKernel() { SetExpandKernel(ExpandKernel::kAuto); }
-  bool ok() const { return ok_; }
-
- private:
-  bool ok_;
-};
-
-std::vector<TermPolynomial> RandomFactors(Pcg32& rng, int n_factors,
-                                          int max_spikes) {
-  std::vector<TermPolynomial> factors;
-  for (int f = 0; f < n_factors; ++f) {
-    TermPolynomial poly;
-    double budget = 1.0;
-    const int spikes = 1 + static_cast<int>(rng.NextBounded(
-                               static_cast<std::uint32_t>(max_spikes)));
-    for (int s = 0; s < spikes; ++s) {
-      double p = budget * rng.NextDouble() * 0.4;
-      budget -= p;
-      poly.spikes.push_back(Spike{rng.NextDouble() * 3.0, p});
-    }
-    factors.push_back(std::move(poly));
-  }
-  return factors;
-}
-
-TEST(GeneratingFunctionTest, Avx2KernelBitIdenticalToScalar) {
-  ForcedKernel simd(ExpandKernel::kAvx2);
-  if (!simd.ok()) GTEST_SKIP() << "AVX2+FMA unavailable";
-  Pcg32 rng(17);
-  for (int trial = 0; trial < 40; ++trial) {
-    // Odd/even spike counts hit both the paired lanes and the tail;
-    // occasional over-full factors exercise the zero-spike-absent path.
-    auto factors = RandomFactors(rng, 1 + trial % 6, 7);
-    if (trial % 5 == 0 && !factors.empty()) {
-      factors[0].spikes.push_back(Spike{0.5, 2.0});  // ZeroProb clamps to 0
-    }
-    ASSERT_TRUE(SetExpandKernel(ExpandKernel::kAvx2));
-    auto simd_dist = SimilarityDistribution::Expand(factors);
-    ASSERT_TRUE(SetExpandKernel(ExpandKernel::kScalar));
-    auto scalar_dist = SimilarityDistribution::Expand(factors);
-    ASSERT_EQ(simd_dist.spikes().size(), scalar_dist.spikes().size()) << trial;
-    for (std::size_t i = 0; i < simd_dist.spikes().size(); ++i) {
-      EXPECT_EQ(simd_dist.spikes()[i].exponent,
-                scalar_dist.spikes()[i].exponent)
-          << trial << ":" << i;
-      EXPECT_EQ(simd_dist.spikes()[i].prob, scalar_dist.spikes()[i].prob)
-          << trial << ":" << i;
-    }
-  }
-}
-
-TEST(GeneratingFunctionTest, KernelForcingRoundTrips) {
-  ForcedKernel scalar(ExpandKernel::kScalar);
-  ASSERT_TRUE(scalar.ok());
-  EXPECT_EQ(ActiveExpandKernel(), ExpandKernel::kScalar);
-  SetExpandKernel(ExpandKernel::kAuto);
-  EXPECT_NE(ActiveExpandKernel(), ExpandKernel::kAuto);
-}
-
-TEST(GeneratingFunctionTest, Example32HoldsUnderEveryKernel) {
-  for (auto k : {ExpandKernel::kScalar, ExpandKernel::kAvx2}) {
-    ForcedKernel forced(k);
-    if (!forced.ok()) continue;
-    auto dist = SimilarityDistribution::Expand(Example31Factors());
-    ASSERT_EQ(dist.spikes().size(), 6u);
-    EXPECT_NEAR(dist.spikes()[0].prob, 0.048, 1e-12);
-    EXPECT_NEAR(dist.EstimateNoDoc(3.0, 5), 1.2, 1e-12);
-  }
-}
-
 TEST(GeneratingFunctionTest, ExpandWithMatchesExpandBitForBit) {
   std::vector<TermPolynomial> factors;
   Pcg32 rng(7);

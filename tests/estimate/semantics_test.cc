@@ -1,9 +1,9 @@
 // Extended query semantics — per-term weights, negated terms, and
 // min-should-match — proven equivalent across every execution path:
-// scalar vs EstimateBatch, scalar vs AVX2 expansion kernel, and the
-// min-should-match DP vs brute-force outcome enumeration. The flat-query
-// identity (all weights 1, no negation, no MSM) is the anchor: annotated
-// parsing and estimation must be bit-identical to the original flat path.
+// scalar vs EstimateBatch, and the min-should-match DP vs brute-force
+// outcome enumeration. The flat-query identity (all weights 1, no
+// negation, no MSM) is the anchor: annotated parsing and estimation must
+// be bit-identical to the original flat path.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -56,8 +56,6 @@ class SemanticsTest : public ::testing::Test {
     rep_ = std::make_unique<represent::Representative>(std::move(rep).value());
   }
 
-  void TearDown() override { SetExpandKernel(ExpandKernel::kAuto); }
-
   text::Analyzer analyzer_;
   std::unique_ptr<ir::SearchEngine> engine_;
   std::unique_ptr<represent::Representative> rep_;
@@ -67,16 +65,12 @@ class SemanticsTest : public ::testing::Test {
 // Flat identity: annotated parsing of an undecorated query — and of the
 // same query with explicit `^1` weights — is bit-identical to ParseQuery,
 // and every estimator produces bit-identical estimates from either, on
-// the scalar path, the batch path, and both expansion kernels.
+// the scalar path and the batch path.
 
 TEST_F(SemanticsTest, FlatQueriesEstimateBitIdenticallyEverywhere) {
   const std::vector<double> thresholds = {0.0, 0.05, 0.15, 0.3, 0.5, 0.8};
   const char* texts[] = {"zorp", "zorp blat", "quix mumble zorp",
                          "blat blat mumble quix", "ghostword zorp"};
-  std::vector<ExpandKernel> kernels = {ExpandKernel::kScalar};
-  if (SetExpandKernel(ExpandKernel::kAvx2)) {
-    kernels.push_back(ExpandKernel::kAvx2);
-  }
   for (const std::string& name : EstimatorNames()) {
     auto est = MakeEstimator(name);
     ASSERT_TRUE(est.ok()) << name;
@@ -105,39 +99,35 @@ TEST_F(SemanticsTest, FlatQueriesEstimateBitIdenticallyEverywhere) {
         EXPECT_EQ(q->min_should_match, 0u);
       }
 
-      for (ExpandKernel kernel : kernels) {
-        ASSERT_TRUE(SetExpandKernel(kernel));
-        for (double t : thresholds) {
-          UsefulnessEstimate base = est.value()->Estimate(*rep_, flat, t);
-          UsefulnessEstimate via_annotated =
-              est.value()->Estimate(*rep_, annotated.value(), t);
-          UsefulnessEstimate via_weighted =
-              est.value()->Estimate(*rep_, weighted.value(), t);
-          EXPECT_EQ(Bits(base.no_doc), Bits(via_annotated.no_doc))
-              << name << " \"" << text << "\" T=" << t;
-          EXPECT_EQ(Bits(base.avg_sim), Bits(via_annotated.avg_sim))
-              << name << " \"" << text << "\" T=" << t;
-          EXPECT_EQ(Bits(base.no_doc), Bits(via_weighted.no_doc))
-              << name << " \"" << weighted_text << "\" T=" << t;
-          EXPECT_EQ(Bits(base.avg_sim), Bits(via_weighted.avg_sim))
-              << name << " \"" << weighted_text << "\" T=" << t;
-        }
-        // Batch path over the annotated query vs scalar over the flat one.
-        ExpansionWorkspace ws;
-        ResolvedQuery rq(*rep_, annotated.value());
-        std::vector<UsefulnessEstimate> batch(thresholds.size());
-        est.value()->EstimateBatch(rq, thresholds, ws,
-                                   std::span<UsefulnessEstimate>(batch));
-        for (std::size_t t = 0; t < thresholds.size(); ++t) {
-          UsefulnessEstimate scalar =
-              est.value()->Estimate(*rep_, flat, thresholds[t]);
-          EXPECT_EQ(Bits(batch[t].no_doc), Bits(scalar.no_doc))
-              << name << " \"" << text << "\" T=" << thresholds[t];
-          EXPECT_EQ(Bits(batch[t].avg_sim), Bits(scalar.avg_sim))
-              << name << " \"" << text << "\" T=" << thresholds[t];
-        }
+      for (double t : thresholds) {
+        UsefulnessEstimate base = est.value()->Estimate(*rep_, flat, t);
+        UsefulnessEstimate via_annotated =
+            est.value()->Estimate(*rep_, annotated.value(), t);
+        UsefulnessEstimate via_weighted =
+            est.value()->Estimate(*rep_, weighted.value(), t);
+        EXPECT_EQ(Bits(base.no_doc), Bits(via_annotated.no_doc))
+            << name << " \"" << text << "\" T=" << t;
+        EXPECT_EQ(Bits(base.avg_sim), Bits(via_annotated.avg_sim))
+            << name << " \"" << text << "\" T=" << t;
+        EXPECT_EQ(Bits(base.no_doc), Bits(via_weighted.no_doc))
+            << name << " \"" << weighted_text << "\" T=" << t;
+        EXPECT_EQ(Bits(base.avg_sim), Bits(via_weighted.avg_sim))
+            << name << " \"" << weighted_text << "\" T=" << t;
       }
-      SetExpandKernel(ExpandKernel::kAuto);
+      // Batch path over the annotated query vs scalar over the flat one.
+      ExpansionWorkspace ws;
+      ResolvedQuery rq(*rep_, annotated.value());
+      std::vector<UsefulnessEstimate> batch(thresholds.size());
+      est.value()->EstimateBatch(rq, thresholds, ws,
+                                 std::span<UsefulnessEstimate>(batch));
+      for (std::size_t t = 0; t < thresholds.size(); ++t) {
+        UsefulnessEstimate scalar =
+            est.value()->Estimate(*rep_, flat, thresholds[t]);
+        EXPECT_EQ(Bits(batch[t].no_doc), Bits(scalar.no_doc))
+            << name << " \"" << text << "\" T=" << thresholds[t];
+        EXPECT_EQ(Bits(batch[t].avg_sim), Bits(scalar.avg_sim))
+            << name << " \"" << text << "\" T=" << thresholds[t];
+      }
     }
   }
 }
@@ -261,8 +251,6 @@ TEST_F(SemanticsTest, AnnotatedQueriesBitIdenticalAcrossKernelsAndBatch) {
                          "zorp blat quix MSM 2", "zorp^3 -mumble quix MSM 1",
                          "zorp blat quix mumble MSM 4"};
   const std::vector<double> thresholds = {0.0, 0.08, 0.22, 0.45, 0.7};
-  const bool have_avx2 = SetExpandKernel(ExpandKernel::kAvx2);
-  SetExpandKernel(ExpandKernel::kAuto);
   for (const std::string& name : EstimatorNames()) {
     auto est = MakeEstimator(name);
     ASSERT_TRUE(est.ok()) << name;
@@ -270,12 +258,11 @@ TEST_F(SemanticsTest, AnnotatedQueriesBitIdenticalAcrossKernelsAndBatch) {
       auto q = ir::ParseAnnotatedQuery(analyzer_, text);
       ASSERT_TRUE(q.ok()) << text;
 
-      ASSERT_TRUE(SetExpandKernel(ExpandKernel::kScalar));
       std::vector<UsefulnessEstimate> scalar;
       for (double t : thresholds) {
         scalar.push_back(est.value()->Estimate(*rep_, q.value(), t));
       }
-      // Batch path under the scalar kernel.
+      // Batch path against the scalar path.
       ExpansionWorkspace ws;
       ResolvedQuery rq(*rep_, q.value());
       std::vector<UsefulnessEstimate> batch(thresholds.size());
@@ -287,18 +274,6 @@ TEST_F(SemanticsTest, AnnotatedQueriesBitIdenticalAcrossKernelsAndBatch) {
         EXPECT_EQ(Bits(batch[t].avg_sim), Bits(scalar[t].avg_sim))
             << name << " \"" << text << "\" T=" << thresholds[t];
       }
-      if (have_avx2) {
-        ASSERT_TRUE(SetExpandKernel(ExpandKernel::kAvx2));
-        for (std::size_t t = 0; t < thresholds.size(); ++t) {
-          UsefulnessEstimate avx =
-              est.value()->Estimate(*rep_, q.value(), thresholds[t]);
-          EXPECT_EQ(Bits(avx.no_doc), Bits(scalar[t].no_doc))
-              << name << " \"" << text << "\" T=" << thresholds[t];
-          EXPECT_EQ(Bits(avx.avg_sim), Bits(scalar[t].avg_sim))
-              << name << " \"" << text << "\" T=" << thresholds[t];
-        }
-      }
-      SetExpandKernel(ExpandKernel::kAuto);
     }
   }
 }

@@ -1,14 +1,15 @@
 // useful_loadgen: open-loop trace replay against a useful_served (or
 // useful_frontend) process. Replays a Zipfian query trace over many
 // persistent connections and reports throughput plus latency
-// percentiles — the serving layer's macro-benchmark and the churn
-// smoke's background traffic source.
+// percentiles — the traffic source of the loadgen and churn smokes.
+// Serving performance is measured by bench/e2e, which also checks every
+// reply byte for byte.
 //
 //   useful_loadgen --port P [--host H] [--connections N] [--qps Q]
 //                  [--queries N] [--distinct D] [--zipf S] [--seed S]
 //                  [--queries-file PATH] [--estimator NAME]
 //                  [--threshold T] [--topk K] [--verb ESTIMATE|ROUTE]
-//                  [--json PATH] [--tag NAME]
+//                  [--tag NAME]
 //
 // Load model: the trace is a Zipf(--zipf) draw over a pool of --distinct
 // query texts (taken from --queries-file, e.g. corpusgen's queries.tsv,
@@ -29,8 +30,7 @@
 // connection keeps a fixed window (--pipeline) of requests in flight —
 // the throughput-ceiling mode.
 //
-// Output: a human-readable summary on stdout and, with --json, a single
-// JSON object (bench/bench_serving.sh folds it into BENCH_serving.json).
+// Output: a two-line summary on stdout, labelled with --tag.
 // Exit 0 on a clean run, 1 when any reply was ERR or a connection broke
 // mid-run, 2 on usage/connect errors.
 #include <arpa/inet.h>
@@ -77,7 +77,6 @@ struct Options {
   std::string threshold = "0.1";
   std::string topk = "0";
   std::string verb = "ESTIMATE";
-  std::string json_path;
   std::string tag = "loadgen";
 };
 
@@ -342,8 +341,6 @@ int main(int argc, char** argv) {
       opt.topk = need_value("--topk");
     } else if (std::strcmp(argv[i], "--verb") == 0) {
       opt.verb = need_value("--verb");
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      opt.json_path = need_value("--json");
     } else if (std::strcmp(argv[i], "--tag") == 0) {
       opt.tag = need_value("--tag");
     } else {
@@ -360,7 +357,7 @@ int main(int argc, char** argv) {
         "[--qps Q] [--queries N] [--distinct D] [--zipf S] [--seed S] "
         "[--pipeline W] [--queries-file PATH] [--estimator NAME] "
         "[--threshold T] [--topk K] [--verb ESTIMATE|ROUTE] "
-        "[--json PATH] [--tag NAME]\n");
+        "[--tag NAME]\n");
     return 2;
   }
 
@@ -429,43 +426,6 @@ int main(int argc, char** argv) {
       "mean=%.1f\n",
       p50, p95, p99, p999,
       static_cast<unsigned long long>(histogram.max()), histogram.mean());
-
-  if (!opt.json_path.empty()) {
-    std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 2;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"tag\": \"%s\",\n"
-        "  \"mode\": \"%s\",\n"
-        "  \"verb\": \"%s\",\n"
-        "  \"estimator\": \"%s\",\n"
-        "  \"connections\": %zu,\n"
-        "  \"target_qps\": %.0f,\n"
-        "  \"distinct\": %zu,\n"
-        "  \"zipf\": %g,\n"
-        "  \"sent\": %zu,\n"
-        "  \"replies\": %zu,\n"
-        "  \"errors\": %zu,\n"
-        "  \"elapsed_s\": %.3f,\n"
-        "  \"achieved_qps\": %.0f,\n"
-        "  \"p50_us\": %.0f,\n"
-        "  \"p95_us\": %.0f,\n"
-        "  \"p99_us\": %.0f,\n"
-        "  \"p999_us\": %.0f,\n"
-        "  \"max_us\": %llu,\n"
-        "  \"mean_us\": %.1f\n"
-        "}\n",
-        opt.tag.c_str(), opt.qps > 0.0 ? "open-loop" : "closed-loop",
-        opt.verb.c_str(), opt.estimator.c_str(), opt.connections, opt.qps,
-        opt.distinct, opt.zipf, sent, replies, errors, elapsed, achieved_qps,
-        p50, p95, p99, p999,
-        static_cast<unsigned long long>(histogram.max()), histogram.mean());
-    std::fclose(f);
-  }
 
   if (transport_error) {
     std::fprintf(stderr, "loadgen: a connection failed mid-run\n");
