@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 #include "represent/builder.h"
 #include "util/logging.h"
@@ -52,7 +53,7 @@ Status Metasearcher::RegisterEngine(const ir::SearchEngine* engine,
   if (!table.ok()) return table.status();
   Append(Entry{std::make_shared<const represent::TermTable>(
                    std::move(table).value()),
-               std::nullopt, engine});
+               std::nullopt, nullptr, engine});
   return Status::OK();
 }
 
@@ -77,7 +78,7 @@ Status Metasearcher::RegisterTable(
     return Status::InvalidArgument("duplicate engine name: " +
                                    table->engine_name());
   }
-  Append(Entry{std::move(table), std::nullopt, nullptr});
+  Append(Entry{std::move(table), std::nullopt, nullptr, nullptr});
   return Status::OK();
 }
 
@@ -111,24 +112,19 @@ Status Metasearcher::RegisterStore(
   }
   // All-or-nothing: check every (accepted) name before touching the
   // entry table.
-  std::size_t accepted = 0;
   for (std::size_t i = 0; i < store->num_engines(); ++i) {
     std::string_view name = store->engine(i).engine_name();
     if (filter && !filter(name)) continue;
-    ++accepted;
     if (IndexOf(name) != entries_.size()) {
       return Status::InvalidArgument("duplicate engine name: " +
                                      std::string(name));
     }
   }
-  if (accepted == 0) return Status::OK();
   for (std::size_t i = 0; i < store->num_engines(); ++i) {
     const represent::RepresentativeView& view = store->engine(i);
     if (filter && !filter(view.engine_name())) continue;
-    Append(Entry{nullptr, view, nullptr});
+    Append(Entry{nullptr, view, store, nullptr});
   }
-  store_bytes_ += store->file_bytes();
-  stores_.push_back(std::move(store));
   return Status::OK();
 }
 
@@ -152,13 +148,22 @@ Status Metasearcher::RemoveEngine(std::string_view engine_name) {
 std::unique_ptr<Metasearcher> Metasearcher::Clone() const {
   auto clone = std::make_unique<Metasearcher>(analyzer_);
   clone->entries_ = entries_;
-  clone->stores_ = stores_;
   clone->num_stale_representatives_ = num_stale_representatives_;
   clone->num_store_engines_ = num_store_engines_;
-  clone->store_bytes_ = store_bytes_;
   clone->index_by_name_ = index_by_name_;
   clone->SetParallelism(parallelism_threads_);
   return clone;
+}
+
+std::size_t Metasearcher::store_bytes() const {
+  std::unordered_set<const represent::StoreView*> counted;
+  std::size_t bytes = 0;
+  for (const Entry& e : entries_) {
+    if (e.store != nullptr && counted.insert(e.store.get()).second) {
+      bytes += e.store->file_bytes();
+    }
+  }
+  return bytes;
 }
 
 estimate::UsefulnessEstimate Metasearcher::EstimateEngine(

@@ -78,10 +78,11 @@ class Metasearcher {
 
   /// Registers every engine of a packed URPZ store as a selection-only
   /// entry served zero-copy from the store's mapping (no Representative
-  /// is materialized). The broker keeps a reference to `store`, so the
-  /// mapping outlives every query ranked against this snapshot — a RELOAD
-  /// that builds a new broker drops the old mapping when the last
-  /// in-flight request finishes. Duplicate names are rejected.
+  /// is materialized). Each such entry keeps a reference to `store`, so
+  /// the mapping outlives every query ranked against a snapshot that
+  /// serves one of its engines, and is unmapped once no snapshot, current
+  /// or in flight, does (after RELOAD, or once UPDATE/DROP have replaced
+  /// or removed its last engine). Duplicate names are rejected.
   Status RegisterStore(std::shared_ptr<const represent::StoreView> store);
 
   /// Predicate over engine names; see the filtering RegisterStore
@@ -90,18 +91,17 @@ class Metasearcher {
 
   /// Like RegisterStore, but only registers the store's engines whose
   /// name passes `filter` (used by the ADD verb under shard ownership).
-  /// Engines filtered out are skipped silently; the store reference is
-  /// kept only when at least one engine was registered. Registering zero
-  /// engines is OK (returns OK, broker unchanged).
+  /// Engines filtered out are skipped silently, so the store is kept only
+  /// when at least one engine was registered. Registering zero engines is
+  /// OK (returns OK, broker unchanged).
   Status RegisterStore(std::shared_ptr<const represent::StoreView> store,
                        const EngineFilter& filter);
 
   /// Removes the named engine from the registry (NotFound when absent).
-  /// Stale/store-engine counters follow the entry out; the backing
-  /// packed-store mapping (and its store_bytes() accounting) is retained
-  /// even when the last entry it serves is removed — the mapping is
-  /// shared with older snapshots and dropping it piecemeal isn't worth
-  /// the bookkeeping, a RELOAD rebuilds from scratch anyway.
+  /// Stale/store-engine counters follow the entry out, and so does its
+  /// reference to a packed store: once no entry of this broker serves one
+  /// of the store's engines, store_bytes() stops counting it, and its
+  /// mapping is unmapped when no other snapshot holds it either.
   Status RemoveEngine(std::string_view engine_name);
 
   /// Copy for copy-on-write churn (ADD/DROP/UPDATE build a mutated clone
@@ -129,8 +129,9 @@ class Metasearcher {
   /// Engines served from packed stores (subset of num_engines()).
   std::size_t num_store_engines() const { return num_store_engines_; }
 
-  /// Total bytes of the packed store images backing this broker.
-  std::size_t store_bytes() const { return store_bytes_; }
+  /// Total bytes of the distinct packed store images that this broker's
+  /// entries serve engines from.
+  std::size_t store_bytes() const;
 
   /// Parallelism of RankEngines/SelectEngines across engines. 1 (the
   /// default) keeps the fully serial path; 0 means hardware concurrency.
@@ -181,9 +182,10 @@ class Metasearcher {
   /// One engine: exactly one of `table` and `view` is set.
   struct Entry {
     std::shared_ptr<const represent::TermTable> table;
-    // Set for store-backed engines: a zero-copy accessor into one of
-    // stores_' mappings.
+    // Set for store-backed engines: a zero-copy accessor into `store`'s
+    // mapping, which `store` keeps alive.
     std::optional<represent::RepresentativeView> view;
+    std::shared_ptr<const represent::StoreView> store;
     const ir::SearchEngine* live = nullptr;  // null: selection-only
 
     std::string_view name() const {
@@ -204,11 +206,8 @@ class Metasearcher {
 
   const text::Analyzer* analyzer_;
   std::vector<Entry> entries_;
-  // Keepalives for the mmap'd images behind view-backed entries.
-  std::vector<std::shared_ptr<const represent::StoreView>> stores_;
   std::size_t num_stale_representatives_ = 0;
   std::size_t num_store_engines_ = 0;
-  std::size_t store_bytes_ = 0;
   // name -> index into entries_; makes duplicate checks, FindRepresentative
   // and per-selection dispatch O(1) instead of a linear (or quadratic, in
   // Search's case) scan over engines.

@@ -1,11 +1,12 @@
 #include "represent/serialize.h"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+
+#include "represent/input_file.h"
 
 namespace useful::represent {
 
@@ -145,7 +146,7 @@ Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
     return Status::Corruption("truncated term record");
   }
   bytes->remove_prefix(kTermStatsBytes);
-  DecodeUrp1Term(record, stats);
+  if (stats != nullptr) DecodeUrp1Term(record, stats);
   return Status::OK();
 }
 
@@ -164,23 +165,9 @@ Status SaveRepresentative(const Representative& rep, const std::string& path) {
 }
 
 Result<Representative> LoadRepresentative(const std::string& path) {
-  Result<std::string> bytes = ReadFileBytes(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseRepresentative(bytes.value());
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IOError(path + ": " + ec.message());
-  std::string bytes(size, '\0');
-  // A read larger than the stream's buffer goes straight to read(2).
-  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
-    return Status::IOError("read failed: " + path);
-  }
-  return bytes;
+  Result<FileImage> image = ReadFileImage(path);
+  if (!image.ok()) return image.status();
+  return ParseRepresentative(image.value().view());
 }
 
 }  // namespace useful::represent

@@ -31,13 +31,10 @@ Status WriteRepresentative(const Representative& rep, std::ostream& out);
 /// read and ignored, so one stream holds one representative.
 Result<Representative> ReadRepresentative(std::istream& in);
 
-/// File convenience wrappers.
+/// File convenience wrappers. LoadRepresentative reads the file with
+/// ReadFileImage (input_file.h), as TermTable::Load does.
 Status SaveRepresentative(const Representative& rep, const std::string& path);
 Result<Representative> LoadRepresentative(const std::string& path);
-
-/// The whole regular file at `path`, read with one read() of its size
-/// (IOError when it cannot be opened, sized or read).
-Result<std::string> ReadFileBytes(const std::string& path);
 
 /// The header of one URP1 image. `engine_name` views the parsed bytes.
 struct Urp1Header {
@@ -56,8 +53,9 @@ struct Urp1Header {
 Result<Urp1Header> ParseUrp1Header(std::string_view* bytes);
 
 /// Parses the term record at the front of `*bytes` and advances past it.
-/// `*term` views the record's term bytes. A repeated term is not detected
-/// here; every consumer keeps the last record. Failures are Corruption.
+/// `*term` views the record's term bytes; the statistics are decoded into
+/// `*stats` unless it is null. A repeated term is not detected here; every
+/// consumer keeps the last record. Failures are Corruption.
 Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
                      TermStats* stats);
 

@@ -1,9 +1,7 @@
 #include "represent/store.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -12,10 +10,11 @@
 #include <fstream>
 #include <limits>
 
+#include "represent/input_file.h"
+
 namespace useful::represent {
 namespace {
 
-constexpr char kMagic[4] = {'U', 'R', 'P', 'Z'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kFileHeaderBytes = 32;
 constexpr std::size_t kEngineHeaderBytes = 80;
@@ -230,7 +229,7 @@ Result<std::string> EncodeStore(const std::vector<const Representative*>& reps,
 
   std::string header;
   header.reserve(kFileHeaderBytes);
-  header.append(kMagic, 4);
+  header.append(kStoreMagic);
   AppendPod32(&header, kVersion);
   AppendPod32(&header, static_cast<std::uint32_t>(index.size()));
   AppendPod32(&header, 0);  // reserved
@@ -259,15 +258,6 @@ Status PackStoreToFile(const std::vector<const Representative*>& reps,
                            std::strerror(errno));
   }
   return Status::OK();
-}
-
-Result<bool> SniffPackedStore(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() < 4) return false;
-  return std::memcmp(magic, kMagic, 4) == 0;
 }
 
 std::string_view RepresentativeView::TermAtRestart(std::size_t r) const {
@@ -399,7 +389,7 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
   if (size < kFileHeaderBytes) {
     return Status::Corruption("URPZ: file smaller than header");
   }
-  if (std::memcmp(data, kMagic, 4) != 0) {
+  if (std::memcmp(data, kStoreMagic.data(), kStoreMagic.size()) != 0) {
     return Status::Corruption("URPZ: bad magic");
   }
   if (ReadU32(data + 4) != kVersion) {
@@ -555,25 +545,28 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
 
 Result<std::shared_ptr<const StoreView>> StoreView::Open(
     const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IOError("open " + path + ": " + std::strerror(errno));
+  Result<InputFile> file = InputFile::Open(path);
+  if (!file.ok()) {
+    return Status::IOError("open " + path + ": " + file.status().message());
   }
+  return Open(file.value());
+}
+
+Result<std::shared_ptr<const StoreView>> StoreView::Open(
+    const InputFile& file) {
+  const std::string& path = file.path();
   struct stat st;
-  if (::fstat(fd, &st) != 0) {
+  if (::fstat(file.fd(), &st) != 0) {
     const int err = errno;
-    ::close(fd);
     return Status::IOError("fstat " + path + ": " + std::strerror(err));
   }
   const std::size_t size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return Status::Corruption("URPZ: empty file " + path);
-  }
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
+  if (size == 0) return Status::Corruption("URPZ: empty file " + path);
+  // The mapping keeps the file alive after the descriptor closes.
+  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, file.fd(), 0);
   if (map == MAP_FAILED) {
-    return Status::IOError("mmap " + path + ": " + std::strerror(errno));
+    const int err = errno;
+    return Status::IOError("mmap " + path + ": " + std::strerror(err));
   }
   auto view = std::shared_ptr<StoreView>(new StoreView());
   view->map_ = map;

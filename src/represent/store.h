@@ -72,10 +72,10 @@ Status PackStoreToFile(const std::vector<const Representative*>& reps,
                        const std::string& path,
                        const PackOptions& options = {});
 
-/// True when the first four bytes of the file at `path` are the URPZ
-/// magic; false for URP1 or anything shorter than a magic.
-Result<bool> SniffPackedStore(const std::string& path);
+/// The first four bytes of every URPZ file; a URP1 file starts "URP1".
+inline constexpr std::string_view kStoreMagic = "URPZ";
 
+class InputFile;
 class StoreView;
 
 /// Zero-copy accessor for one engine inside an open StoreView. Plain
@@ -172,6 +172,10 @@ class StoreView {
   /// owns the mapping; it is unmapped when the last reference drops (the
   /// broker's RELOAD swap relies on this).
   static Result<std::shared_ptr<const StoreView>> Open(const std::string& path);
+
+  /// Like Open(path), mapping the already open `file` (which need not stay
+  /// open afterwards).
+  static Result<std::shared_ptr<const StoreView>> Open(const InputFile& file);
 
   /// Validates an in-memory image (tests, corruption probes).
   static Result<std::shared_ptr<const StoreView>> FromBuffer(std::string bytes);

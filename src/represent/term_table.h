@@ -4,16 +4,18 @@
 // of u32 record offsets into it, built in one pass and never changed;
 // lookups decode records in place. Brokers share a table between
 // snapshots by pointer. A file is read, not mapped: SaveRepresentative
-// rewrites a .rep file in place, which would change a mapping (or raise
-// SIGBUS on it) under a snapshot still serving.
+// truncates and rewrites a .rep file in place, and truncation unmaps even
+// the pages a private mapping had already copied, so a mapped table would
+// raise SIGBUS under a snapshot still serving.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "represent/input_file.h"
 #include "represent/representative.h"
 #include "represent/serialize.h"
 #include "represent/term_stats.h"
@@ -28,8 +30,11 @@ class TermTable {
   /// with Corruption when the image is 4 GiB or more.
   static Result<TermTable> Parse(std::string_view bytes);
 
-  /// Reads the URP1 file at `path` with ReadFileBytes and parses it.
+  /// Reads the URP1 file at `path` with ReadFileImage and parses it.
   static Result<TermTable> Load(const std::string& path);
+
+  /// Reads the already open `file` with InputFile::ReadAll and parses it.
+  static Result<TermTable> Load(const InputFile& file);
 
   /// The table of `rep`'s terms and header fields, indexed over the bytes
   /// WriteRepresentative gives for `rep`. Fails with the writer's
@@ -50,7 +55,7 @@ class TermTable {
     const std::uint32_t record = slots_[SlotOf(term)];
     if (record == kEmpty) return std::nullopt;
     TermStats stats;
-    DecodeUrp1Term(image_.data() + record, &stats);
+    DecodeUrp1Term(image_.get() + record, &stats);
     return stats;
   }
 
@@ -60,15 +65,14 @@ class TermTable {
   TermTable() = default;
 
   /// Checks `image` as Parse documents and indexes its records.
-  static Result<TermTable> Index(std::string image);
+  static Result<TermTable> Index(FileImage image);
 
   /// The slot holding `term`, or the empty slot where it would go.
   std::size_t SlotOf(std::string_view term) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t slot = std::hash<std::string_view>{}(term) & mask;
+    std::size_t slot = std::hash<std::string_view>{}(term) & slot_mask_;
     while (slots_[slot] != kEmpty &&
-           DecodeUrp1Term(image_.data() + slots_[slot], nullptr) != term) {
-      slot = (slot + 1) & mask;
+           DecodeUrp1Term(image_.get() + slots_[slot], nullptr) != term) {
+      slot = (slot + 1) & slot_mask_;
     }
     return slot;
   }
@@ -78,10 +82,12 @@ class TermTable {
   RepresentativeKind kind_ = RepresentativeKind::kQuadruplet;
   bool stale_max_ = false;
   std::size_t num_terms_ = 0;
-  std::string image_;  // the URP1 bytes; under 4 GiB, so offsets fit a u32
-  // Offsets of term records in image_, or kEmpty; more than twice as many
-  // slots as records, so probes end.
-  std::vector<std::uint32_t> slots_;
+  // The URP1 bytes; under 4 GiB, so offsets fit a u32.
+  std::unique_ptr<char[]> image_;
+  // Offsets of term records in image_, or kEmpty; a power of two more
+  // than twice as many slots as records, so probes end.
+  std::unique_ptr<std::uint32_t[]> slots_;
+  std::size_t slot_mask_ = 0;  // slot count - 1
 };
 
 }  // namespace useful::represent

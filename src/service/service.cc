@@ -8,6 +8,7 @@
 
 #include "broker/selection_policy.h"
 #include "estimate/registry.h"
+#include "represent/input_file.h"
 #include "represent/store.h"
 #include "represent/term_table.h"
 #include "util/engine_hash.h"
@@ -72,35 +73,32 @@ struct LoadedReps {
   std::shared_ptr<const represent::TermTable> table;   // URP1
 };
 
+/// `status` with the same code (Corruption or IOError), naming `path`.
+Status WithPath(const std::string& path, const Status& status) {
+  std::string msg = path + ": " + status.message();
+  return status.code() == Status::Code::kCorruption
+             ? Status::Corruption(std::move(msg))
+             : Status::IOError(std::move(msg));
+}
+
 Result<LoadedReps> LoadRepFile(const std::string& path) {
   LoadedReps out;
-  // One path may carry either format; the magic decides. Packed URPZ
-  // stores register zero-copy (mmap stays shared until the snapshot's
-  // last in-flight request drops); URP1 files become term tables that
-  // every later snapshot shares.
-  auto packed = represent::SniffPackedStore(path);
-  if (!packed.ok()) {
-    return Status::IOError(path + ": " + packed.status().message());
-  }
-  if (packed.value()) {
-    auto store = represent::StoreView::Open(path);
-    if (!store.ok()) {
-      std::string msg = path + ": " + store.status().message();
-      return store.status().code() == Status::Code::kCorruption
-                 ? Status::Corruption(std::move(msg))
-                 : Status::IOError(std::move(msg));
-    }
+  // One path may carry either format; its first four bytes decide, read
+  // from the one descriptor that is then mapped or read. Packed URPZ
+  // stores register zero-copy (the mapping stays shared until the last
+  // snapshot serving one of its engines drops); URP1 files become term
+  // tables that every later snapshot shares. A file shorter than a magic
+  // is read as URP1 and fails its magic check.
+  auto file = represent::InputFile::Open(path);
+  if (!file.ok()) return Status::IOError(path + ": cannot open " + path);
+  if (file.value().StartsWith(represent::kStoreMagic)) {
+    auto store = represent::StoreView::Open(file.value());
+    if (!store.ok()) return WithPath(path, store.status());
     out.store = std::move(store).value();
     return out;
   }
-  auto table = represent::TermTable::Load(path);
-  if (!table.ok()) {
-    // Keep the original code (Corruption vs IOError) but add which file.
-    std::string msg = path + ": " + table.status().message();
-    return table.status().code() == Status::Code::kCorruption
-               ? Status::Corruption(std::move(msg))
-               : Status::IOError(std::move(msg));
-  }
+  auto table = represent::TermTable::Load(file.value());
+  if (!table.ok()) return WithPath(path, table.status());
   out.table =
       std::make_shared<const represent::TermTable>(std::move(table).value());
   return out;

@@ -436,6 +436,54 @@ TEST_F(StoreBackedBrokerTest, FindRepresentativeFailsForStoreBacked) {
             Status::Code::kNotFound);
 }
 
+TEST_F(StoreBackedBrokerTest, StoreBytesCountEachServedStoreOnce) {
+  auto store = PackEngines();
+  ASSERT_TRUE(store.ok());
+  const std::size_t bytes = store.value()->file_bytes();
+  Metasearcher store_broker(&analyzer_);
+  ASSERT_TRUE(store_broker.RegisterStore(store.value()).ok());
+  EXPECT_EQ(store_broker.store_bytes(), bytes);
+  ASSERT_TRUE(store_broker.RemoveEngine("sports").ok());
+  ASSERT_TRUE(store_broker.RemoveEngine("science").ok());
+  EXPECT_EQ(store_broker.store_bytes(), bytes);
+  ASSERT_TRUE(store_broker.RemoveEngine("cooking").ok());
+  EXPECT_EQ(store_broker.store_bytes(), 0u);
+}
+
+// A store lives as long as some entry serves one of its engines: once a
+// clone replaces the only engine of a store, the clone neither counts nor
+// holds that store, and it goes with the last broker that still serves it.
+TEST_F(StoreBackedBrokerTest, ReplacedStoreIsReleasedWithItsLastEngine) {
+  auto pack = [&](represent::RepresentativeKind kind) {
+    auto rep = represent::BuildRepresentative(*engines_[0], kind);
+    EXPECT_TRUE(rep.ok());
+    auto image = represent::EncodeStore({&rep.value()});
+    EXPECT_TRUE(image.ok());
+    auto store = represent::StoreView::FromBuffer(std::move(image).value());
+    EXPECT_TRUE(store.ok());
+    return std::move(store).value();
+  };
+  std::shared_ptr<const represent::StoreView> first =
+      pack(represent::RepresentativeKind::kQuadruplet);
+  std::shared_ptr<const represent::StoreView> second =
+      pack(represent::RepresentativeKind::kTriplet);
+  ASSERT_NE(first->file_bytes(), second->file_bytes());
+  const std::size_t first_bytes = first->file_bytes();
+  std::weak_ptr<const represent::StoreView> first_alive = first;
+
+  auto original = std::make_unique<Metasearcher>(&analyzer_);
+  ASSERT_TRUE(original->RegisterStore(std::move(first)).ok());
+  std::unique_ptr<Metasearcher> clone = original->Clone();
+  ASSERT_TRUE(clone->RemoveEngine("sports").ok());
+  EXPECT_EQ(clone->store_bytes(), 0u);
+  ASSERT_TRUE(clone->RegisterStore(second).ok());
+  EXPECT_EQ(clone->store_bytes(), second->file_bytes());
+  EXPECT_EQ(original->store_bytes(), first_bytes);
+  EXPECT_FALSE(first_alive.expired());
+  original.reset();
+  EXPECT_TRUE(first_alive.expired());
+}
+
 TEST_F(StoreBackedBrokerTest, StaleMaxStoreEngineCounted) {
   auto rep = represent::BuildRepresentative(
       *engines_[0], represent::RepresentativeKind::kQuadruplet);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
+#include "represent/input_file.h"
 #include "represent/term_table.h"
 #include "urp1_parity.h"
 #include "util/random.h"
@@ -283,6 +285,87 @@ TEST(SerializeTest, LoadMissingFileFails) {
   const std::string dir = std::filesystem::temp_directory_path().string();
   EXPECT_EQ(LoadRepresentative(dir).status().code(), Status::Code::kIOError);
   EXPECT_EQ(TermTable::Load(dir).status().code(), Status::Code::kIOError);
+}
+
+// A table holds the bytes it read, not a mapping of the file: truncating
+// and rewriting the file in place, as SaveRepresentative does, leaves a
+// loaded table's answers as they were.
+TEST(SerializeTest, LoadedTableOutlivesRewriteInPlace) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "useful_rep_rewrite.bin")
+          .string();
+  Representative orig = MakeRep();
+  ASSERT_TRUE(SaveRepresentative(orig, path).ok());
+  auto table = TermTable::Load(path);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Representative other("other", 9, RepresentativeKind::kTriplet);
+  other.Put("alpha", TermStats{0.9, 0.8, 0.7, 0.0, 8});
+  ASSERT_TRUE(SaveRepresentative(other, path).ok());
+  auto reread = LoadRepresentative(path);
+  ASSERT_TRUE(reread.ok());
+  EXPECT_EQ(reread.value().engine_name(), "other");
+  ExpectSameTerms(orig, table.value());
+  std::filesystem::remove(path);
+}
+
+/// Writes `bytes` to a file and checks that every file loader gives the
+/// same outcome: LoadRepresentative and TermTable::Load, by path and
+/// through an open InputFile, fail with the same code and message, or
+/// all load the same terms.
+void ExpectFileLoadersAgree(const std::string& bytes) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "useful_rep_loaders.bin")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Result<Representative> rep = LoadRepresentative(path);
+  Result<InputFile> file = InputFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (const Result<TermTable>& table :
+       {TermTable::Load(path), TermTable::Load(file.value())}) {
+    EXPECT_EQ(rep.ok(), table.ok());
+    EXPECT_EQ(rep.status().code(), table.status().code());
+    EXPECT_EQ(rep.status().message(), table.status().message());
+    if (rep.ok() && table.ok()) ExpectSameTerms(rep.value(), table.value());
+  }
+  std::filesystem::remove(path);
+}
+
+/// MakeRep's image with its engine name padded to make it `size` bytes.
+std::string ImageOfSize(std::size_t size) {
+  const Representative rep = MakeRep();
+  Representative unnamed("", 1234, RepresentativeKind::kQuadruplet);
+  for (const auto& [term, ts] : rep.stats()) unnamed.Put(term, ts);
+  std::stringstream base;
+  EXPECT_TRUE(WriteRepresentative(unnamed, base).ok());
+  Representative named(std::string(size - base.str().size(), 'n'), 1234,
+                       RepresentativeKind::kQuadruplet);
+  for (const auto& [term, ts] : rep.stats()) named.Put(term, ts);
+  std::stringstream out;
+  EXPECT_TRUE(WriteRepresentative(named, out).ok());
+  EXPECT_EQ(out.str().size(), size);
+  return out.str();
+}
+
+// The read path fills storage that was never zero-filled, page by page:
+// sizes around a page, and files too short to hold what they promise,
+// must load (or fail) alike in every loader.
+TEST(SerializeTest, FileLoadersAgreeAroundPageSizes) {
+  ExpectFileLoadersAgree("");
+  ExpectFileLoadersAgree("URP");
+  for (std::size_t size : {4095u, 4096u, 4097u}) {
+    SCOPED_TRACE(size);
+    ExpectFileLoadersAgree(ImageOfSize(size));
+  }
+  // The last record cut inside its statistics.
+  const std::string whole = ImageOfSize(4097);
+  const std::string cut = whole.substr(0, whole.size() - 5);
+  ExpectFileLoadersAgree(cut);
+  std::istringstream in(cut);
+  EXPECT_EQ(ReadRepresentative(in).status().message(),
+            "truncated term record");
 }
 
 /// One on-disk term record, as WriteRepresentative lays it out.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "estimate/registry.h"
@@ -302,10 +303,6 @@ TEST(StoreTest, OpenFromFileMatchesBuffer) {
   const std::string path = ::testing::TempDir() + "/store_test.urpz";
   ASSERT_TRUE(PackStoreToFile({&rep}, path).ok());
 
-  auto sniff = SniffPackedStore(path);
-  ASSERT_TRUE(sniff.ok());
-  EXPECT_TRUE(sniff.value());
-
   auto mapped = StoreView::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().message();
   auto image = EncodeStore({&rep});
@@ -324,16 +321,6 @@ TEST(StoreTest, OpenFromFileMatchesBuffer) {
     ASSERT_TRUE(sb.has_value()) << term;
     ExpectSameStats(*sm, *sb, term);
   }
-  std::remove(path.c_str());
-}
-
-TEST(StoreTest, SniffDistinguishesUrp1) {
-  Representative rep = MakeRep("db", 20, 11, RepresentativeKind::kQuadruplet);
-  const std::string path = ::testing::TempDir() + "/store_test.rep";
-  ASSERT_TRUE(SaveRepresentative(rep, path).ok());
-  auto sniff = SniffPackedStore(path);
-  ASSERT_TRUE(sniff.ok());
-  EXPECT_FALSE(sniff.value());
   std::remove(path.c_str());
 }
 
@@ -513,13 +500,19 @@ void WriteU64At(std::string* bytes, std::size_t off, std::uint64_t v) {
   std::memcpy(bytes->data() + off, &v, 8);
 }
 
+/// Changes the term blob and the restart table (u32 offsets) of
+/// ImageWithTerms before they are laid out.
+using TermSectionEdit =
+    std::function<void(std::string* terms, std::string* restarts)>;
+
 /// A one-engine store of `entries.size()` terms whose term section is
-/// exactly `entries`, with every offset that depends on the section's size
-/// fixed: the restart table, the engine header's terms_bytes, codes_offset
-/// and block_bytes, the index entry's block_bytes, and the file header's
-/// index_offset and file_bytes.
+/// exactly `entries` (after `edit`, when given), with every offset that
+/// depends on the section's size fixed: the restart table, the engine
+/// header's terms_bytes, codes_offset and block_bytes, the index entry's
+/// block_bytes, and the file header's index_offset and file_bytes.
 std::string ImageWithTerms(const std::vector<TermEntry>& entries,
-                           std::uint32_t restart_interval = 16) {
+                           std::uint32_t restart_interval = 16,
+                           const TermSectionEdit& edit = nullptr) {
   Representative rep("db", 100, RepresentativeKind::kQuadruplet);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     rep.Put("t" + std::to_string(i), TermStats{0.5, 0.3, 0.1, 0.6, 50});
@@ -545,6 +538,7 @@ std::string ImageWithTerms(const std::vector<TermEntry>& entries,
     AppendVarint(&terms, static_cast<std::uint32_t>(entries[i].suffix.size()));
     terms += entries[i].suffix;
   }
+  if (edit) edit(&terms, &restarts);
   std::string block = image.substr(kBlock, restarts_offset) + restarts +
                       image.substr(kBlock + dfbits_offset,
                                    terms_offset - dfbits_offset) +
@@ -565,8 +559,10 @@ std::string ImageWithTerms(const std::vector<TermEntry>& entries,
 
 /// The status of opening a store whose only engine holds `entries`.
 Status OpenWithTerms(const std::vector<TermEntry>& entries,
-                     std::uint32_t restart_interval = 16) {
-  return StoreView::FromBuffer(ImageWithTerms(entries, restart_interval))
+                     std::uint32_t restart_interval = 16,
+                     const TermSectionEdit& edit = nullptr) {
+  return StoreView::FromBuffer(
+             ImageWithTerms(entries, restart_interval, edit))
       .status();
 }
 
@@ -632,6 +628,43 @@ TEST(StoreTermEntryTest, HighBytesSortAboveAscii) {
   ExpectTermsFound({{0, "abc"}, {2, "\xe9"}, {0, "zebra"}, {0, "\x80"},
                     {1, "\xff"}},
                    {"abc", "ab\xe9", "zebra", "\x80", "\x80\xff"});
+}
+
+TEST(StoreTermEntryTest, TwoByteVarintsForLongSuffixAndSharedPrefix) {
+  // A suffix of 200 bytes and a shared prefix of 150: both lengths take
+  // two varint bytes.
+  const std::string long_a(200, 'a');
+  ExpectTermsFound({{0, long_a}, {150, "b"}, {151, "c"}},
+                   {long_a, std::string(150, 'a') + "b",
+                    std::string(150, 'a') + "bc"});
+}
+
+TEST(StoreTermEntryTest, RejectsVarintCutAtEndOfBlob) {
+  // The second entry's suffix length (200: bytes C8 01) loses its second
+  // byte and its suffix: the blob ends inside the varint.
+  const Status s = OpenWithTerms(
+      {{0, "a"}, {0, std::string(200, 'b')}}, 16,
+      [](std::string* terms, std::string*) { terms->resize(5); });
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_EQ(s.message(), "URPZ: truncated term entry");
+}
+
+TEST(StoreTermEntryTest, RejectsRestartOffsetMismatch) {
+  // With a restart at every term, the second restart must point at the
+  // second entry (byte 3); it points one byte further.
+  const Status s = OpenWithTerms(
+      {{0, "a"}, {0, "b"}}, /*restart_interval=*/1,
+      [](std::string*, std::string* restarts) { (*restarts)[4] += 1; });
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_EQ(s.message(), "URPZ: restart offset mismatch");
+}
+
+TEST(StoreTermEntryTest, RejectsBytesAfterLastTerm) {
+  const Status s = OpenWithTerms(
+      {{0, "a"}, {0, "b"}}, 16,
+      [](std::string* terms, std::string*) { terms->push_back('c'); });
+  EXPECT_EQ(s.code(), Status::Code::kCorruption);
+  EXPECT_EQ(s.message(), "URPZ: trailing bytes in term blob");
 }
 
 // --- Sweep: no image makes open throw, and every image that opens is

@@ -529,8 +529,8 @@ TEST_F(ServiceTest, AddFiltersByShardOwnership) {
   }
 }
 
-// Packed-snapshot coverage: the service sniffs URPZ files per path, loads
-// them zero-copy, mixes them freely with legacy URP1 files, and reports
+// Packed-snapshot coverage: the service tells URPZ files by their magic,
+// loads them zero-copy, mixes them freely with legacy URP1 files, and reports
 // the packed-store gauges.
 class PackedServiceTest : public ServiceTest {
  protected:
@@ -645,6 +645,75 @@ TEST_F(PackedServiceTest, CorruptPackedFileFailsLoudWithPath) {
   ASSERT_FALSE(service.ok());
   EXPECT_NE(service.status().message().find("packed.urpz"),
             std::string::npos);
+}
+
+// Each path is opened once and its first four bytes pick the format: a
+// URPZ store registers its engines zero-copy, a URP1 file becomes a term
+// table, and a file shorter than a magic is read as URP1 and fails its
+// magic check. Create and ADD load files alike.
+TEST_F(PackedServiceTest, FirstFourBytesPickEachFilesFormat) {
+  PackEngines({{"history", {"empire treaty dynasty", "treaty shared"}}});
+  WriteRep("music", {"guitar melody chord", "melody shared"});
+  const std::string tiny = (dir_ / "tiny.rep").string();
+  {
+    std::ofstream out(tiny, std::ios::binary);
+    out << "URP";
+  }
+  const std::string bad_magic =
+      "Corruption: " + tiny + ": bad magic (not a representative file)";
+  auto expect_formats = [](const Service& service) {
+    auto snapshot = service.snapshot();
+    EXPECT_TRUE(snapshot->FindRepresentative("music").ok());
+    EXPECT_EQ(snapshot->FindRepresentative("history").status().code(),
+              Status::Code::kFailedPrecondition);  // served from the store
+    EXPECT_EQ(service.stats().Get(Stats::kPackedEngines), 1u);
+  };
+
+  ServiceOptions options;
+  options.representative_paths = {RepPath("music"), StorePath()};
+  auto created = Service::Create(&analyzer_, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ(created.value()->num_engines(), 2u);
+  expect_formats(*created.value());
+  options.representative_paths.push_back(tiny);
+  auto refused = Service::Create(&analyzer_, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().ToString(), bad_magic);
+
+  for (const std::string& path : {RepPath("music"), StorePath()}) {
+    auto reply = service_->Execute("ADD " + path);
+    ASSERT_TRUE(reply.status.ok()) << path << ": " << reply.status.ToString();
+    EXPECT_EQ(reply.payload[0], "added 1") << path;
+  }
+  EXPECT_EQ(service_->num_engines(), 5u);
+  expect_formats(*service_);
+  auto tiny_add = service_->Execute("ADD " + tiny);
+  ASSERT_FALSE(tiny_add.status.ok());
+  EXPECT_EQ(tiny_add.status.ToString(), bad_magic);
+  EXPECT_EQ(service_->num_engines(), 5u);
+}
+
+// An engine holds the store it is served from, so replacing it releases
+// the old store: 20 UPDATEs from one single-engine file leave one
+// mapping counted, not one per UPDATE.
+TEST_F(PackedServiceTest, UpdatesFromOneStoreKeepPackedBytesFlat) {
+  PackEngines({{"history", {"empire treaty dynasty", "treaty shared"}}});
+  ServiceOptions options = MakeOptions();
+  options.representative_paths.push_back(StorePath());
+  auto created = Service::Create(&analyzer_, std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Service> service = std::move(created).value();
+  const std::uint64_t at_start = service->stats().Get(Stats::kPackedBytes);
+  std::uint64_t after_first = 0;
+  for (int i = 0; i < 20; ++i) {
+    auto reply = service->Execute("UPDATE " + StorePath());
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    EXPECT_EQ(reply.payload[0], "updated 1");
+    if (i == 0) after_first = service->stats().Get(Stats::kPackedBytes);
+  }
+  EXPECT_EQ(after_first, at_start);
+  EXPECT_EQ(service->stats().Get(Stats::kPackedBytes), after_first);
+  EXPECT_EQ(service->stats().Get(Stats::kPackedEngines), 1u);
 }
 
 TEST_F(PackedServiceTest, AddOfImpossibleEngineCountFailsAndKeepsServing) {

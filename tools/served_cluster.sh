@@ -25,8 +25,10 @@
 #            cluster serving them zero-copy behind a fresh front-end, and
 #            compare byte-for-byte against an oracle serving the SAME
 #            collections as quantized URP1 files (cross-format identity);
-#            RELOAD on a packed shard must swap the mapping in place, and
-#            METRICS must report the packed-store gauges;
+#            RELOAD on a packed shard must swap the mapping in place,
+#            METRICS must report the packed-store gauges, and 20 UPDATEs
+#            of the shard's engine must leave its packed_bytes gauge
+#            unchanged (each replaced store is released);
 #   phase 6  the annotated query grammar (term^weight, -term, MSM k)
 #            travels the scatter-gather path verbatim: fronted replies
 #            are byte-identical to the oracle's for weighted, negated,
@@ -272,6 +274,19 @@ PACKED_BYTES=$(echo "$SCRAPE" \
 RELOAD_REPLY=$(printf 'RELOAD\n' | "$CLIENT" --port "$P0_PORT")
 echo "$RELOAD_REPLY" | grep -q '^engines 1$' \
   || fail "phase5: RELOAD on the packed shard did not answer 'engines 1'"
+
+# An UPDATE from a store replaces the engine's view, and the store it
+# replaced must be released with it: 20 UPDATEs of the shard's only engine
+# leave the packed_bytes gauge where it was, not 20 files higher.
+UPDATES=$(i=0; while [ $i -lt 20 ]; do
+            printf 'UPDATE %s\n' "$P0_STORE"; i=$((i + 1)); done \
+          | "$CLIENT" --port "$P0_PORT")
+[ "$(echo "$UPDATES" | grep -c '^updated 1$')" = "20" ] \
+  || fail "phase5: 20 UPDATEs of the packed shard did not all answer 'updated 1'"
+UPDATED_BYTES=$("$CLIENT" --port "$P0_PORT" METRICS \
+  | awk '$1 == "useful_representative_packed_bytes" {print $2}')
+[ "$UPDATED_BYTES" = "$PACKED_BYTES" ] \
+  || fail "phase5: packed_bytes moved from $PACKED_BYTES to $UPDATED_BYTES after 20 UPDATEs"
 
 SAVED_FE_PORT=$FE_PORT; SAVED_ORACLE_PORT=$ORACLE_PORT
 FE_PORT=$PFE_PORT; ORACLE_PORT=$PORACLE_PORT
