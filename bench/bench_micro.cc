@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): the systems costs behind the paper's
 // architecture — representative construction, estimator latency per
-// (query, threshold), generating-function expansion scaling, quantization,
-// and broker selection across 53 engines.
+// (query, threshold), generating-function expansion scaling, and broker
+// selection across 53 engines.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -74,24 +74,6 @@ void BM_BuildRepresentative(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildRepresentative)->Unit(benchmark::kMillisecond);
-
-void BM_QuantizeRepresentative(benchmark::State& state) {
-  const auto& f = GetD1();
-  for (auto _ : state) {
-    auto q = represent::QuantizeRepresentative(f.rep);
-    benchmark::DoNotOptimize(q);
-  }
-}
-BENCHMARK(BM_QuantizeRepresentative)->Unit(benchmark::kMillisecond);
-
-void BM_SerializeRepresentative(benchmark::State& state) {
-  const auto& f = GetD1();
-  for (auto _ : state) {
-    std::ostringstream out;
-    benchmark::DoNotOptimize(represent::WriteRepresentative(f.rep, out));
-  }
-}
-BENCHMARK(BM_SerializeRepresentative)->Unit(benchmark::kMillisecond);
 
 template <typename Estimator>
 void BM_Estimator(benchmark::State& state) {
@@ -298,45 +280,10 @@ void BM_BrokerSelection53Engines(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerSelection53Engines);
 
-// Thread scaling of the broker's rank/select fan-out over 53 engines.
-// Arg = thread count; 1 is the serial path. Selections are bit-identical
-// at every setting (asserted by the broker tests); only latency moves.
-// The work runs on pool threads while the calling thread waits, so the
-// rows are timed by the wall clock, not by the caller's CPU time.
-void BM_BrokerSelectionThreads(benchmark::State& state) {
-  static const auto* setup = [] {
-    const auto& tb = bench::GetTestbed();
-    auto* s = new std::pair<std::vector<std::unique_ptr<ir::SearchEngine>>,
-                            std::unique_ptr<broker::Metasearcher>>();
-    s->second = std::make_unique<broker::Metasearcher>(&tb.analyzer);
-    for (const corpus::Collection& g : tb.sim->groups()) {
-      s->first.push_back(bench::BuildEngine(g));
-      if (!s->second->RegisterEngine(s->first.back().get()).ok()) std::abort();
-    }
-    return s;
-  }();
-  setup->second->SetParallelism(static_cast<std::size_t>(state.range(0)));
-  const auto& f = GetD1();
-  estimate::SubrangeEstimator est;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const ir::Query& q = f.queries[i++ % f.queries.size()];
-    auto selected = setup->second->SelectEngines(q, 0.2, est);
-    benchmark::DoNotOptimize(selected);
-  }
-  setup->second->SetParallelism(1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 53);
-}
-BENCHMARK(BM_BrokerSelectionThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
 // Thread scaling of the full experiment runner (512 queries x 6
-// thresholds x subrange) — the eval-side parallel reduction. Wall-clock
-// timed, like BM_BrokerSelectionThreads.
+// thresholds x subrange) — the eval-side parallel reduction. The work runs
+// on pool threads while the calling thread waits, so the rows are timed by
+// the wall clock, not by the caller's CPU time.
 void BM_ExperimentRunnerThreads(benchmark::State& state) {
   const auto& f = GetD1();
   estimate::SubrangeEstimator est;
@@ -360,10 +307,9 @@ BENCHMARK(BM_ExperimentRunnerThreads)
     ->Unit(benchmark::kMillisecond);
 
 // --- Serving layer ---------------------------------------------------------
-// Cached vs uncached ROUTE latency through service::Service (socket-free).
-// The cached row is the steady-state repeat-query path; the uncached row
-// forces a miss every iteration by shrinking the cache to one entry and
-// cycling queries. Serving over sockets is measured by bench/e2e.
+// Cached ROUTE latency through service::Service (socket-free): the
+// steady-state repeat-query path. Serving over sockets, cached and
+// uncached, is measured by bench/e2e.
 
 struct ServiceFixture {
   std::filesystem::path dir;
@@ -442,24 +388,6 @@ void BM_ServiceRouteCachedTraceOff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceRouteCachedTraceOff);
-
-void BM_ServiceRouteUncached(benchmark::State& state) {
-  const auto& f = GetServiceFixture();
-  const auto& tb = bench::GetTestbed();
-  service::ServiceOptions options;
-  options.representative_paths = f.rep_paths;
-  options.cache.max_entries = 1;  // cycling queries: every lookup misses
-  options.cache.shards = 1;
-  auto service = service::Service::Create(&tb.analyzer, options);
-  if (!service.ok()) std::abort();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    auto reply = service.value()->Execute(f.route_lines[i++ %
-                                                        f.route_lines.size()]);
-    benchmark::DoNotOptimize(reply.payload.data());
-  }
-}
-BENCHMARK(BM_ServiceRouteUncached);
 
 }  // namespace
 

@@ -24,13 +24,6 @@ bool RankedBefore(const EngineSelection& a, const EngineSelection& b) {
   return a.engine < b.engine;
 }
 
-void Metasearcher::SetParallelism(std::size_t threads) {
-  parallelism_threads_ = threads;
-  std::size_t resolved = util::ThreadPool::ResolveThreads(threads);
-  pool_ = resolved <= 1 ? nullptr
-                        : std::make_unique<util::ThreadPool>(resolved);
-}
-
 std::size_t Metasearcher::IndexOf(std::string_view name) const {
   auto it = index_by_name_.find(name);
   return it == index_by_name_.end() ? entries_.size() : it->second;
@@ -151,7 +144,6 @@ std::unique_ptr<Metasearcher> Metasearcher::Clone() const {
   clone->num_stale_representatives_ = num_stale_representatives_;
   clone->num_store_engines_ = num_store_engines_;
   clone->index_by_name_ = index_by_name_;
-  clone->SetParallelism(parallelism_threads_);
   return clone;
 }
 
@@ -191,17 +183,9 @@ std::vector<EngineSelection> Metasearcher::RankEngines(
   {
     obs::Trace::Span estimate_span = obs::Trace::StartSpan(
         trace, obs::Stage::kEstimate);
-    auto score_one = [&](std::size_t i) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
       ranked[i] = EngineSelection{std::string(entries_[i].name()),
                                   EstimateEngine(i, q, threshold, estimator)};
-    };
-    if (pool_ != nullptr) {
-      // Order-stable fan-out: every estimate lands at its engine's index,
-      // so the pre-sort sequence — and therefore the sorted output — is
-      // identical to the serial loop below.
-      pool_->ParallelFor(entries_.size(), score_one);
-    } else {
-      for (std::size_t i = 0; i < entries_.size(); ++i) score_one(i);
     }
   }
   obs::Trace::Span rank_span = obs::Trace::StartSpan(trace,

@@ -20,7 +20,6 @@
 #include "represent/term_table.h"
 #include "text/analyzer.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace useful::broker {
 
@@ -107,8 +106,7 @@ class Metasearcher {
   /// Copy for copy-on-write churn (ADD/DROP/UPDATE build a mutated clone
   /// aside, then swap it in). Term tables and packed-store mappings are
   /// immutable and shared (refcounted), so a clone costs O(engines), not
-  /// O(terms); the clone gets its own thread pool at the same configured
-  /// parallelism.
+  /// O(terms).
   std::unique_ptr<Metasearcher> Clone() const;
 
   std::size_t num_engines() const { return entries_.size(); }
@@ -133,14 +131,6 @@ class Metasearcher {
   /// entries serve engines from.
   std::size_t store_bytes() const;
 
-  /// Parallelism of RankEngines/SelectEngines across engines. 1 (the
-  /// default) keeps the fully serial path; 0 means hardware concurrency.
-  /// Results are bit-identical at every setting: per-engine estimates land
-  /// by engine index before the deterministic sort, so scheduling never
-  /// leaks into the output. Not thread-safe against concurrent queries —
-  /// configure the broker before serving.
-  void SetParallelism(std::size_t threads);
-
   /// Number of registered representatives whose stale_max flag is set
   /// (their stored max weights are upper bounds, not exact).
   std::size_t num_stale_representatives() const {
@@ -149,9 +139,9 @@ class Metasearcher {
 
   /// Estimated usefulness of every registered engine for `q` at
   /// `threshold`, ranked by descending estimated NoDoc (ties: AvgSim, then
-  /// name). When `trace` is a sampled trace, the per-engine estimation
-  /// fan-out and the final sort are recorded as separate estimate/rank
-  /// spans.
+  /// name). Engines are estimated one after another on the calling
+  /// thread. When `trace` is a sampled trace, the per-engine estimation
+  /// loop and the final sort are recorded as separate estimate/rank spans.
   std::vector<EngineSelection> RankEngines(
       const ir::Query& q, double threshold,
       const estimate::UsefulnessEstimator& estimator,
@@ -214,8 +204,6 @@ class Metasearcher {
   std::unordered_map<std::string, std::size_t, represent::Representative::Hash,
                      represent::Representative::Eq>
       index_by_name_;
-  std::size_t parallelism_threads_ = 1;     // as passed to SetParallelism
-  std::unique_ptr<util::ThreadPool> pool_;  // null: serial ranking
 };
 
 }  // namespace useful::broker

@@ -20,6 +20,9 @@ constexpr int kMaxReadsPerEvent = 4;
 // Completion budget for a partially-written best-effort error line.
 constexpr int kErrorLineBudgetMs = 20;
 
+// Longest request line a connection buffers; a longer one is fatal.
+constexpr std::size_t kMaxLineBytes = 1u << 16;
+
 std::uint64_t ElapsedMicros(Connection::Clock::time_point since,
                             Connection::Clock::time_point now) {
   auto us =
@@ -103,7 +106,7 @@ std::uint32_t Connection::InterestMask() const {
   // Backpressure: stop reading while more than a full request line is
   // already buffered; level-triggered epoll resumes delivery as soon as
   // dispatch drains the buffer and the mask is re-installed.
-  if (!read_closed_ && !closing_ && in_.size() <= options_->max_line_bytes) {
+  if (!read_closed_ && !closing_ && in_.size() <= kMaxLineBytes) {
     mask |= EPOLLIN;
   }
   if (out_off_ < out_.size() && !closing_) mask |= EPOLLOUT;
@@ -114,7 +117,7 @@ void Connection::OnReadable() {
   if (read_closed_ || closing_) return;
   char chunk[8192];
   for (int reads = 0; reads < kMaxReadsPerEvent; ++reads) {
-    if (in_.size() > options_->max_line_bytes) break;  // backpressure
+    if (in_.size() > kMaxLineBytes) break;  // backpressure
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) {
       // Half-close: the peer finished sending but may still be reading.
@@ -134,7 +137,7 @@ void Connection::OnReadable() {
     in_.append(chunk, static_cast<std::size_t>(n));
     NoteAppended(old_size, now);
     last_activity_ = now;
-    if (in_.size() - line_end_ > options_->max_line_bytes) {
+    if (in_.size() - line_end_ > kMaxLineBytes) {
       // Overlong partial request line. Stop reading; the error reply is
       // queued once every complete request buffered ahead of it has been
       // served, preserving reply order.

@@ -14,6 +14,12 @@ namespace useful::service {
 
 namespace {
 
+// Complete request lines a reactor hands the offload pool per batch.
+// Batching amortizes the reactor->pool->reactor handoff for pipelined
+// clients while bounding how much rendered output one connection can
+// buffer at a time.
+constexpr std::size_t kMaxBatchLines = 128;
+
 std::uint64_t ElapsedMicros(Reactor::Clock::time_point since,
                             Reactor::Clock::time_point now) {
   auto us =
@@ -248,9 +254,7 @@ void Reactor::Pump(Connection* conn) {
 }
 
 void Reactor::Dispatch(Connection* conn) {
-  std::size_t max_lines =
-      options_->max_batch_lines > 0 ? options_->max_batch_lines : 1;
-  std::vector<std::string> lines = conn->TakeBatch(max_lines);
+  std::vector<std::string> lines = conn->TakeBatch(kMaxBatchLines);
   stats_->Add(Stats::kDispatches);
   stats_->Add(Stats::kDispatchedLines, lines.size());
   std::uint64_t id = conn->id();

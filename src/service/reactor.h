@@ -84,7 +84,7 @@ class Reactor {
   void Adopt(int fd);
 
   /// Tells the reactor no further Adopt calls will come. Thread-safe;
-  /// called after the acceptor joined.
+  /// called after the accept loop returned.
   void NotifyNoMoreAdopts();
 
   /// Posts an executed batch back to the reactor. Thread-safe; called by

@@ -4,15 +4,16 @@
 // ephemeral port, readable via port()), Serve() runs the event-driven
 // core until QUIT or RequestStop(). The core is a small reactor fleet:
 //
-//   acceptor thread ──round-robin──▶ N reactor threads ──batches──▶
+//   accept loop ──round-robin──▶ N reactor threads ──batches──▶
 //     estimation offload pool ──completions (eventfd)──▶ reactors
 //
-// Each reactor (service::Reactor) owns an epoll instance and the
-// per-connection state machines (service::Connection) the acceptor
-// handed it; request execution happens on the offload pool
-// (service::OffloadPool), so a slow ROUTE never blocks an epoll loop and
-// ~10k mostly-idle keep-alive connections cost two file descriptors per
-// reactor plus their own, not a thread each.
+// The accept loop runs on the thread that called Serve(). Each reactor
+// (service::Reactor) owns an epoll instance and the per-connection state
+// machines (service::Connection) the accept loop handed it; request
+// execution happens on the offload pool (service::OffloadPool), so a slow
+// ROUTE never blocks an epoll loop and ~10k mostly-idle keep-alive
+// connections cost two file descriptors per reactor plus their own, not a
+// thread each.
 //
 // Connection lifecycle: every accepted socket is non-blocking and lives
 // under three deadlines — idle_timeout_ms (no request in progress, no
@@ -31,8 +32,8 @@
 // single "ERR Unavailable: overloaded ..." line (all-or-nothing: a torn
 // fragment is never left on the wire) and is closed immediately. accept()
 // failures that signal fd exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) back
-// off for accept_backoff_ms instead of hot-spinning on the
-// level-triggered listen socket.
+// off for 100 ms instead of hot-spinning on the level-triggered listen
+// socket.
 //
 // Shutdown: a QUIT request or RequestStop() (e.g. from a SIGINT handler;
 // it is a single atomic store, safe in signal context) stops the accept
@@ -60,23 +61,8 @@ struct ServerOptions {
   std::uint16_t port = 0;          // 0: OS-assigned ephemeral port
   std::size_t threads = 0;         // estimation offload workers; 0 = hardware
   std::size_t reactor_threads = 2;  // epoll event loops; 0 behaves as 1
-  std::size_t max_line_bytes = 1u << 16;  // longer request lines are fatal
-  /// Complete request lines a reactor hands the offload pool per batch.
-  /// Batching amortizes the reactor->pool->reactor handoff for pipelined
-  /// clients while bounding how much rendered output one connection can
-  /// buffer at a time.
-  std::size_t max_batch_lines = 128;
   int backlog = 64;
   int poll_interval_ms = 50;       // stop-flag latency for blocked waits
-  /// SO_REUSEPORT acceptor-per-reactor: Serve() opens one listen socket
-  /// per reactor on the same host:port and runs one acceptor thread per
-  /// reactor, each feeding its own reactor directly — the kernel spreads
-  /// incoming connections across the listen sockets, so accepts scale
-  /// with reactors instead of serializing through one acceptor thread.
-  /// Off by default: the single-acceptor round-robin spreads connections
-  /// perfectly evenly, while SO_REUSEPORT's per-socket hashing is only
-  /// statistically even.
-  bool reuseport = false;
 
   // --- Connection lifecycle (0 disables the corresponding limit) -------
   /// Close a connection with no request in progress after this long
@@ -95,8 +81,6 @@ struct ServerOptions {
   /// Adopted sockets allowed to wait for reactor registration; arrivals
   /// beyond this are shed even below max_connections.
   std::size_t max_accept_queue = 256;
-  /// Pause after an fd-exhaustion accept() failure before retrying.
-  int accept_backoff_ms = 100;
 };
 
 class Server {
@@ -145,18 +129,9 @@ class Server {
   }
 
  private:
-  /// One acceptor thread's body over `listen_fd`. `reactor_index` >= 0
-  /// pins every accepted socket to that reactor (the reuseport
-  /// acceptor-per-reactor mode); kRoundRobinAcceptor spreads them across
-  /// all reactors (the single-acceptor mode).
-  static constexpr std::ptrdiff_t kRoundRobinAcceptor = -1;
-  void AcceptLoop(int listen_fd, std::ptrdiff_t reactor_index);
-
-  /// Creates, configures (SO_REUSEADDR and, per options, SO_REUSEPORT),
-  /// binds, and listens a socket on options_.host:`port`. On success
-  /// stores the bound port into *bound_port.
-  Result<int> CreateListenSocket(std::uint16_t port,
-                                 std::uint16_t* bound_port);
+  /// Serve()'s accept loop: accepts on listen_fd_ until stopping() and
+  /// hands each socket to the next reactor in round-robin order.
+  void AcceptLoop();
 
   RequestHandler* handler_;
   ServerOptions options_;

@@ -284,46 +284,6 @@ TEST_F(HundredEngineBrokerTest, MapBackedLookupAndDispatch) {
   }
 }
 
-TEST_F(HundredEngineBrokerTest, RankAndSelectBitIdenticalAcrossThreads) {
-  // The determinism contract for every registered estimator: serial and
-  // 8-thread ranking produce byte-identical selections.
-  std::vector<std::string> names = estimate::KnownEstimators();
-  const char* queries[] = {"common", "tier3", "private7 common",
-                           "tier1 tier2 private11"};
-  Metasearcher& serial = *broker_;
-  Metasearcher parallel(&analyzer_);
-  for (auto& engine : engines_) {
-    ASSERT_TRUE(parallel.RegisterEngine(engine.get()).ok());
-  }
-  parallel.SetParallelism(8);
-  for (const std::string& name : names) {
-    auto est = estimate::MakeEstimator(name);
-    ASSERT_TRUE(est.ok()) << name;
-    for (const char* text : queries) {
-      ir::Query q = ir::ParseQuery(analyzer_, text);
-      for (double threshold : {0.05, 0.2, 0.5}) {
-        auto a = serial.RankEngines(q, threshold, *est.value());
-        auto b = parallel.RankEngines(q, threshold, *est.value());
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].engine, b[i].engine)
-              << name << " " << text << " T=" << threshold << " rank " << i;
-          EXPECT_EQ(a[i].estimate.no_doc, b[i].estimate.no_doc);
-          EXPECT_EQ(a[i].estimate.avg_sim, b[i].estimate.avg_sim);
-        }
-        auto sa = serial.SelectEngines(q, threshold, *est.value());
-        auto sb = parallel.SelectEngines(q, threshold, *est.value());
-        ASSERT_EQ(sa.size(), sb.size());
-        for (std::size_t i = 0; i < sa.size(); ++i) {
-          EXPECT_EQ(sa[i].engine, sb[i].engine);
-          EXPECT_EQ(sa[i].estimate.no_doc, sb[i].estimate.no_doc);
-          EXPECT_EQ(sa[i].estimate.avg_sim, sb[i].estimate.avg_sim);
-        }
-      }
-    }
-  }
-}
-
 TEST_F(MetasearcherTest, SingleTermRoutingPrefersHighestMaxWeight) {
   // §3.1 guarantee applied end-to-end: with a threshold between the top
   // engines' maximum normalized weights for "football", only the sports

@@ -627,56 +627,6 @@ TEST_F(ServerTest, ManyMoreConnectionsThanOffloadWorkersAllGetServed) {
   EXPECT_EQ(ok_count.load(), kClients);
 }
 
-TEST_F(ServerTest, ReuseportAcceptorPerReactorServesEveryClient) {
-  // --reuseport mode: one SO_REUSEPORT listen socket + pinned acceptor
-  // thread per reactor, all bound to the SAME port. Clients connecting to
-  // that one port land on whichever socket the kernel hashes them to; all
-  // of them must be served, requests must still execute correctly, and
-  // shutdown must still be clean (TearDown asserts Serve()'s status).
-  ServerOptions options;
-  options.threads = 1;
-  options.reactor_threads = 2;
-  options.poll_interval_ms = 10;
-  options.reuseport = true;
-  RestartServer(options);
-
-  constexpr int kClients = 12;
-  std::atomic<int> ok_count{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    threads.emplace_back([&] {
-      TestClient client;
-      if (!client.Connect(server_->port())) return;
-      for (int round = 0; round < 3; ++round) {
-        auto wire = client.RoundTrip("ROUTE subrange 0.1 0 football");
-        if (wire.empty() || wire[0] != "OK 1") return;
-      }
-      ok_count.fetch_add(1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(ok_count.load(), kClients);
-  EXPECT_GE(service_->stats().Get(Stats::kRequests), 3u * kClients);
-}
-
-TEST_F(ServerTest, ReuseportWithOneReactorStillWorks) {
-  // Degenerate reuseport: a single reactor means a single listen socket —
-  // the option must not change observable behavior.
-  ServerOptions options;
-  options.threads = 1;
-  options.reactor_threads = 1;
-  options.poll_interval_ms = 10;
-  options.reuseport = true;
-  RestartServer(options);
-
-  TestClient client;
-  ASSERT_TRUE(client.Connect(server_->port()));
-  auto wire = client.RoundTrip("ROUTE subrange 0.1 0 football");
-  ASSERT_FALSE(wire.empty());
-  EXPECT_EQ(wire[0], "OK 1");
-}
-
 TEST(SendErrorLineTest, FullSocketBufferSendsNothingNotATornPrefix) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);

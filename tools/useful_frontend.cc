@@ -5,10 +5,9 @@
 //
 //   useful_frontend --cluster h:p,h:p|h:p,h:p [--host H] [--port P]
 //                   [--port-file PATH] [--threads N] [--reactor-threads N]
-//                   [--reuseport] [--eject-failures N]
-//                   [--probe-backoff-ms N] [--connect-timeout-ms N]
-//                   [--io-timeout-ms N] [--trace-sample-rate N]
-//                   [--slowlog-size N]
+//                   [--eject-failures N] [--probe-backoff-ms N]
+//                   [--connect-timeout-ms N] [--io-timeout-ms N]
+//                   [--trace-sample-rate N] [--slowlog-size N]
 //   useful_frontend --cluster 127.0.0.1:7001,127.0.0.1:7002\|127.0.0.1:7003
 //
 // --cluster is S shards split by '|' (or ';' — shell-friendlier), each
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
       need_number("--threads", &server_options.threads);
     } else if (std::strcmp(argv[i], "--reactor-threads") == 0) {
       need_number("--reactor-threads", &server_options.reactor_threads);
-    } else if (std::strcmp(argv[i], "--reuseport") == 0) {
-      server_options.reuseport = true;
     } else if (std::strcmp(argv[i], "--backlog") == 0) {
       need_number("--backlog", &server_options.backlog);
     } else if (std::strcmp(argv[i], "--eject-failures") == 0) {
@@ -100,7 +97,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: useful_frontend --cluster h:p,h:p|h:p,h:p "
                  "[--host H] [--port P] [--port-file PATH] [--threads N] "
-                 "[--reactor-threads N] [--reuseport] [--backlog N] "
+                 "[--reactor-threads N] [--backlog N] "
                  "[--eject-failures N] [--probe-backoff-ms N] "
                  "[--connect-timeout-ms N] [--io-timeout-ms N] "
                  "[--trace-sample-rate N] [--slowlog-size N]\n");

@@ -3,13 +3,8 @@
 // routed to under a chosen estimator and threshold — without touching any
 // document data, exactly as the paper's metasearch engine operates.
 //
-//   useful_route [--estimator NAME] [--threshold T] [--topk K]
-//                [--threads N] <rep>...
+//   useful_route [--estimator NAME] [--threshold T] [--topk K] <rep>...
 //   echo "fox dog" | useful_route --threshold 0.2 a.rep b.rep
-//
-// --threads parallelizes per-query engine ranking across the registered
-// representatives (default: hardware concurrency; 1 = the serial path;
-// rankings are bit-identical at any setting).
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -29,8 +24,7 @@ int main(int argc, char** argv) {
   using namespace useful;
   std::string estimator_name = "subrange";
   double threshold = 0.2;
-  std::size_t topk = 0;     // 0: paper rule only
-  std::size_t threads = 0;  // 0: hardware concurrency
+  std::size_t topk = 0;  // 0: paper rule only
   std::vector<std::string> rep_paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -52,8 +46,9 @@ int main(int argc, char** argv) {
       threshold = std::strtod(need_value("--threshold"), nullptr);
     } else if (std::strcmp(argv[i], "--topk") == 0) {
       need_number("--topk", &topk);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      need_number("--threads", &threads);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return 2;
     } else {
       rep_paths.push_back(argv[i]);
     }
@@ -61,7 +56,7 @@ int main(int argc, char** argv) {
   if (rep_paths.empty()) {
     std::fprintf(stderr,
                  "usage: useful_route [--estimator NAME] [--threshold T] "
-                 "[--topk K] [--threads N] <rep-file>...\n");
+                 "[--topk K] <rep-file>...\n");
     return 2;
   }
 
@@ -76,7 +71,6 @@ int main(int argc, char** argv) {
 
   text::Analyzer analyzer;
   broker::Metasearcher broker(&analyzer);
-  broker.SetParallelism(threads);
   for (const std::string& path : rep_paths) {
     auto table = represent::TermTable::Load(path);
     if (!table.ok()) {

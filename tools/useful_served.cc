@@ -4,7 +4,7 @@
 // until a QUIT request or SIGINT winds it down gracefully.
 //
 //   useful_served [--host H] [--port P] [--port-file PATH] [--threads N]
-//                 [--reactor-threads N] [--reuseport] [--cache-entries N]
+//                 [--reactor-threads N] [--cache-entries N]
 //                 [--cache-bytes N] [--idle-timeout-ms N]
 //                 [--request-timeout-ms N] [--write-timeout-ms N]
 //                 [--max-connections N] [--max-accept-queue N]
@@ -12,9 +12,6 @@
 //                 [--num-shards N] [--shard-index I] <rep>...
 //   useful_served --port 7979 a.rep b.rep
 //
-// --reuseport opens one SO_REUSEPORT listen socket + acceptor thread per
-// reactor so accepts scale with reactors (shard processes under a
-// connection-heavy front-end tier want this).
 // --reactor-threads N sizes the epoll event-loop fleet (default 2);
 // --threads N sizes the estimation offload pool that executes requests
 // (0 = hardware concurrency). Connections are state machines on the
@@ -100,8 +97,6 @@ int main(int argc, char** argv) {
       need_number("--reactor-threads", &server_options.reactor_threads);
     } else if (std::strcmp(argv[i], "--backlog") == 0) {
       need_number("--backlog", &server_options.backlog);
-    } else if (std::strcmp(argv[i], "--reuseport") == 0) {
-      server_options.reuseport = true;
     } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0) {
       need_number("--idle-timeout-ms", &server_options.idle_timeout_ms);
     } else if (std::strcmp(argv[i], "--request-timeout-ms") == 0) {
@@ -124,6 +119,9 @@ int main(int argc, char** argv) {
       need_number("--num-shards", &service_options.num_shards);
     } else if (std::strcmp(argv[i], "--shard-index") == 0) {
       need_number("--shard-index", &service_options.shard_index);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return 2;
     } else {
       service_options.representative_paths.push_back(argv[i]);
     }
@@ -132,7 +130,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: useful_served [--host H] [--port P] "
                  "[--port-file PATH] [--threads N] [--reactor-threads N] "
-                 "[--reuseport] "
                  "[--backlog N] [--cache-entries N] [--cache-bytes N] "
                  "[--idle-timeout-ms N] [--request-timeout-ms N] "
                  "[--write-timeout-ms N] [--max-connections N] "
