@@ -14,21 +14,13 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
+#include "service/protocol.h"
 #include "util/status.h"
 
 namespace useful::cluster {
 using useful::Result;
 using useful::Status;
-
-/// One framed downstream response.
-struct ShardReply {
-  bool ok = false;
-  std::vector<std::string> payload;  // valid when ok
-  bool degraded = false;             // valid when ok (shard fronts a cluster)
-  std::string error;                 // valid when !ok: "<Code>: <msg>"
-};
 
 /// One replica connection, used by one request at a time: a Send, then
 /// the Receive of its reply. Implementations need not be thread-safe; the
@@ -45,8 +37,8 @@ class ShardBackend {
   /// Reads the framed response to the last Send. A non-OK status means
   /// the transport failed mid-read (timeout, disconnect, corrupt
   /// framing). A protocol-level "ERR ..." from the replica is a
-  /// SUCCESSFUL receive with reply->ok false.
-  virtual Status Receive(ShardReply* reply) = 0;
+  /// SUCCESSFUL receive whose reply->status is the replica's Status.
+  virtual Status Receive(service::Reply* reply) = 0;
 };
 
 }  // namespace useful::cluster

@@ -1,9 +1,8 @@
 #include "cluster/frontend.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <numeric>
@@ -15,6 +14,8 @@
 #include "cluster/shard_client.h"
 #include "service/protocol.h"
 #include "service/query_cache.h"
+#include "util/clock.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace useful::cluster {
@@ -24,54 +25,12 @@ namespace {
 using service::CommandKind;
 using service::Reply;
 using service::Request;
+using util::MicrosSince;
 
 std::int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
-  auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  return micros < 0 ? 0 : static_cast<std::uint64_t>(micros);
-}
-
-/// Reconstructs a Status from a downstream "<CodeName>: <msg>" error so
-/// shard errors pass through with their original code, never re-wrapped
-/// as a front-end failure.
-Status ParseWireStatus(const std::string& wire) {
-  std::size_t colon = wire.find(':');
-  std::string code =
-      colon == std::string::npos ? wire : wire.substr(0, colon);
-  std::string msg;
-  if (colon != std::string::npos) {
-    msg = wire.substr(colon + 1);
-    if (!msg.empty() && msg.front() == ' ') msg.erase(0, 1);
-  }
-  if (code == "InvalidArgument") return Status::InvalidArgument(msg);
-  if (code == "NotFound") return Status::NotFound(msg);
-  if (code == "OutOfRange") return Status::OutOfRange(msg);
-  if (code == "FailedPrecondition") return Status::FailedPrecondition(msg);
-  if (code == "Corruption") return Status::Corruption(msg);
-  if (code == "IOError") return Status::IOError(msg);
-  if (code == "Internal") return Status::Internal(msg);
-  if (code == "DeadlineExceeded") return Status::DeadlineExceeded(msg);
-  if (code == "Unavailable") return Status::Unavailable(msg);
-  return Status::Unavailable("shard error: " + wire);
-}
-
-/// Strict unsigned-integer parse for downstream STATS values.
-bool ParseStatValue(std::string_view token, std::uint64_t* out) {
-  if (token.empty() || token[0] < '0' || token[0] > '9') return false;
-  std::string copy(token);
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size() || errno == ERANGE) return false;
-  *out = value;
-  return true;
 }
 
 /// The "key value" lines of a downstream payload (STATS or an admin
@@ -81,10 +40,10 @@ std::vector<std::pair<std::string, std::uint64_t>> ParseKeyValues(
   std::vector<std::pair<std::string, std::uint64_t>> pairs;
   for (const std::string& line : payload) {
     std::vector<std::string_view> tokens = SplitNonEmpty(line, " \t");
-    std::uint64_t value = 0;
-    if (tokens.size() == 2 && ParseStatValue(tokens[1], &value)) {
-      pairs.emplace_back(std::string(tokens[0]), value);
-    }
+    if (tokens.size() != 2) continue;
+    const std::optional<std::uint64_t> value =
+        util::ParseUnsigned(tokens[1], UINT64_MAX);
+    if (value.has_value()) pairs.emplace_back(std::string(tokens[0]), *value);
   }
   return pairs;
 }
@@ -372,8 +331,8 @@ Reply Frontend::DoRank(const Request& request, obs::Trace* trace) {
   // A downstream protocol error (bad estimator, empty query, ...) is the
   // same error every shard would produce — pass the first one through.
   for (const Leg& leg : legs) {
-    if (leg.reached && !leg.reply.ok) {
-      reply.status = ParseWireStatus(leg.reply.error);
+    if (leg.reached && !leg.reply.status.ok()) {
+      reply.status = leg.reply.status;
       return reply;
     }
   }
@@ -433,7 +392,7 @@ Frontend::StatsFan Frontend::FanStats() {
   const std::string_view errors_key =
       service::Stats::KeyOf(service::Stats::kErrors);
   for (std::size_t i = 0; i < legs.size(); ++i) {
-    if (!legs[i].reached || !legs[i].reply.ok) continue;
+    if (!legs[i].reached || !legs[i].reply.status.ok()) continue;
     ++fan.answered;
     for (const auto& [key, value] : ParseKeyValues(legs[i].reply.payload)) {
       if (key == requests_key) fan.requests[i] = value;
@@ -528,11 +487,11 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
   std::uint64_t counted = 0;
   bool any_replica_failed = false;
   bool any_shard_not_found = false;
-  std::string not_found_error;
+  Status not_found;  // the first NotFound a replica answered
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::size_t successes = 0;
     std::size_t not_founds = 0;
-    std::string first_error;
+    Status first_error;
     std::uint64_t shard_engines = 0;
     std::uint64_t shard_count = 0;
     for (std::size_t r = 0; r < shards_[s]->replicas.size(); ++r) {
@@ -545,27 +504,25 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
         any_replica_failed = true;
         continue;
       }
-      const ShardReply& shard_reply = leg.reply;
-      if (!shard_reply.ok) {
-        if (tolerate_not_found &&
-            ParseWireStatus(shard_reply.error).code() ==
-                Status::Code::kNotFound) {
+      const Status& status = leg.reply.status;
+      if (!status.ok()) {
+        if (tolerate_not_found && status.code() == Status::Code::kNotFound) {
           // DROP on a shard that doesn't own the engine: a correct "not
           // mine", not a failure.
           ++not_founds;
-          if (not_found_error.empty()) not_found_error = shard_reply.error;
+          if (not_found.ok()) not_found = status;
           continue;
         }
         // The replica is alive but the verb failed (e.g. a bad rep
         // file); remember the error without ejecting the replica.
-        if (first_error.empty()) first_error = shard_reply.error;
+        if (first_error.ok()) first_error = status;
         any_replica_failed = true;
         continue;
       }
       ++successes;
       // "engines <n>" / "<count_key> <k>" — every replica of a shard
       // reports the same slice, so last-wins within the shard is fine.
-      for (const auto& [key, value] : ParseKeyValues(shard_reply.payload)) {
+      for (const auto& [key, value] : ParseKeyValues(leg.reply.payload)) {
         if (key == kEnginesKey) shard_engines = value;
         if (count_key != nullptr && key == count_key) shard_count = value;
       }
@@ -574,10 +531,10 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
                            std::memory_order_relaxed);
     if (successes == 0 && not_founds == 0) {
       reply.status =
-          first_error.empty()
+          first_error.ok()
               ? Status::Unavailable(StringPrintf(
                     "shard %zu: %s reached no replica", s, line.c_str()))
-              : ParseWireStatus(first_error);
+              : first_error;
       return reply;
     }
     if (successes == 0) {
@@ -588,9 +545,7 @@ Reply Frontend::DoAdminFan(const std::string& line, const char* count_key,
     counted += shard_count;
   }
   if (tolerate_not_found && counted == 0 && any_shard_not_found) {
-    reply.status = not_found_error.empty()
-                       ? Status::NotFound("no shard owns the engine")
-                       : ParseWireStatus(not_found_error);
+    reply.status = not_found;
     return reply;
   }
   if (count_key != nullptr) {

@@ -163,7 +163,7 @@ class Frontend : public service::RequestHandler {
     std::size_t tried = 0;                // candidates[0, tried) were used
     std::unique_ptr<ShardBackend> conn;   // sent to candidates[tried - 1]
     bool reached = false;  // some replica produced a framed response
-    ShardReply reply;      // valid when reached
+    service::Reply reply;  // valid when reached
   };
 
   bool ReplicaLive(const Replica& r) const;

@@ -13,8 +13,6 @@
 #include <cstring>
 #include <utility>
 
-#include "service/protocol.h"
-
 namespace useful::cluster {
 
 namespace {
@@ -22,9 +20,6 @@ namespace {
 Status ErrnoStatus(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
-
-/// A response line longer than this marks the stream corrupt.
-constexpr std::size_t kMaxLineBytes = 1u << 20;
 
 void SetIoTimeout(int fd, int timeout_ms) {
   timeval tv{};
@@ -109,32 +104,30 @@ Status TcpShardBackend::SendAll(std::string_view data) {
   return Status::OK();
 }
 
-Result<std::string> TcpShardBackend::ReadLine() {
+Status TcpShardBackend::Send(const std::string& line) {
+  if (fd_ >= 0) {
+    // Bytes on a kept connection between requests mean the replica
+    // closed it (see the header): reconnect instead of sending into it.
+    pollfd pfd{fd_, POLLIN, 0};
+    if (!reader_.empty() || ::poll(&pfd, 1, 0) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+      reader_ = service::ReplyReader();
+    }
+  }
+  Status s = EnsureConnected();
+  if (!s.ok()) return s;
+  return SendAll(line + '\n');
+}
+
+Status TcpShardBackend::Receive(service::Reply* reply) {
   for (;;) {
-    std::size_t nl = buf_.find('\n', buf_off_);
-    if (nl != std::string::npos) {
-      std::string line = buf_.substr(buf_off_, nl - buf_off_);
-      buf_off_ = nl + 1;
-      if (buf_off_ >= buf_.size()) {
-        buf_.clear();
-        buf_off_ = 0;
-      }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    if (buf_.size() - buf_off_ > kMaxLineBytes) {
-      return Status::Corruption("response line too long from " +
-                                endpoint_.ToString());
-    }
-    // Compact the consumed prefix before growing the buffer.
-    if (buf_off_ > 0) {
-      buf_.erase(0, buf_off_);
-      buf_off_ = 0;
-    }
+    Result<bool> next = reader_.Next(reply);
+    if (!next.ok() || next.value()) return next.status();
     char chunk[4096];
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n > 0) {
-      buf_.append(chunk, static_cast<std::size_t>(n));
+      reader_.Feed(std::string_view(chunk, static_cast<std::size_t>(n)));
       continue;
     }
     if (n == 0) {
@@ -148,46 +141,6 @@ Result<std::string> TcpShardBackend::ReadLine() {
     }
     return ErrnoStatus("recv " + endpoint_.ToString());
   }
-}
-
-Status TcpShardBackend::Send(const std::string& line) {
-  if (fd_ >= 0) {
-    // Bytes on a kept connection between requests mean the replica
-    // closed it (see the header): reconnect instead of sending into it.
-    pollfd pfd{fd_, POLLIN, 0};
-    if (buf_off_ < buf_.size() || ::poll(&pfd, 1, 0) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      buf_.clear();
-      buf_off_ = 0;
-    }
-  }
-  Status s = EnsureConnected();
-  if (!s.ok()) return s;
-  return SendAll(line + '\n');
-}
-
-Status TcpShardBackend::Receive(ShardReply* reply) {
-  auto header_line = ReadLine();
-  if (!header_line.ok()) return header_line.status();
-  auto header = service::ParseResponseHeader(header_line.value());
-  if (!header.ok()) return header.status();
-
-  reply->ok = header.value().ok;
-  reply->degraded = header.value().degraded;
-  reply->payload.clear();
-  reply->error.clear();
-  if (!header.value().ok) {
-    reply->error = header.value().error;
-    return Status::OK();
-  }
-  reply->payload.reserve(header.value().payload_lines);
-  for (std::size_t i = 0; i < header.value().payload_lines; ++i) {
-    auto line = ReadLine();
-    if (!line.ok()) return line.status();
-    reply->payload.push_back(std::move(line).value());
-  }
-  return Status::OK();
 }
 
 }  // namespace useful::cluster

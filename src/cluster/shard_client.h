@@ -18,11 +18,12 @@
 // Not thread-safe; one request uses a connection at a time.
 #pragma once
 
-#include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "cluster/backend.h"
 #include "cluster/topology.h"
+#include "service/protocol.h"
 
 namespace useful::cluster {
 
@@ -42,19 +43,16 @@ class TcpShardBackend : public ShardBackend {
   TcpShardBackend& operator=(const TcpShardBackend&) = delete;
 
   Status Send(const std::string& line) override;
-  Status Receive(ShardReply* reply) override;
+  Status Receive(service::Reply* reply) override;
 
  private:
   Status EnsureConnected();
   Status SendAll(std::string_view data);
-  /// One '\n'-terminated line off the buffered stream (newline stripped).
-  Result<std::string> ReadLine();
 
   const Endpoint endpoint_;
   const TcpBackendOptions options_;
   int fd_ = -1;
-  std::string buf_;          // received-but-unconsumed bytes
-  std::size_t buf_off_ = 0;  // consumed prefix of buf_
+  service::ReplyReader reader_;  // the bytes received on fd_
 };
 
 }  // namespace useful::cluster

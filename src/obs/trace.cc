@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/clock.h"
+
 namespace useful::obs {
 
 const char* StageName(Stage stage) {
@@ -40,11 +42,7 @@ Trace::Span::Span(Trace* trace, Stage stage)
 
 Trace::Span::~Span() {
   if (trace_ == nullptr) return;
-  auto elapsed = std::chrono::steady_clock::now() - start_;
-  auto micros =
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
-  trace_->AddStageMicros(stage_,
-                         micros < 0 ? 0 : static_cast<std::uint64_t>(micros));
+  trace_->AddStageMicros(stage_, util::MicrosSince(start_));
 }
 
 void Trace::AddStageMicros(Stage stage, std::uint64_t micros) {

@@ -7,6 +7,7 @@
 #include <cerrno>
 
 #include "service/protocol.h"
+#include "util/clock.h"
 
 namespace useful::service {
 
@@ -23,31 +24,7 @@ constexpr int kErrorLineBudgetMs = 20;
 // Longest request line a connection buffers; a longer one is fatal.
 constexpr std::size_t kMaxLineBytes = 1u << 16;
 
-std::uint64_t ElapsedMicros(Connection::Clock::time_point since,
-                            Connection::Clock::time_point now) {
-  auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(now - since)
-          .count();
-  return us < 0 ? 0 : static_cast<std::uint64_t>(us);
-}
-
 }  // namespace
-
-std::string RenderReply(const Reply& reply) {
-  std::string out;
-  if (!reply.status.ok()) {
-    out = FormatErrorHeader(reply.status);
-    out.push_back('\n');
-    return out;
-  }
-  out = FormatOkHeader(reply.payload.size(), reply.degraded);
-  out.push_back('\n');
-  for (const std::string& line : reply.payload) {
-    out += line;
-    out.push_back('\n');
-  }
-  return out;
-}
 
 bool SendErrorLine(int fd, const Status& status, int budget_ms) {
   std::string line = FormatErrorHeader(status);
@@ -236,7 +213,7 @@ void Connection::FlushOut() {
 void Connection::FinishFlush(Clock::time_point now) {
   out_.clear();
   out_off_ = 0;
-  std::uint64_t write_us = ElapsedMicros(write_start_, now);
+  std::uint64_t write_us = util::MicrosSince(write_start_, now);
   for (obs::Trace& t : pending_traces_) {
     // The socket write is the one stage the service cannot see. Every
     // request in the batch shares the flush, so each gets the whole flush

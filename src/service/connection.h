@@ -36,13 +36,11 @@
 
 #include "obs/trace.h"
 #include "service/handler.h"
+#include "service/protocol.h"
 #include "service/server.h"
 #include "service/stats.h"
 
 namespace useful::service {
-
-/// Builds the full wire response for one reply: header line plus payload.
-std::string RenderReply(const Reply& reply);
 
 /// Best-effort, all-or-nothing error line ("ERR <Code>: <msg>\n") for the
 /// shed and timeout paths, where the peer may not be reading. The first

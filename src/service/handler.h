@@ -8,31 +8,14 @@
 // server core serves both tiers of the cluster.
 #pragma once
 
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/trace.h"
-#include "util/status.h"
+#include "service/protocol.h"
 
 namespace useful::service {
 
 class Stats;
-
-/// Outcome of one request line, rendered by the transport as an
-/// "OK <n>[ DEGRADED]" or "ERR <Code>: <msg>" header plus payload.
-struct Reply {
-  Status status;                     // !ok(): send ERR, no payload
-  std::vector<std::string> payload;  // lines after the OK header
-  /// Cluster tier: the answer is live but incomplete — one or more whole
-  /// shards were unreachable and their engines are missing from the
-  /// ranking. Rendered as a DEGRADED token on the OK header so clients
-  /// can distinguish "empty because nothing matched" from "empty because
-  /// the cluster is limping". Meaningless (always false) on ERR replies.
-  bool degraded = false;
-  bool close_connection = false;  // QUIT: close after responding
-  bool shutdown_server = false;   // QUIT: stop accepting, drain, exit
-};
 
 /// One protocol-line answering engine. Implementations must be
 /// thread-safe: the offload pool calls Execute from many workers at once.

@@ -2,14 +2,17 @@
 
 #include <utility>
 
+#include "util/clock.h"
+#include "util/thread_pool.h"
+
 namespace useful::service {
 
-OffloadPool::OffloadPool(std::size_t threads, Stats* stats)
-    : stats_(stats), pool_(util::ThreadPool::ResolveThreads(threads)) {
-  runner_ = std::thread([this] {
-    std::size_t workers = pool_.num_threads();
-    pool_.ParallelFor(workers, [this](std::size_t) { WorkerLoop(); });
-  });
+OffloadPool::OffloadPool(std::size_t threads, Stats* stats) : stats_(stats) {
+  const std::size_t workers = util::ThreadPool::ResolveThreads(threads);
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 OffloadPool::~OffloadPool() { Shutdown(); }
@@ -26,11 +29,12 @@ void OffloadPool::Submit(std::function<void()> task) {
 void OffloadPool::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ && !runner_.joinable()) return;
     closed_ = true;
   }
   ready_.notify_all();
-  if (runner_.joinable()) runner_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 void OffloadPool::WorkerLoop() {
@@ -44,11 +48,7 @@ void OffloadPool::WorkerLoop() {
       queue_.pop_front();
       stats_->Set(Stats::kDispatchQueueDepth, queue_.size());
     }
-    auto waited = std::chrono::steady_clock::now() - task.enqueued;
-    auto micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(waited).count();
-    stats_->RecordOffloadWait(
-        micros < 0 ? 0 : static_cast<std::uint64_t>(micros));
+    stats_->RecordOffloadWait(util::MicrosSince(task.enqueued));
     task.fn();
   }
 }

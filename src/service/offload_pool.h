@@ -1,12 +1,10 @@
-// A small FIFO task pool for estimation work, built on util::ThreadPool.
+// A small FIFO task pool for estimation work.
 //
 // The reactor threads (service::Reactor) must never block on a slow
 // ROUTE: they hand each batch of parsed request lines to this pool and
-// go back to epoll_wait. The pool reuses the repo's one threading
-// primitive the same way the old thread-per-connection server did — one
-// long-lived ParallelFor whose every index is a worker loop pulling
-// closures from a queue, with the ParallelFor barrier doubling as the
-// shutdown drain (Shutdown returns only after every queued task ran).
+// go back to epoll_wait. Each worker thread loops pulling closures from
+// one queue until the queue is closed and empty, so Shutdown — close,
+// then join every worker — returns only after every queued task ran.
 //
 // Submit is cheap (one lock, one notify) and records the dispatch-queue
 // depth gauge; workers record how long each task sat queued into the
@@ -19,12 +17,11 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "service/stats.h"
-#include "util/thread_pool.h"
 
 namespace useful::service {
 
@@ -51,7 +48,7 @@ class OffloadPool {
   /// workers. Idempotent.
   void Shutdown();
 
-  std::size_t num_threads() const { return pool_.num_threads(); }
+  std::size_t num_threads() const { return workers_.size(); }
 
  private:
   struct Task {
@@ -62,15 +59,14 @@ class OffloadPool {
   void WorkerLoop();
 
   Stats* stats_;
-  util::ThreadPool pool_;
-  // ParallelFor blocks its caller until the job ends, so a dedicated
-  // runner thread hosts it; Shutdown joins the runner.
-  std::thread runner_;
 
   std::mutex mu_;
   std::condition_variable ready_;
   std::deque<Task> queue_;
   bool closed_ = false;
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace useful::service

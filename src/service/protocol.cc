@@ -1,9 +1,12 @@
 #include "service/protocol.h"
 
-#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <utility>
 
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace useful::service {
@@ -25,20 +28,14 @@ Result<double> ParseThreshold(std::string_view token) {
   return value;
 }
 
-/// Strict non-negative decimal parse. Unlike bare strtoul this rejects
-/// sign characters (strtoul silently wraps "-1" to 2^64-1), leading
-/// whitespace, and ERANGE overflow, and enforces an explicit cap — the
-/// three ways a count token can smuggle in a giant value.
+/// Strict non-negative decimal parse (util::ParseUnsigned). Unlike bare
+/// strtoul this rejects sign characters (strtoul silently wraps "-1" to
+/// 2^64-1), leading whitespace, and overflow, and enforces an explicit cap
+/// — the three ways a count token can smuggle in a giant value.
 bool ParseCount(std::string_view token, std::size_t max, std::size_t* out) {
-  if (token.empty() || token[0] < '0' || token[0] > '9') return false;
-  std::string copy(token);
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0' || errno == ERANGE) return false;
-  if (value > max) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
+  const std::optional<std::uint64_t> value = util::ParseUnsigned(token, max);
+  if (value.has_value()) *out = static_cast<std::size_t>(*value);
+  return value.has_value();
 }
 
 Result<std::size_t> ParseTopK(std::string_view token) {
@@ -214,6 +211,58 @@ Result<ResponseHeader> ParseResponseHeader(std::string_view line) {
     return header;
   }
   return Status::Corruption("bad response header: " + std::string(line));
+}
+
+std::string RenderReply(const Reply& reply) {
+  if (!reply.status.ok()) return FormatErrorHeader(reply.status) + '\n';
+  std::string out = FormatOkHeader(reply.payload.size(), reply.degraded);
+  out.push_back('\n');
+  for (const std::string& line : reply.payload) {
+    out += line;
+    out.push_back('\n');
+  }
+  return out;
+}
+
+void ReplyReader::Feed(std::string_view bytes) {
+  buf_.erase(0, off_);
+  off_ = 0;
+  buf_.append(bytes);
+}
+
+Result<bool> ReplyReader::Next(Reply* reply) {
+  for (;;) {
+    const std::size_t eol = buf_.find('\n', off_);
+    const std::size_t length =
+        (eol == std::string::npos ? buf_.size() : eol) - off_;
+    if (length > kMaxReplyLineBytes) {
+      return Status::Corruption(StringPrintf(
+          "reply line longer than %zu bytes", kMaxReplyLineBytes));
+    }
+    if (eol == std::string::npos) return false;
+    std::string_view line(buf_.data() + off_, length);
+    off_ = eol + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+
+    if (remaining_ > 0) {
+      pending_.payload.emplace_back(line);
+      if (--remaining_ > 0) continue;
+    } else {
+      Result<ResponseHeader> header = ParseResponseHeader(line);
+      if (!header.ok()) return header.status();
+      pending_ = Reply{};
+      if (!header.value().ok) {
+        const std::string& text = header.value().error;
+        pending_.status = Status::FromString(text).value_or(
+            Status::Unavailable("shard error: " + text));
+      }
+      pending_.degraded = header.value().degraded;
+      remaining_ = header.value().payload_lines;
+      if (remaining_ > 0) continue;
+    }
+    *reply = std::move(pending_);
+    return true;
+  }
 }
 
 }  // namespace useful::service

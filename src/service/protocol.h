@@ -49,7 +49,10 @@
 //   ERR <Code>: <msg>\n with no payload.
 //
 // Parsing and rendering live here, socket-free, so the framing is unit
-// testable and shared by the server, the client tool, and the tests.
+// testable and shared by the server, the clients, and the tests: the
+// server renders with RenderReply, and every client — the front-end's
+// shard connections, useful_client, useful_loadgen, useful_faultclient —
+// reads with ReplyReader.
 #pragma once
 
 #include <cstddef>
@@ -145,5 +148,54 @@ struct ResponseHeader {
 /// else (the DEGRADED token is matched strictly — exactly one space, exact
 /// capitalization, nothing after it).
 Result<ResponseHeader> ParseResponseHeader(std::string_view line);
+
+/// Outcome of one request line, rendered by the transport as an
+/// "OK <n>[ DEGRADED]" or "ERR <Code>: <msg>" header plus payload.
+struct Reply {
+  Status status;                     // !ok(): send ERR, no payload
+  std::vector<std::string> payload;  // lines after the OK header
+  /// Cluster tier: the answer is live but incomplete — one or more whole
+  /// shards were unreachable and their engines are missing from the
+  /// ranking. Rendered as a DEGRADED token on the OK header so clients
+  /// can distinguish "empty because nothing matched" from "empty because
+  /// the cluster is limping". Meaningless (always false) on ERR replies.
+  bool degraded = false;
+  bool close_connection = false;  // QUIT: close after responding
+  bool shutdown_server = false;   // QUIT: stop accepting, drain, exit
+};
+
+/// Builds the full wire response for one reply: header line plus payload.
+std::string RenderReply(const Reply& reply);
+
+/// Longest reply line, header or payload, a client accepts; a longer one
+/// marks the stream corrupt.
+inline constexpr std::size_t kMaxReplyLineBytes = 1u << 20;
+
+/// The client side of the framing, and its inverse of RenderReply: fed
+/// the bytes a connection receives, split anywhere, it yields the
+/// replies they frame, in order. An "ERR <Code>: <msg>" header becomes
+/// the Status that rendered it (Status::FromString); a code this build
+/// does not name becomes Unavailable("shard error: <Code>: <msg>"). One
+/// reader per connection; not thread-safe.
+class ReplyReader {
+ public:
+  /// Appends received bytes.
+  void Feed(std::string_view bytes);
+
+  /// Moves the next complete reply into *reply and returns true, or
+  /// returns false when the bytes fed so far end mid-reply. A malformed
+  /// header or a line over kMaxReplyLineBytes is Corruption, after which
+  /// the stream is lost: read another connection with a fresh reader.
+  Result<bool> Next(Reply* reply);
+
+  /// True when every byte fed so far went into a reply Next returned.
+  bool empty() const { return off_ == buf_.size() && remaining_ == 0; }
+
+ private:
+  std::string buf_;            // fed bytes; the first off_ are consumed
+  std::size_t off_ = 0;
+  Reply pending_;              // the reply whose payload is being read
+  std::size_t remaining_ = 0;  // payload lines pending_ still lacks
+};
 
 }  // namespace useful::service

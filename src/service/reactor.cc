@@ -10,6 +10,8 @@
 #include <cstring>
 #include <string_view>
 
+#include "util/clock.h"
+
 namespace useful::service {
 
 namespace {
@@ -19,14 +21,6 @@ namespace {
 // clients while bounding how much rendered output one connection can
 // buffer at a time.
 constexpr std::size_t kMaxBatchLines = 128;
-
-std::uint64_t ElapsedMicros(Reactor::Clock::time_point since,
-                            Reactor::Clock::time_point now) {
-  auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(now - since)
-          .count();
-  return us < 0 ? 0 : static_cast<std::uint64_t>(us);
-}
 
 }  // namespace
 
@@ -269,7 +263,7 @@ void Reactor::ExecuteBatch(std::uint64_t conn_id,
                            Clock::time_point submitted) {
   // Runs on an offload pool worker: touches only the service, the stats,
   // and the completion mailbox.
-  std::uint64_t dispatch_us = ElapsedMicros(submitted, Clock::now());
+  std::uint64_t dispatch_us = util::MicrosSince(submitted);
   BatchResult result;
   result.conn_id = conn_id;
   for (const std::string& raw : lines) {
@@ -299,8 +293,7 @@ void Reactor::ExecuteBatch(std::uint64_t conn_id,
 void Reactor::CloseConnection(std::uint64_t id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
-  std::uint64_t lifetime_us =
-      ElapsedMicros(it->second->opened(), Clock::now());
+  std::uint64_t lifetime_us = util::MicrosSince(it->second->opened());
   conns_.erase(it);  // closes the fd, which deregisters it from epoll
   server_->OnConnectionReleased();
   stats_->RecordConnectionClosed(lifetime_us);

@@ -8,22 +8,17 @@
 
 #include "broker/selection_policy.h"
 #include "estimate/registry.h"
+#include "obs/prometheus.h"
 #include "represent/input_file.h"
 #include "represent/store.h"
 #include "represent/term_table.h"
+#include "util/clock.h"
 #include "util/engine_hash.h"
 #include "util/string_util.h"
 
 namespace useful::service {
 
 namespace {
-
-std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  auto micros =
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
-  return micros < 0 ? 0 : static_cast<std::uint64_t>(micros);
-}
 
 /// One payload line per engine; FormatScore keeps the wire bit-exact
 /// against the in-process estimates.
@@ -46,23 +41,6 @@ std::string EngineKey(std::string_view engine, std::uint64_t gen,
   key.push_back('\x1f');
   key.append(query_key);
   return key;
-}
-
-/// Prometheus label-value escaping (backslash, quote, newline).
-std::string EscapeLabelValue(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\' || c == '"') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out.append("\\n");
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 /// One representative file, either format: a packed URPZ store (possibly
@@ -320,14 +298,14 @@ Result<const estimate::UsefulnessEstimator*> Service::GetEstimator(
   return inserted->second.get();
 }
 
-Service::Reply Service::Execute(std::string_view line) {
+Reply Service::Execute(std::string_view line) {
   obs::Trace trace(stats_.sampler()->Sample());
   Reply reply = Execute(line, &trace);
   stats_.FinishTrace(trace);
   return reply;
 }
 
-Service::Reply Service::Execute(std::string_view line, obs::Trace* trace) {
+Reply Service::Execute(std::string_view line, obs::Trace* trace) {
   auto start = std::chrono::steady_clock::now();
   Result<Request> parsed = [&] {
     obs::Trace::Span span = obs::Trace::StartSpan(trace, obs::Stage::kParse);
@@ -378,14 +356,14 @@ Service::Reply Service::Execute(std::string_view line, obs::Trace* trace) {
       reply.status = Status::Internal("bad command kind");
       break;
   }
-  std::uint64_t micros = MicrosSince(start);
+  std::uint64_t micros = util::MicrosSince(start);
   stats_.RecordCommand(request.kind, micros, reply.status.ok());
   trace->SetTotalMicros(micros);
   return reply;
 }
 
-Service::Reply Service::DoRank(const Request& request, bool apply_policy,
-                               obs::Trace* trace) {
+Reply Service::DoRank(const Request& request, bool apply_policy,
+                      obs::Trace* trace) {
   Reply reply;
   trace->SetQuery(request.query_text);
   trace->SetEstimator(request.estimator);
@@ -504,38 +482,42 @@ Service::Reply Service::DoRank(const Request& request, bool apply_policy,
   return reply;
 }
 
-Service::Reply Service::DoStats() {
+Reply Service::DoStats() {
   Reply reply;
   reply.payload = stats_.Render(cache_.counters(), num_engines());
   return reply;
 }
 
-Service::Reply Service::DoMetrics() {
+Reply Service::DoMetrics() {
   Reply reply;
   reply.payload = stats_.RenderMetrics(cache_.counters(), num_engines());
   // Per-engine generation gauges ride after the registry: the engine set
   // is snapshot state, not Stats state, so the labels are rendered here.
   std::shared_ptr<const Snapshot> snapshot = GetSnapshot();
-  reply.payload.push_back(
-      "# HELP useful_engine_generation Cache-key generation of each "
-      "engine in the serving snapshot.");
-  reply.payload.push_back("# TYPE useful_engine_generation gauge");
+  obs::MetricsBuilder b;
+  b.Family("useful_engine_generation",
+           "Cache-key generation of each engine in the serving snapshot.",
+           "gauge");
   for (std::size_t i = 0; i < snapshot->broker->num_engines(); ++i) {
-    reply.payload.push_back(StringPrintf(
-        "useful_engine_generation{engine=\"%s\"} %llu",
-        EscapeLabelValue(snapshot->broker->engine_name(i)).c_str(),
-        static_cast<unsigned long long>(snapshot->gens[i])));
+    b.Sample("useful_engine_generation",
+             "engine=\"" +
+                 obs::EscapeLabelValue(snapshot->broker->engine_name(i)) +
+                 '"',
+             snapshot->gens[i]);
+  }
+  for (std::string& line : b.TakeLines()) {
+    reply.payload.push_back(std::move(line));
   }
   return reply;
 }
 
-Service::Reply Service::DoSlowlog(const Request& request) {
+Reply Service::DoSlowlog(const Request& request) {
   Reply reply;
   reply.payload = stats_.RenderSlowlog(request.slowlog_n);
   return reply;
 }
 
-Service::Reply Service::DoReload() {
+Reply Service::DoReload() {
   Reply reply;
   reply.status = Reload();
   if (reply.status.ok()) {
@@ -544,7 +526,7 @@ Service::Reply Service::DoReload() {
   return reply;
 }
 
-Service::Reply Service::DoAdd(const Request& request) {
+Reply Service::DoAdd(const Request& request) {
   Reply reply;
   std::size_t added = 0;
   reply.status = AddEngines(request.argument, &added);
@@ -555,7 +537,7 @@ Service::Reply Service::DoAdd(const Request& request) {
   return reply;
 }
 
-Service::Reply Service::DoDrop(const Request& request) {
+Reply Service::DoDrop(const Request& request) {
   Reply reply;
   reply.status = DropEngine(request.argument);
   if (reply.status.ok()) {
@@ -565,7 +547,7 @@ Service::Reply Service::DoDrop(const Request& request) {
   return reply;
 }
 
-Service::Reply Service::DoUpdate(const Request& request) {
+Reply Service::DoUpdate(const Request& request) {
   Reply reply;
   std::size_t updated = 0;
   reply.status = UpdateEngines(request.argument, &updated);

@@ -65,10 +65,6 @@ struct ServiceOptions {
 
 class Service : public RequestHandler {
  public:
-  /// The serving stack's reply type (see service/handler.h); the nested
-  /// alias predates the RequestHandler seam and keeps call sites stable.
-  using Reply = service::Reply;
-
   /// Loads every representative and builds the first snapshot. Fails
   /// without constructing a half-loaded service.
   static Result<std::unique_ptr<Service>> Create(

@@ -12,9 +12,8 @@
 //   Receive  killed -> IOError (the "connection" died between write and
 //            read — the mid-request death the failover path must
 //            survive); alive -> hands the held reply over. A non-OK
-//            Execute status becomes a SUCCESSFUL receive with ok=false
-//            and the wire-format error string, exactly like a framed
-//            "ERR ..." line off a socket.
+//            Execute status is a SUCCESSFUL receive carrying that
+//            Status, exactly like a framed "ERR ..." line off a socket.
 //
 // The kill switch is an external atomic shared by every connection the
 // factory opens to one replica, so one flag can drop a replica while a
@@ -38,12 +37,12 @@ class FakeShardBackend : public cluster::ShardBackend {
       : service_(service), killed_(killed) {}
 
   Status Send(const std::string& line) override;
-  Status Receive(cluster::ShardReply* reply) override;
+  Status Receive(service::Reply* reply) override;
 
  private:
   service::Service* service_;
   const std::atomic<bool>* killed_;
-  cluster::ShardReply reply_;  // the executed reply awaiting Receive
+  service::Reply reply_;  // the executed reply awaiting Receive
 };
 
 }  // namespace useful::testing

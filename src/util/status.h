@@ -5,6 +5,7 @@
 #include <cassert>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace useful {
@@ -73,6 +74,11 @@ class Status {
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
+
+  /// Inverse of ToString for an error: "<CodeName>" or "<CodeName>:
+  /// <message>" back to the Status that printed it. nullopt when `text`
+  /// does not start with the name of an error code.
+  static std::optional<Status> FromString(std::string_view text);
 
   bool operator==(const Status& other) const {
     return code_ == other.code_ && message_ == other.message_;

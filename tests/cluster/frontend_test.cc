@@ -35,13 +35,18 @@ struct ReplicaScript {
   std::atomic<int> finishes{0};  // Receive calls
   std::atomic<int> opened{0};    // connections the factory opened
   /// Response for any request line; defaults to an empty-OK frame.
-  std::function<ShardReply(const std::string&)> respond;
+  std::function<service::Reply(const std::string&)> respond;
 };
 
-ShardReply OkReply(std::vector<std::string> payload) {
-  ShardReply reply;
-  reply.ok = true;
+service::Reply OkReply(std::vector<std::string> payload) {
+  service::Reply reply;
   reply.payload = std::move(payload);
+  return reply;
+}
+
+service::Reply ErrReply(Status status) {
+  service::Reply reply;
+  reply.status = std::move(status);
   return reply;
 }
 
@@ -56,7 +61,7 @@ class ScriptedBackend : public ShardBackend {
     return Status::OK();
   }
 
-  Status Receive(ShardReply* reply) override {
+  Status Receive(service::Reply* reply) override {
     script_->finishes.fetch_add(1);
     if (script_->fail_finish.load()) {
       return Status::IOError("scripted: died mid-request");
@@ -67,7 +72,7 @@ class ScriptedBackend : public ShardBackend {
 
  private:
   ReplicaScript* script_;
-  ShardReply reply_;
+  service::Reply reply_;
 };
 
 /// 2 shards x 2 replicas of scripted backends.
@@ -316,10 +321,7 @@ TEST_F(FrontendTest, DownstreamProtocolErrorsPassThroughVerbatim) {
   for (auto& shard : scripts_) {
     for (ReplicaScript& script : shard) {
       script.respond = [](const std::string&) {
-        ShardReply reply;
-        reply.ok = false;
-        reply.error = "NotFound: unknown estimator \"nope\"";
-        return reply;
+        return ErrReply(Status::NotFound("unknown estimator \"nope\""));
       };
     }
   }
@@ -587,10 +589,8 @@ TEST_F(FrontendTest, AddDuplicateEngineErrorPassesThrough) {
   for (auto& shard : scripts_) {
     for (ReplicaScript& script : shard) {
       script.respond = [](const std::string&) {
-        ShardReply reply;
-        reply.ok = false;
-        reply.error = "InvalidArgument: duplicate engine name: sports";
-        return reply;
+        return ErrReply(
+            Status::InvalidArgument("duplicate engine name: sports"));
       };
     }
   }
@@ -613,10 +613,7 @@ TEST_F(FrontendTest, DropToleratesNonOwnerShards) {
   }
   for (ReplicaScript& script : scripts_[1]) {
     script.respond = [](const std::string&) {
-      ShardReply reply;
-      reply.ok = false;
-      reply.error = "NotFound: unknown engine: aurora";
-      return reply;
+      return ErrReply(Status::NotFound("unknown engine: aurora"));
     };
   }
   service::Reply reply = Execute("DROP aurora");
@@ -631,10 +628,7 @@ TEST_F(FrontendTest, DropUnknownEverywhereIsNotFound) {
   for (auto& shard : scripts_) {
     for (ReplicaScript& script : shard) {
       script.respond = [](const std::string&) {
-        ShardReply reply;
-        reply.ok = false;
-        reply.error = "NotFound: unknown engine: ghost";
-        return reply;
+        return ErrReply(Status::NotFound("unknown engine: ghost"));
       };
     }
   }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 namespace useful::service {
 namespace {
 
@@ -187,6 +193,129 @@ TEST(ProtocolTest, RejectsSignedAndOverflowingResponseHeaders) {
       ParseResponseHeader("OK " + std::to_string(kMaxPayloadLines));
   ASSERT_TRUE(at_cap.ok());
   EXPECT_EQ(at_cap.value().payload_lines, kMaxPayloadLines);
+}
+
+/// Every reply `reader` yields for `stream` fed in `chunk`-byte pieces.
+std::vector<Reply> ReadInChunks(const std::string& stream,
+                                std::size_t chunk) {
+  ReplyReader reader;
+  std::vector<Reply> replies;
+  for (std::size_t pos = 0; pos < stream.size(); pos += chunk) {
+    reader.Feed(std::string_view(stream).substr(pos, chunk));
+    Reply reply;
+    for (;;) {
+      Result<bool> next = reader.Next(&reply);
+      EXPECT_TRUE(next.ok()) << next.status().ToString();
+      if (!next.ok() || !next.value()) break;
+      replies.push_back(std::move(reply));
+    }
+  }
+  EXPECT_TRUE(reader.empty());
+  return replies;
+}
+
+void ExpectSameReply(const Reply& got, const Reply& want) {
+  EXPECT_EQ(got.status, want.status) << got.status.ToString();
+  EXPECT_EQ(got.payload, want.payload);
+  EXPECT_EQ(got.degraded, want.degraded);
+}
+
+TEST(ReplyReaderTest, AnySplitOfTheStreamGivesTheSameReplies) {
+  std::vector<Reply> want(3);
+  want[0].payload = {"alpha 2 0.5", "beta 1 0.25"};
+  want[2].payload = {"gamma 3 0.75"};
+  want[2].degraded = true;
+  // One ERR per error code, then one whose message is empty.
+  for (Status status :
+       {Status::InvalidArgument("bad threshold: x"),
+        Status::NotFound("unknown estimator: nope"),
+        Status::OutOfRange("k: too big"),
+        Status::FailedPrecondition("not loaded"),
+        Status::Corruption("bad magic"), Status::IOError("open: ENOENT"),
+        Status::Internal("bug"), Status::DeadlineExceeded("idle timeout"),
+        Status::Unavailable("overloaded"), Status::NotFound("")}) {
+    Reply err;
+    err.status = status;
+    want.push_back(err);
+  }
+  std::set<Status::Code> codes;
+  for (const Reply& reply : want) codes.insert(reply.status.code());
+  ASSERT_EQ(codes.size(),
+            static_cast<std::size_t>(Status::Code::kUnavailable) + 1);
+  std::string stream;
+  for (const Reply& reply : want) stream += RenderReply(reply);
+  ASSERT_EQ(stream.substr(0, 5), "OK 2\n");
+  ASSERT_NE(stream.find("\nOK 0\nOK 1 DEGRADED\n"), std::string::npos);
+  ASSERT_NE(stream.find("\nERR NotFound\n"), std::string::npos);
+
+  for (std::size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    std::vector<Reply> got = ReadInChunks(stream, chunk);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ExpectSameReply(got[i], want[i]);
+    }
+  }
+}
+
+TEST(ReplyReaderTest, ReadsBackWhatRenderReplyWrote) {
+  Reply ranking;
+  ranking.payload = {"borealis 5 0.5", "", "aurora 3 0.75"};
+  Reply degraded_empty;
+  degraded_empty.degraded = true;
+  Reply error;
+  error.status = Status::InvalidArgument("MSM 1025: k must be <= 1024");
+  for (const Reply& reply : {ranking, degraded_empty, error}) {
+    ReplyReader reader;
+    const std::string wire = RenderReply(reply);
+    reader.Feed(std::string_view(wire).substr(0, wire.size() - 1));
+    Reply got;
+    Result<bool> next = reader.Next(&got);
+    ASSERT_TRUE(next.ok());
+    EXPECT_FALSE(next.value());  // the last newline is still missing
+    EXPECT_FALSE(reader.empty());
+    reader.Feed("\n");
+    next = reader.Next(&got);
+    ASSERT_TRUE(next.ok());
+    ASSERT_TRUE(next.value());
+    ExpectSameReply(got, reply);
+    EXPECT_TRUE(reader.empty());
+  }
+}
+
+TEST(ReplyReaderTest, UnknownErrorCodeBecomesUnavailable) {
+  ReplyReader reader;
+  reader.Feed("ERR Exploded: shard on fire\nERR OK\n");
+  Reply got;
+  ASSERT_TRUE(reader.Next(&got).value());
+  EXPECT_EQ(got.status,
+            Status::Unavailable("shard error: Exploded: shard on fire"));
+  ASSERT_TRUE(reader.Next(&got).value());
+  EXPECT_EQ(got.status, Status::Unavailable("shard error: OK"));
+}
+
+TEST(ReplyReaderTest, CorruptStreamsFailWithCorruption) {
+  const std::string too_long(kMaxReplyLineBytes + 1, 'x');
+  for (const std::string& stream :
+       std::vector<std::string>{"OK x\n", "OK 99999999999\n", "HELLO 3\n",
+                                too_long, too_long + "\n",
+                                "OK 1\n" + too_long + "\n"}) {
+    SCOPED_TRACE(stream.substr(0, 16));
+    ReplyReader reader;
+    reader.Feed(stream);
+    Reply got;
+    Result<bool> next = reader.Next(&got);
+    ASSERT_FALSE(next.ok());
+    EXPECT_EQ(next.status().code(), Status::Code::kCorruption)
+        << next.status().ToString();
+  }
+  // A line exactly at the cap is still a line.
+  ReplyReader reader;
+  reader.Feed("OK 1\n" + std::string(kMaxReplyLineBytes, 'x') + "\n");
+  Reply got;
+  Result<bool> next = reader.Next(&got);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(next.value());
 }
 
 TEST(ProtocolTest, CommandNamesAreStable) {

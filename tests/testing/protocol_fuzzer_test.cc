@@ -62,18 +62,18 @@ TEST(EscapeLineTest, EscapesNonPrintableBytes) {
 }
 
 TEST(ValidateReplyTest, AcceptsWellFormedOkAndErr) {
-  service::Service::Reply ok;
+  service::Reply ok;
   ok.status = Status::OK();
   ok.payload = {"sports 2 0.5"};
   EXPECT_FALSE(ValidateReply("ESTIMATE subrange 0.2 zq0x", ok).has_value());
 
-  service::Service::Reply err;
+  service::Reply err;
   err.status = Status::InvalidArgument("bad threshold: x");
   EXPECT_FALSE(ValidateReply("ESTIMATE subrange x", err).has_value());
 }
 
 TEST(ValidateReplyTest, FlagsFramingBytesInPayload) {
-  service::Service::Reply reply;
+  service::Reply reply;
   reply.status = Status::OK();
   reply.payload = {"sports 2\n0.5"};
   auto reason = ValidateReply("STATS", reply);
@@ -82,7 +82,7 @@ TEST(ValidateReplyTest, FlagsFramingBytesInPayload) {
 }
 
 TEST(ValidateReplyTest, FlagsInternalErrors) {
-  service::Service::Reply reply;
+  service::Reply reply;
   reply.status = Status::Internal("boom");
   auto reason = ValidateReply("STATS", reply);
   ASSERT_TRUE(reason.has_value());
@@ -90,7 +90,7 @@ TEST(ValidateReplyTest, FlagsInternalErrors) {
 }
 
 TEST(ValidateReplyTest, FlagsSpuriousConnectionClose) {
-  service::Service::Reply reply;
+  service::Reply reply;
   reply.status = Status::OK();
   reply.close_connection = true;
   auto reason = ValidateReply("STATS", reply);
@@ -102,7 +102,7 @@ TEST(ValidateReplyTest, FlagsSpuriousConnectionClose) {
 }
 
 TEST(ValidateReplyTest, ChecksMetricsExpositionLines) {
-  service::Service::Reply reply;
+  service::Reply reply;
   reply.status = Status::OK();
   reply.payload = {"# HELP useful_requests_total Total requests.",
                    "# TYPE useful_requests_total counter",
@@ -118,7 +118,7 @@ TEST(ValidateReplyTest, ChecksMetricsExpositionLines) {
 }
 
 TEST(ValidateReplyTest, ChecksSlowlogLines) {
-  service::Service::Reply reply;
+  service::Reply reply;
   reply.status = Status::OK();
   reply.payload = {
       "total_us=140 seq=1 cache_hit=0 engines=2 estimator=subrange "
@@ -133,7 +133,7 @@ TEST(ValidateReplyTest, ChecksSlowlogLines) {
 }
 
 TEST(ValidateReplyTest, FlagsMalformedSelectionLines) {
-  service::Service::Reply reply;
+  service::Reply reply;
   reply.status = Status::OK();
   reply.payload = {"sports 2"};  // missing the AvgSim column
   auto reason = ValidateReply("ESTIMATE subrange 0.2 zq0x", reply);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace useful {
 namespace {
 
@@ -43,6 +45,24 @@ TEST(StatusTest, ErrorFactoriesCarryCodeAndMessage) {
     EXPECT_EQ(c.status.message(), "bad");
     EXPECT_EQ(c.status.ToString(), std::string(c.name) + ": bad");
   }
+}
+
+TEST(StatusTest, FromStringInvertsToString) {
+  for (const Status& status :
+       {Status::InvalidArgument("bad: x"), Status::NotFound(""),
+        Status::OutOfRange("k"), Status::FailedPrecondition("f"),
+        Status::Corruption("c"), Status::IOError("io"),
+        Status::Internal("i"), Status::DeadlineExceeded("idle timeout"),
+        Status::Unavailable("overloaded")}) {
+    std::optional<Status> parsed = Status::FromString(status.ToString());
+    ASSERT_TRUE(parsed.has_value()) << status.ToString();
+    EXPECT_EQ(*parsed, status);
+  }
+  // Only error codes are named back; anything else is unknown.
+  EXPECT_FALSE(Status::FromString("OK").has_value());
+  EXPECT_FALSE(Status::FromString("Exploded: x").has_value());
+  EXPECT_FALSE(Status::FromString("NotFound:x").has_value());
+  EXPECT_FALSE(Status::FromString("").has_value());
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {

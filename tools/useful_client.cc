@@ -19,20 +19,19 @@
 // poke every member of a cluster. One-shot requests go to the first
 // host. --host/--port remain the single-host spelling.
 //
-// --timeout-ms N bounds every socket send/recv (SO_SNDTIMEO/SO_RCVTIMEO),
-// so a wedged or overloaded server fails the client instead of hanging
-// it; the OK-header payload count is capped (service::kMaxPayloadLines),
-// so a corrupt "OK 99999999999" header cannot make the client read
-// forever. Exits 0 when every request got an OK response, 1 when any got
-// an ERR or the connection failed mid-stream, 2 on usage/connect errors.
-// In one-shot mode an ERR response is printed to stderr instead.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <cerrno>
+// Each host is one cluster::TcpShardBackend, the connection the cluster
+// front-end keeps to a shard: connects are bounded by --timeout-ms (1 s
+// without it), and a kept connection the server has since closed (an
+// idle timeout's parting ERR line, or EOF) is reopened before the next
+// request is sent on it. --timeout-ms N also bounds every socket
+// send/recv, so a wedged or overloaded server fails the client instead of
+// hanging it; replies are read by service::ReplyReader, whose caps on the
+// OK-header payload count and the line length stop a corrupt server from
+// making the client read forever. Exits 0 when every request got an OK
+// response, 1 when any got an ERR or the connection failed mid-stream, 2
+// on usage/connect errors. In one-shot mode an ERR response is printed to
+// stderr instead.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -40,112 +39,16 @@
 #include <string>
 #include <vector>
 
+#include "cluster/shard_client.h"
 #include "cluster/topology.h"
 #include "service/protocol.h"
-
-namespace {
-
-/// Buffered line reads from a socket.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// Reads one '\n'-terminated line (without the terminator). False on
-  /// EOF/error before a full line arrived.
-  bool ReadLine(std::string* line) {
-    for (;;) {
-      std::size_t pos = buffer_.find('\n');
-      if (pos != std::string::npos) {
-        *line = buffer_.substr(0, pos);
-        buffer_.erase(0, pos + 1);
-        if (!line->empty() && line->back() == '\r') line->pop_back();
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_;
-  std::string buffer_;
-};
-
-bool SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One lazily-connected persistent connection per target host.
-struct HostConn {
-  useful::cluster::Endpoint endpoint;
-  int fd = -1;
-  std::unique_ptr<LineReader> reader;
-};
-
-/// Connects `conn` if needed. Returns false (with a message) on failure.
-bool EnsureConnected(HostConn* conn, unsigned long timeout_ms) {
-  if (conn->fd >= 0) return true;
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("socket");
-    return false;
-  }
-  if (timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(conn->endpoint.port);
-  if (::inet_pton(AF_INET, conn->endpoint.host.c_str(), &addr.sin_addr) !=
-      1) {
-    std::fprintf(stderr, "bad host: %s\n", conn->endpoint.host.c_str());
-    ::close(fd);
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::fprintf(stderr, "connect %s: %s\n",
-                 conn->endpoint.ToString().c_str(), std::strerror(errno));
-    ::close(fd);
-    return false;
-  }
-  conn->fd = fd;
-  conn->reader = std::make_unique<LineReader>(fd);
-  return true;
-}
-
-void CloseAll(std::vector<HostConn>* conns) {
-  for (HostConn& conn : *conns) {
-    if (conn.fd >= 0) ::close(conn.fd);
-    conn.fd = -1;
-  }
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
   using namespace useful;
   std::string host = "127.0.0.1";
-  unsigned long port = 0;
-  unsigned long timeout_ms = 0;  // 0: no socket deadline
+  std::uint16_t port = 0;
+  int timeout_ms = 0;  // 0: no socket deadline
   std::string hosts_spec;
   std::string one_shot;  // positional tokens joined into one request
 
@@ -160,11 +63,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--host") == 0) {
       host = need_value("--host");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      port = std::strtoul(need_value("--port"), nullptr, 10);
+      port = util::ParseFlag<std::uint16_t>("--port", need_value("--port"));
     } else if (std::strcmp(argv[i], "--hosts") == 0) {
       hosts_spec = need_value("--hosts");
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      timeout_ms = std::strtoul(need_value("--timeout-ms"), nullptr, 10);
+      timeout_ms =
+          util::ParseFlag<int>("--timeout-ms", need_value("--timeout-ms"));
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;
@@ -174,7 +78,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<HostConn> conns;
+  std::vector<cluster::Endpoint> endpoints;
   if (!hosts_spec.empty()) {
     // --hosts is a flat comma list: every entry is its own target (the
     // '|' shard grouping of a cluster spec has no meaning here).
@@ -185,57 +89,59 @@ int main(int argc, char** argv) {
       return 2;
     }
     for (const auto& shard : spec.value().shards) {
-      for (const auto& endpoint : shard.replicas) {
-        conns.push_back(HostConn{endpoint, -1, nullptr});
-      }
+      endpoints.insert(endpoints.end(), shard.replicas.begin(),
+                       shard.replicas.end());
     }
-  } else if (port > 0 && port <= 65535) {
-    conns.push_back(HostConn{
-        cluster::Endpoint{host, static_cast<std::uint16_t>(port)}, -1,
-        nullptr});
+  } else if (port > 0) {
+    endpoints.push_back(cluster::Endpoint{host, port});
   }
-  if (conns.empty()) {
+  if (endpoints.empty()) {
     std::fprintf(stderr,
                  "usage: useful_client [--host H] [--timeout-ms N] "
                  "(--port P | --hosts h:p,h:p) [request tokens...]\n");
     return 2;
   }
+  cluster::TcpBackendOptions tcp;
+  if (timeout_ms > 0) tcp.connect_timeout_ms = timeout_ms;
+  tcp.io_timeout_ms = timeout_ms;
+  std::vector<std::unique_ptr<cluster::TcpShardBackend>> conns;
+  for (const cluster::Endpoint& endpoint : endpoints) {
+    conns.push_back(std::make_unique<cluster::TcpShardBackend>(endpoint, tcp));
+  }
 
+  // One round trip. A failed send is a connect error (exit 2) until the
+  // first reply, when a single host is the only target; any other
+  // failure ends the session mid-stream (exit 1).
+  bool replied = false;
+  auto exchange = [&](cluster::TcpShardBackend* conn,
+                      const std::string& request, service::Reply* reply) {
+    Status s = conn->Send(request);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.message().c_str());
+      return replied || (one_shot.empty() && conns.size() > 1) ? 1 : 2;
+    }
+    s = conn->Receive(reply);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+    replied = true;
+    return 0;
+  };
+
+  service::Reply reply;
   if (!one_shot.empty()) {
-    HostConn* conn = &conns[0];
-    if (!EnsureConnected(conn, timeout_ms)) return 2;
-    if (!SendAll(conn->fd, one_shot + "\n")) {
-      std::fprintf(stderr, "send failed\n");
-      CloseAll(&conns);
+    if (int rc = exchange(conns[0].get(), one_shot, &reply); rc != 0) {
+      return rc;
+    }
+    if (!reply.status.ok()) {
+      const std::string error = service::FormatErrorHeader(reply.status);
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    std::string header_line;
-    if (!conn->reader->ReadLine(&header_line)) {
-      std::fprintf(stderr, "connection closed before response\n");
-      CloseAll(&conns);
-      return 1;
+    for (const std::string& line : reply.payload) {
+      std::printf("%s\n", line.c_str());
     }
-    auto header = service::ParseResponseHeader(header_line);
-    if (!header.ok()) {
-      std::fprintf(stderr, "%s\n", header.status().ToString().c_str());
-      CloseAll(&conns);
-      return 1;
-    }
-    if (!header.value().ok) {
-      std::fprintf(stderr, "ERR %s\n", header.value().error.c_str());
-      CloseAll(&conns);
-      return 1;
-    }
-    for (std::size_t i = 0; i < header.value().payload_lines; ++i) {
-      std::string payload_line;
-      if (!conn->reader->ReadLine(&payload_line)) {
-        std::fprintf(stderr, "truncated response\n");
-        CloseAll(&conns);
-        return 1;
-      }
-      std::printf("%s\n", payload_line.c_str());
-    }
-    CloseAll(&conns);
     return 0;
   }
 
@@ -244,44 +150,12 @@ int main(int argc, char** argv) {
   std::size_t next_host = 0;
   while (std::getline(std::cin, request)) {
     if (request.empty()) continue;
-    HostConn* conn = &conns[next_host % conns.size()];
+    cluster::TcpShardBackend* conn = conns[next_host % conns.size()].get();
     ++next_host;
-    if (!EnsureConnected(conn, timeout_ms)) {
-      CloseAll(&conns);
-      return conns.size() == 1 ? 2 : 1;
-    }
-    if (!SendAll(conn->fd, request + "\n")) {
-      std::fprintf(stderr, "send failed\n");
-      CloseAll(&conns);
-      return 1;
-    }
-    std::string header_line;
-    if (!conn->reader->ReadLine(&header_line)) {
-      std::fprintf(stderr, "connection closed before response\n");
-      CloseAll(&conns);
-      return 1;
-    }
-    std::printf("%s\n", header_line.c_str());
-    auto header = service::ParseResponseHeader(header_line);
-    if (!header.ok()) {
-      std::fprintf(stderr, "%s\n", header.status().ToString().c_str());
-      CloseAll(&conns);
-      return 1;
-    }
-    if (!header.value().ok) {
-      any_error = true;
-      continue;
-    }
-    for (std::size_t i = 0; i < header.value().payload_lines; ++i) {
-      std::string payload_line;
-      if (!conn->reader->ReadLine(&payload_line)) {
-        std::fprintf(stderr, "truncated response\n");
-        CloseAll(&conns);
-        return 1;
-      }
-      std::printf("%s\n", payload_line.c_str());
-    }
+    if (int rc = exchange(conn, request, &reply); rc != 0) return rc;
+    const std::string rendered = service::RenderReply(reply);
+    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+    any_error = any_error || !reply.status.ok();
   }
-  CloseAll(&conns);
   return any_error ? 1 : 0;
 }

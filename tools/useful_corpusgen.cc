@@ -8,10 +8,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <type_traits>
 
 #include "corpus/io.h"
 #include "corpus/newsgroup_sim.h"
 #include "corpus/query_log.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -40,13 +42,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--groups") == 0) {
-      sim_opts.num_groups = std::strtoul(need_value("--groups"), nullptr, 10);
+      need_number("--groups", &sim_opts.num_groups);
     } else if (std::strcmp(argv[i], "--queries") == 0) {
-      query_opts.num_queries =
-          std::strtoul(need_value("--queries"), nullptr, 10);
+      need_number("--queries", &query_opts.num_queries);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      sim_opts.seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      need_number("--seed", &sim_opts.seed);
       query_opts.seed = sim_opts.seed + 1;
     } else {
       Usage();

@@ -19,6 +19,7 @@
 #include "ir/search_engine.h"
 #include "represent/builder.h"
 #include "represent/quantized.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -67,7 +68,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quantize") == 0) {
       quantize = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = std::strtoul(need_value("--threads"), nullptr, 10);
+      threads =
+          util::ParseFlag<std::size_t>("--threads", need_value("--threads"));
     } else {
       Usage();
       return 2;

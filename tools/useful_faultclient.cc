@@ -33,12 +33,18 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
+
+#include "service/protocol.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -193,30 +199,18 @@ int RunPipelinedProbe(const std::string& host, std::uint16_t port,
   }
   Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::string buffer;
+  useful::service::ReplyReader reader;
+  useful::service::Reply reply;
   char chunk[8192];
   int answered = 0;
-  std::size_t consumed = 0;
-  long payload_remaining = 0;
   while (answered < pipeline) {
-    std::size_t pos;
-    while ((pos = buffer.find('\n', consumed)) != std::string::npos &&
-           answered < pipeline) {
-      std::string line = buffer.substr(consumed, pos - consumed);
-      consumed = pos + 1;
-      if (payload_remaining > 0) {
-        --payload_remaining;
-        continue;
-      }
-      if (line.rfind("OK ", 0) == 0) {
-        ++answered;
-        payload_remaining = std::strtol(line.c_str() + 3, nullptr, 10);
-      } else {
-        ::close(fd);  // ERR or garbage: the probe failed
-        return answered;
-      }
+    useful::Result<bool> next = reader.Next(&reply);
+    if (!next.ok()) break;  // garbage: the probe failed
+    if (next.value()) {
+      if (!reply.status.ok()) break;  // ERR: the probe failed
+      ++answered;
+      continue;
     }
-    if (answered >= pipeline) break;
     int remaining = static_cast<int>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             deadline - Clock::now())
@@ -226,7 +220,7 @@ int RunPipelinedProbe(const std::string& host, std::uint16_t port,
     if (::poll(&pfd, 1, remaining) <= 0) continue;
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    reader.Feed(std::string_view(chunk, static_cast<std::size_t>(n)));
   }
   ::close(fd);
   return answered;
@@ -304,7 +298,7 @@ int RunFlood(const std::string& host, std::uint16_t port, int count,
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::string mode;
-  unsigned long port = 0;
+  std::uint16_t port = 0;
   int count = 16;
   int delay_ms = 20;
   int timeout_ms = 10'000;
@@ -318,29 +312,31 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = useful::util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--host") == 0) {
       host = need_value("--host");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      port = std::strtoul(need_value("--port"), nullptr, 10);
+      need_number("--port", &port);
     } else if (std::strcmp(argv[i], "--mode") == 0) {
       mode = need_value("--mode");
     } else if (std::strcmp(argv[i], "--count") == 0) {
-      count = static_cast<int>(std::strtol(need_value("--count"), nullptr, 10));
+      need_number("--count", &count);
     } else if (std::strcmp(argv[i], "--delay-ms") == 0) {
-      delay_ms =
-          static_cast<int>(std::strtol(need_value("--delay-ms"), nullptr, 10));
+      need_number("--delay-ms", &delay_ms);
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      timeout_ms = static_cast<int>(
-          std::strtol(need_value("--timeout-ms"), nullptr, 10));
+      need_number("--timeout-ms", &timeout_ms);
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      pipeline = static_cast<int>(
-          std::strtol(need_value("--pipeline"), nullptr, 10));
+      need_number("--pipeline", &pipeline);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;
     }
   }
-  if (port == 0 || port > 65535 || mode.empty()) {
+  if (port == 0 || mode.empty()) {
     std::fprintf(stderr,
                  "usage: useful_faultclient --port P --mode "
                  "halfopen|slowloris|midclose|flood [--host H] [--count N] "
@@ -348,11 +344,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::uint16_t p = static_cast<std::uint16_t>(port);
-  if (mode == "halfopen") return RunHalfOpen(host, p, timeout_ms);
-  if (mode == "slowloris") return RunSlowLoris(host, p, delay_ms, timeout_ms);
-  if (mode == "midclose") return RunMidClose(host, p);
-  if (mode == "flood") return RunFlood(host, p, count, pipeline, timeout_ms);
+  if (mode == "halfopen") return RunHalfOpen(host, port, timeout_ms);
+  if (mode == "slowloris") {
+    return RunSlowLoris(host, port, delay_ms, timeout_ms);
+  }
+  if (mode == "midclose") return RunMidClose(host, port);
+  if (mode == "flood") return RunFlood(host, port, count, pipeline, timeout_ms);
   std::fprintf(stderr, "unknown mode: %s\n", mode.c_str());
   return 2;
 }

@@ -37,6 +37,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/frontend.h"
@@ -53,6 +54,7 @@
 #include "testing/protocol_fuzzer.h"
 #include "testing/synthetic.h"
 #include "text/analyzer.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -309,17 +311,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = useful::util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--seed") == 0) {
-      args.seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      need_number("--seed", &args.seed);
     } else if (std::strcmp(argv[i], "--seed-count") == 0) {
-      args.seed_count = std::strtoull(need_value("--seed-count"), nullptr, 10);
+      need_number("--seed-count", &args.seed_count);
     } else if (std::strcmp(argv[i], "--mode") == 0) {
       args.mode = need_value("--mode");
     } else if (std::strcmp(argv[i], "--queries") == 0) {
-      args.queries = std::strtoull(need_value("--queries"), nullptr, 10);
+      need_number("--queries", &args.queries);
     } else if (std::strcmp(argv[i], "--protocol-iters") == 0) {
-      args.protocol_iters =
-          std::strtoull(need_value("--protocol-iters"), nullptr, 10);
+      need_number("--protocol-iters", &args.protocol_iters);
     } else if (std::strcmp(argv[i], "--soak") == 0) {
       args.soak = true;
     } else if (std::strcmp(argv[i], "--inject-bug") == 0) {

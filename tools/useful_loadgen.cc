@@ -53,9 +53,13 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "service/protocol.h"
 #include "testing/synthetic.h"
+#include "util/clock.h"
+#include "util/flags.h"
 #include "util/histogram.h"
 
 namespace {
@@ -64,7 +68,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   std::string host = "127.0.0.1";
-  unsigned long port = 0;
+  std::uint16_t port = 0;
   std::size_t connections = 8;
   double qps = 0.0;          // 0: closed-loop at maximum rate
   std::size_t queries = 100000;
@@ -105,61 +109,14 @@ class ZipfSampler {
   std::vector<double> cdf_;
 };
 
-/// Incremental response-frame scanner: feeds on raw bytes, emits one
-/// completed response (header + its payload lines) at a time. The line
-/// protocol is in-order per connection, so completed responses match
-/// sent requests FIFO.
-class ResponseScanner {
- public:
-  /// Consumes `data`; returns how many responses completed, adding 1 to
-  /// *errors for each ERR header.
-  std::size_t Feed(const char* data, std::size_t len, std::size_t* errors) {
-    buffer_.append(data, len);
-    std::size_t completed = 0;
-    std::size_t pos = 0;
-    for (;;) {
-      std::size_t eol = buffer_.find('\n', pos);
-      if (eol == std::string::npos) break;
-      std::string_view line(buffer_.data() + pos, eol - pos);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      pos = eol + 1;
-      if (payload_remaining_ > 0) {
-        if (--payload_remaining_ == 0) ++completed;
-        continue;
-      }
-      // Header line: "OK <n>[ DEGRADED]" or "ERR ...".
-      if (line.size() >= 3 && line.substr(0, 3) == "ERR") {
-        ++*errors;
-        ++completed;
-        continue;
-      }
-      std::size_t payload = 0;
-      if (line.size() > 3 && line.substr(0, 3) == "OK ") {
-        payload = std::strtoul(line.data() + 3, nullptr, 10);
-      }
-      if (payload == 0) {
-        ++completed;
-      } else {
-        payload_remaining_ = payload;
-      }
-    }
-    buffer_.erase(0, pos);
-    return completed;
-  }
-
- private:
-  std::string buffer_;
-  std::size_t payload_remaining_ = 0;
-};
-
-int ConnectTo(const std::string& host, unsigned long port) {
+int ConnectTo(const std::string& host, std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
@@ -213,7 +170,8 @@ void RunWorker(const Options& opt, const std::vector<std::string>* pool,
     return;
   }
   std::mt19937_64 rng(seed);
-  ResponseScanner scanner;
+  useful::service::ReplyReader reader;
+  useful::service::Reply reply;
   // Scheduled send time of each in-flight request, FIFO. Latency is
   // reply time minus *scheduled* time: a late send (server back-pressure
   // through a full socket buffer) charges the server, not the clock.
@@ -229,19 +187,20 @@ void RunWorker(const Options& opt, const std::vector<std::string>* pool,
       result->transport_error = true;
       return false;
     }
-    std::size_t completed =
-        scanner.Feed(chunk, static_cast<std::size_t>(n), &result->errors);
+    reader.Feed(std::string_view(chunk, static_cast<std::size_t>(n)));
     Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < completed && !in_flight.empty(); ++i) {
-      auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
-          now - in_flight.front());
+    for (;;) {
+      useful::Result<bool> next = reader.Next(&reply);
+      if (!next.ok() || (next.value() && in_flight.empty())) {
+        result->transport_error = true;  // corrupt or unsolicited reply
+        return false;
+      }
+      if (!next.value()) return true;
+      if (!reply.status.ok()) ++result->errors;
+      histogram->Record(useful::util::MicrosSince(in_flight.front(), now));
       in_flight.pop_front();
-      histogram->Record(
-          waited.count() > 0 ? static_cast<std::uint64_t>(waited.count())
-                             : 0);
       ++result->replies;
     }
-    return true;
   };
 
   for (std::size_t i = 0; i < count; ++i) {
@@ -313,24 +272,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value strictly into `*out`, within its type's range.
+    auto need_number = [&](const char* flag, auto* out) {
+      *out = useful::util::ParseFlag<std::remove_pointer_t<decltype(out)>>(
+          flag, need_value(flag));
+    };
     if (std::strcmp(argv[i], "--host") == 0) {
       opt.host = need_value("--host");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      opt.port = std::strtoul(need_value("--port"), nullptr, 10);
+      need_number("--port", &opt.port);
     } else if (std::strcmp(argv[i], "--connections") == 0) {
-      opt.connections = std::strtoul(need_value("--connections"), nullptr, 10);
+      need_number("--connections", &opt.connections);
     } else if (std::strcmp(argv[i], "--qps") == 0) {
       opt.qps = std::strtod(need_value("--qps"), nullptr);
     } else if (std::strcmp(argv[i], "--queries") == 0) {
-      opt.queries = std::strtoul(need_value("--queries"), nullptr, 10);
+      need_number("--queries", &opt.queries);
     } else if (std::strcmp(argv[i], "--distinct") == 0) {
-      opt.distinct = std::strtoul(need_value("--distinct"), nullptr, 10);
+      need_number("--distinct", &opt.distinct);
     } else if (std::strcmp(argv[i], "--zipf") == 0) {
       opt.zipf = std::strtod(need_value("--zipf"), nullptr);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      need_number("--seed", &opt.seed);
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      opt.pipeline = std::strtoul(need_value("--pipeline"), nullptr, 10);
+      need_number("--pipeline", &opt.pipeline);
     } else if (std::strcmp(argv[i], "--queries-file") == 0) {
       opt.queries_file = need_value("--queries-file");
     } else if (std::strcmp(argv[i], "--estimator") == 0) {
@@ -348,7 +312,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (opt.port == 0 || opt.port > 65535 || opt.connections == 0 ||
+  if (opt.port == 0 || opt.connections == 0 ||
       opt.queries == 0 || opt.distinct == 0 || opt.pipeline == 0 ||
       (opt.verb != "ESTIMATE" && opt.verb != "ROUTE")) {
     std::fprintf(
