@@ -17,10 +17,11 @@ namespace useful::eval {
 struct ExperimentConfig {
   std::vector<double> thresholds = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
   /// Worker threads for the per-query fan-out. 1 (default) is fully
-  /// serial; 0 means hardware concurrency. The tables are bit-identical
-  /// at every setting: each query's ground truth and estimates are
-  /// computed independently, stored at the query's index, and folded into
-  /// the accumulators in query order on the calling thread.
+  /// serial; 0 means the CPUs this process may run on. The tables are
+  /// bit-identical at every setting: each query's ground truth and
+  /// estimates are computed independently, stored at the query's index,
+  /// and folded into the accumulators in query order on the calling
+  /// thread.
   std::size_t threads = 1;
 };
 

@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
+
+#include "util/flags.h"
 
 namespace useful::ir {
 
@@ -42,18 +44,6 @@ bool ParseStrictCount(std::string_view token, std::size_t* out) {
     if (value > (kMaxMinShouldMatch + 1)) continue;  // saturate, still valid
     value = value * 10 + static_cast<std::size_t>(c - '0');
   }
-  *out = value;
-  return true;
-}
-
-/// Full-consume finite double parse for `^weight` suffixes.
-bool ParseTermWeight(std::string_view token, double* out) {
-  if (token.empty()) return false;
-  std::string buf(token);
-  char* end = nullptr;
-  double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return false;
-  if (!std::isfinite(value)) return false;
   *out = value;
   return true;
 }
@@ -120,10 +110,12 @@ Result<Query> ParseAnnotatedQuery(const text::Analyzer& analyzer,
     double multiplier = 1.0;
     if (std::size_t caret = token.rfind('^'); caret != std::string_view::npos) {
       std::string_view weight_text = token.substr(caret + 1);
-      if (!ParseTermWeight(weight_text, &multiplier) || !(multiplier > 0.0)) {
+      const std::optional<double> weight = util::ParseDouble(weight_text);
+      if (!weight.has_value() || !(*weight > 0.0)) {
         return Status::InvalidArgument("bad term weight '" +
                                        std::string(weight_text) + "'");
       }
+      multiplier = *weight;
       token = token.substr(0, caret);
     }
 

@@ -28,8 +28,9 @@ namespace useful::service {
 /// Fixed-size FIFO executor for offloaded request execution. Thread-safe.
 class OffloadPool {
  public:
-  /// Spawns `threads` workers (0 = hardware concurrency). `stats` must
-  /// outlive the pool; it receives queue-depth and wait-time recordings.
+  /// Spawns `threads` workers (0 = one per CPU the process may run on,
+  /// util::ThreadPool::ResolveThreads). `stats` must outlive the pool; it
+  /// receives queue-depth and wait-time recordings.
   OffloadPool(std::size_t threads, Stats* stats);
 
   /// Calls Shutdown() if the caller has not.

@@ -1,6 +1,5 @@
 #include "service/protocol.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -18,14 +17,11 @@ constexpr std::string_view kKnownCommands =
     "QUIT";
 
 Result<double> ParseThreshold(std::string_view token) {
-  std::string copy(token);
-  char* end = nullptr;
-  double value = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0' || !std::isfinite(value) ||
-      value < 0.0) {
-    return Status::InvalidArgument("bad threshold: " + copy);
+  const std::optional<double> value = util::ParseDouble(token);
+  if (!value.has_value() || *value < 0.0) {
+    return Status::InvalidArgument("bad threshold: " + std::string(token));
   }
-  return value;
+  return *value;
 }
 
 /// Strict non-negative decimal parse (util::ParseUnsigned). Unlike bare

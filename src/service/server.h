@@ -59,7 +59,7 @@ class Reactor;
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;          // 0: OS-assigned ephemeral port
-  std::size_t threads = 0;         // estimation offload workers; 0 = hardware
+  std::size_t threads = 0;         // offload workers; 0 = one per allowed CPU
   std::size_t reactor_threads = 2;  // epoll event loops; 0 behaves as 1
   int backlog = 64;
   int poll_interval_ms = 50;       // stop-flag latency for blocked waits

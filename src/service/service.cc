@@ -15,6 +15,7 @@
 #include "util/clock.h"
 #include "util/engine_hash.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace useful::service {
 
@@ -117,16 +118,26 @@ Result<std::unique_ptr<Service>> Service::Create(const text::Analyzer* analyzer,
 
 Result<std::shared_ptr<const broker::Metasearcher>> Service::LoadSnapshot()
     const {
+  // Files load in parallel, one thread per allowed CPU (one path loads on
+  // the caller): each file is read and indexed on its own, and worker i
+  // writes only slot i. Registration stays serial and in path order, so
+  // the engine order and the error reported (the first failing path's)
+  // are a serial load's.
+  const std::vector<std::string>& paths = options_.representative_paths;
+  std::vector<Result<LoadedReps>> loaded(paths.size(), LoadedReps{});
+  util::ThreadPool pool(
+      std::min(paths.size(), util::ThreadPool::ResolveThreads(0)));
+  pool.ParallelFor(paths.size(),
+                   [&](std::size_t i) { loaded[i] = LoadRepFile(paths[i]); });
   auto next = std::make_shared<broker::Metasearcher>(analyzer_);
-  for (const std::string& path : options_.representative_paths) {
-    auto loaded = LoadRepFile(path);
-    if (!loaded.ok()) return loaded.status();
-    if (loaded.value().store != nullptr) {
+  for (Result<LoadedReps>& file : loaded) {
+    if (!file.ok()) return file.status();
+    if (file.value().store != nullptr) {
       USEFUL_RETURN_IF_ERROR(
-          next->RegisterStore(std::move(loaded.value().store)));
+          next->RegisterStore(std::move(file.value().store)));
     } else {
       USEFUL_RETURN_IF_ERROR(
-          next->RegisterTable(std::move(loaded.value().table)));
+          next->RegisterTable(std::move(file.value().table)));
     }
   }
   return std::shared_ptr<const broker::Metasearcher>(std::move(next));

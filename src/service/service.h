@@ -15,8 +15,8 @@
 // the swap can never be observed half-done (the torn-snapshot invariant
 // of DESIGN.md §14). Mutators serialize on churn_mu_ and do their file
 // IO before ever touching the publish lock. The snapshot's ranking runs
-// serially (Metasearcher parallelism 1) because the service parallelizes
-// *across* requests, not within one.
+// serially because the service parallelizes *across* requests, not
+// within one; only Create and RELOAD start threads, to load their files.
 //
 // Cache invalidation is scoped: every engine carries a generation that
 // only its own updates bump, and cache keys embed it, so UPDATE/DROP of
@@ -132,7 +132,9 @@ class Service : public RequestHandler {
     std::uint64_t epoch = 0;
   };
 
-  /// Loads options_.representative_paths into a fresh Metasearcher.
+  /// Loads options_.representative_paths into a fresh Metasearcher: the
+  /// files on one thread per CPU the process may run on (none for one
+  /// path), their engines registered serially in path order.
   Result<std::shared_ptr<const broker::Metasearcher>> LoadSnapshot() const;
 
   std::shared_ptr<const Snapshot> GetSnapshot() const;

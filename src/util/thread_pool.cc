@@ -1,19 +1,34 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <system_error>
 
 namespace useful::util {
 
 std::size_t ThreadPool::ResolveThreads(std::size_t threads) {
   if (threads != 0) return threads;
+  // The affinity mask, not the machine: a process confined to three of
+  // four CPUs gains nothing from a fourth thread.
+  cpu_set_t allowed;
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&allowed)));
+  }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t num_threads)
-    : num_threads_(ResolveThreads(num_threads)) {
-  workers_.reserve(num_threads_ - 1);
-  for (std::size_t i = 0; i + 1 < num_threads_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::ThreadPool(std::size_t num_threads) {
+  const std::size_t wanted = ResolveThreads(num_threads);
+  workers_.reserve(wanted - 1);
+  for (std::size_t i = 0; i + 1 < wanted; ++i) {
+    // A failed start must not escape: the workers already running would
+    // be destroyed joinable, which is std::terminate.
+    try {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    } catch (const std::system_error&) {
+      break;
+    }
   }
 }
 

@@ -1,11 +1,12 @@
 // A small fixed-size thread pool with an order-stable ParallelFor.
 //
-// The pool exists for the broker/eval hot path: fan an index range
-// [0, n) out over a few worker threads and have every result land at its
-// own index, so the output of a parallel run is a pure function of the
-// input — independent of scheduling, core count, or how indices happened
-// to interleave. Callers write `results[i]` from `fn(i)` and never touch
-// another index, which is the entire synchronization contract.
+// The pool exists for the eval runner and the service's snapshot loader:
+// fan an index range [0, n) out over a few worker threads and have every
+// result land at its own index, so the output of a parallel run is a pure
+// function of the input — independent of scheduling, core count, or how
+// indices happened to interleave. Callers write `results[i]` from `fn(i)`
+// and never touch another index, which is the entire synchronization
+// contract.
 //
 // Determinism note: ParallelFor gives no ordering guarantee on *when*
 // fn(i) runs, only that every i in [0, n) runs exactly once and that
@@ -29,9 +30,12 @@ namespace useful::util {
 /// Fixed set of worker threads executing index-range jobs.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers. 0 means std::thread::hardware_concurrency
-  /// (at least 1). A pool of size 1 spawns no threads at all: ParallelFor
-  /// then runs entirely on the calling thread, byte-for-byte the serial path.
+  /// Creates `num_threads` - 1 workers (the caller is the last thread); 0
+  /// means ResolveThreads(0). A pool of size 1 spawns no threads at all:
+  /// ParallelFor then runs entirely on the calling thread, byte-for-byte
+  /// the serial path. A worker that fails to start (the process is out of
+  /// threads) stops the pool growing: it runs with the workers it has, or
+  /// the caller alone, and num_threads() says how many.
   explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Joins all workers. Must not be called while a ParallelFor is running.
@@ -41,7 +45,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Number of threads that participate in ParallelFor (workers + caller).
-  std::size_t num_threads() const { return num_threads_; }
+  std::size_t num_threads() const { return workers_.size() + 1; }
 
   /// Runs fn(i) exactly once for every i in [0, n), on the workers and the
   /// calling thread, and blocks until all calls returned. Indices are
@@ -51,16 +55,16 @@ class ThreadPool {
   /// supported. fn must not throw.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// The number of threads ParallelFor effectively uses for a caller-chosen
-  /// `threads` setting: 0 -> hardware concurrency (>= 1), otherwise the
-  /// value itself. Shared by the --threads flags of the CLI tools.
+  /// The number of threads for a caller-chosen `threads` setting: 0 -> the
+  /// CPUs in the calling thread's affinity mask (hardware concurrency only
+  /// when the mask cannot be read; at least 1), otherwise the value itself.
+  /// Shared by the --threads flags of the CLI tools.
   static std::size_t ResolveThreads(std::size_t threads);
 
  private:
   void WorkerLoop();
   void RunJob();
 
-  std::size_t num_threads_ = 1;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;

@@ -1,12 +1,11 @@
 #include "service/offload_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
-#include <algorithm>
 #include <atomic>
 #include <future>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "service/stats.h"
@@ -50,12 +49,14 @@ TEST(OffloadPoolTest, OneWorkerRunsTasksInSubmissionOrder) {
   EXPECT_EQ(stats.Get(Stats::kDispatchQueueDepth), 0u);
 }
 
-TEST(OffloadPoolTest, ZeroThreadsMeansHardwareConcurrency) {
+TEST(OffloadPoolTest, ZeroThreadsMeansAllowedCpus) {
   Stats stats;
   OffloadPool pool(0, &stats);
   EXPECT_GE(pool.num_threads(), 1u);
+  cpu_set_t allowed;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
   EXPECT_EQ(pool.num_threads(),
-            std::max(1u, std::thread::hardware_concurrency()));
+            static_cast<std::size_t>(CPU_COUNT(&allowed)));
 }
 
 }  // namespace

@@ -288,6 +288,99 @@ TEST_F(ServiceTest, FailedReloadKeepsServingOldSnapshot) {
   EXPECT_EQ(service_->stats().Get(Stats::kReloads), 0u);
 }
 
+// --- Loading many paths at once ------------------------------------------
+
+// Ten engines, one file each, named in neither sorted nor reverse order.
+const std::vector<std::string> kManyNames = {
+    "kilo", "alpha", "golf",    "echo",   "india",
+    "bravo", "hotel", "delta", "foxtrot", "charlie"};
+
+class ManyPathServiceTest : public ServiceTest {
+ protected:
+  ServiceOptions WriteManyReps() {
+    ServiceOptions options;
+    for (const std::string& name : kManyNames) {
+      WriteRep(name, {name + " shared", "common " + name});
+      options.representative_paths.push_back(RepPath(name));
+    }
+    return options;
+  }
+};
+
+// Every path loads before any registers, on several threads, yet a bad
+// path list reports its first failing path in path order.
+TEST_F(ServiceTest, CreateReportsTheFirstFailingPathInOrder) {
+  const std::string corrupt = (dir_ / "corrupt.rep").string();
+  {
+    std::ofstream out(corrupt, std::ios::binary);
+    out << "not a representative";
+  }
+  const std::string missing = (dir_ / "missing.rep").string();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{RepPath("sports"), corrupt, RepPath("science"), missing},
+        "Corruption: " + corrupt + ": bad magic (not a representative file)"},
+       {{RepPath("sports"), missing, corrupt},
+        "IOError: " + missing + ": cannot open " + missing}};
+  for (const auto& [paths, expected] : cases) {
+    ServiceOptions options;
+    options.representative_paths = paths;
+    for (int run = 0; run < 20; ++run) {
+      auto service = Service::Create(&analyzer_, options);
+      ASSERT_FALSE(service.ok());
+      EXPECT_EQ(service.status().ToString(), expected) << "run " << run;
+    }
+  }
+}
+
+TEST_F(ManyPathServiceTest, EnginesRegisterInPathOrder) {
+  ServiceOptions options = WriteManyReps();
+  auto created = Service::Create(&analyzer_, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto snapshot = created.value()->snapshot();
+  ASSERT_EQ(snapshot->num_engines(), kManyNames.size());
+  for (std::size_t i = 0; i < kManyNames.size(); ++i) {
+    EXPECT_EQ(snapshot->engine_name(i), kManyNames[i]) << "engine " << i;
+  }
+
+  // A second file holding "golf" fails the load as it does serially.
+  const std::string copy = (dir_ / "golf_copy.rep").string();
+  std::filesystem::copy_file(RepPath("golf"), copy);
+  options.representative_paths.insert(
+      options.representative_paths.begin() + 4, copy);
+  auto duplicate = Service::Create(&analyzer_, options);
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.status().ToString(),
+            "InvalidArgument: duplicate engine name: golf");
+}
+
+// The many-path form of FailedReloadKeepsServingOldSnapshot.
+TEST_F(ManyPathServiceTest, FailedReloadKeepsServingOldSnapshot) {
+  auto created = Service::Create(&analyzer_, WriteManyReps());
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Service> service = std::move(created).value();
+  auto before = service->Execute("ESTIMATE subrange 0.1 shared");
+  ASSERT_TRUE(before.status.ok());
+  ASSERT_EQ(before.payload.size(), kManyNames.size());
+  auto old_snapshot = service->snapshot();
+
+  const std::string last = RepPath(kManyNames.back());
+  {
+    std::ofstream out(last, std::ios::binary | std::ios::trunc);
+    out << "not a representative";
+  }
+  auto reply = service->Execute("RELOAD");
+  ASSERT_FALSE(reply.status.ok());
+  EXPECT_EQ(reply.status.ToString(),
+            "Corruption: " + last + ": bad magic (not a representative file)");
+
+  EXPECT_EQ(service->snapshot(), old_snapshot);
+  EXPECT_EQ(service->snapshot_epoch(), 0u);
+  EXPECT_EQ(service->stats().Get(Stats::kReloads), 0u);
+  auto after = service->Execute("ESTIMATE subrange 0.1 shared");
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_EQ(after.payload, before.payload);
+}
+
 // --- Live churn: ADD / DROP / UPDATE -----------------------------------
 
 // Acceptance: adding an engine must not cost the others their cache

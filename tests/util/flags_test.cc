@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 namespace useful::util {
 namespace {
@@ -54,6 +55,36 @@ TEST(ParseFlagDeathTest, ExitsTwoNamingTheFlag) {
               ::testing::ExitedWithCode(2), "--threads");
   EXPECT_EXIT(ParseFlag<std::uint32_t>("--trace-sample-rate", "8x"),
               ::testing::ExitedWithCode(2), "--trace-sample-rate");
+}
+
+TEST(ParseDoubleTest, AcceptsWholeFiniteNumbers) {
+  EXPECT_EQ(ParseDouble("0.2"), 0.2);
+  EXPECT_EQ(ParseDouble("0"), 0.0);
+  EXPECT_EQ(ParseDouble("-1.5"), -1.5);
+  EXPECT_EQ(ParseDouble("+3"), 3.0);
+  EXPECT_EQ(ParseDouble(".5"), 0.5);
+  EXPECT_EQ(ParseDouble("1e3"), 1000.0);
+  EXPECT_EQ(ParseDouble("0x10"), 16.0);
+}
+
+TEST(ParseDoubleTest, RejectsEmptyPartialAndNonFinite) {
+  for (const char* bad : {"", " 0.2", "0.2 ", "0.2x", "5x", "x", ".", "e3",
+                          "1e999", "-1e999", "inf", "-inf", "nan"}) {
+    EXPECT_FALSE(ParseDouble(bad).has_value()) << "'" << bad << "'";
+  }
+  // A view that ends before a terminator is parsed as itself.
+  EXPECT_EQ(ParseDouble(std::string_view("0.25x", 4)), 0.25);
+}
+
+TEST(ParseDoubleFlagDeathTest, ExitsTwoNamingTheFlag) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EQ(ParseDoubleFlag("--qps", "250"), 250.0);
+  EXPECT_EXIT(ParseDoubleFlag("--threshold", "0.2x"),
+              ::testing::ExitedWithCode(2), "--threshold.*0.2x");
+  EXPECT_EXIT(ParseDoubleFlag("--qps", ""), ::testing::ExitedWithCode(2),
+              "--qps");
+  EXPECT_EXIT(ParseDoubleFlag("--zipf", "inf"),
+              ::testing::ExitedWithCode(2), "--zipf");
 }
 
 }  // namespace

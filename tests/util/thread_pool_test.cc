@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -10,10 +11,26 @@
 namespace useful::util {
 namespace {
 
-TEST(ThreadPoolTest, ResolveThreadsZeroMeansHardware) {
+// 0 means the CPUs this thread may run on, not the machine's: pinned to
+// one CPU, the count is 1 on any machine.
+TEST(ThreadPoolTest, ResolveThreadsZeroCountsAllowedCpus) {
   EXPECT_GE(ThreadPool::ResolveThreads(0), 1u);
   EXPECT_EQ(ThreadPool::ResolveThreads(1), 1u);
   EXPECT_EQ(ThreadPool::ResolveThreads(7), 7u);
+
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(ThreadPool::ResolveThreads(0),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = ThreadPool::ResolveThreads(0);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolSpawnsNothingAndRunsInline) {

@@ -5,7 +5,8 @@
 //   useful_experiment --db D.trec --queries q.tsv
 //       [--methods subrange,adaptive,high-correlation]
 //       [--thresholds 0.1,0.2,...] [--triplet] [--quantize]
-//       [--threads N]   (default: hardware concurrency; 1 = serial)
+//       [--threads N]   (default 0: the CPUs this process may run on;
+//                        1 = serial)
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -31,8 +32,9 @@ void Usage() {
       "usage: useful_experiment --db <collection.trec> --queries <log.tsv>\n"
       "         [--methods m1,m2,...] [--thresholds t1,t2,...]\n"
       "         [--triplet] [--quantize] [--threads N]\n"
-      "--threads: query-parallel evaluation; default hardware concurrency,\n"
-      "           1 preserves the serial path (tables identical either way)\n"
+      "--threads: query-parallel evaluation; default 0, one thread per CPU\n"
+      "           this process may run on; 1 preserves the serial path\n"
+      "           (tables identical either way)\n"
       "methods: subrange (default), subrange-nomax, subrange-k<N>, basic,\n"
       "         adaptive, high-correlation, disjoint\n");
 }
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
   std::string methods_arg = "high-correlation,adaptive,subrange";
   std::string thresholds_arg = "0.1,0.2,0.3,0.4,0.5,0.6";
   bool triplet = false, quantize = false;
-  std::size_t threads = 0;  // 0: hardware concurrency
+  std::size_t threads = 0;  // 0: the CPUs this process may run on
 
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
@@ -135,7 +137,7 @@ int main(int argc, char** argv) {
   eval::ExperimentConfig config;
   config.thresholds.clear();
   for (std::string_view t : SplitNonEmpty(thresholds_arg, ",")) {
-    config.thresholds.push_back(std::strtod(std::string(t).c_str(), nullptr));
+    config.thresholds.push_back(util::ParseDoubleFlag("--thresholds", t));
   }
   if (config.thresholds.empty()) {
     std::fprintf(stderr, "no thresholds\n");

@@ -284,13 +284,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--connections") == 0) {
       need_number("--connections", &opt.connections);
     } else if (std::strcmp(argv[i], "--qps") == 0) {
-      opt.qps = std::strtod(need_value("--qps"), nullptr);
+      opt.qps = useful::util::ParseDoubleFlag("--qps", need_value("--qps"));
     } else if (std::strcmp(argv[i], "--queries") == 0) {
       need_number("--queries", &opt.queries);
     } else if (std::strcmp(argv[i], "--distinct") == 0) {
       need_number("--distinct", &opt.distinct);
     } else if (std::strcmp(argv[i], "--zipf") == 0) {
-      opt.zipf = std::strtod(need_value("--zipf"), nullptr);
+      opt.zipf =
+          useful::util::ParseDoubleFlag("--zipf", need_value("--zipf"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       need_number("--seed", &opt.seed);
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {

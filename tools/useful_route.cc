@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--estimator") == 0) {
       estimator_name = need_value("--estimator");
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
-      threshold = std::strtod(need_value("--threshold"), nullptr);
+      threshold =
+          util::ParseDoubleFlag("--threshold", need_value("--threshold"));
     } else if (std::strcmp(argv[i], "--topk") == 0) {
       need_number("--topk", &topk);
     } else if (std::strncmp(argv[i], "--", 2) == 0) {

@@ -14,9 +14,10 @@
 //
 // --reactor-threads N sizes the epoll event-loop fleet (default 2);
 // --threads N sizes the estimation offload pool that executes requests
-// (0 = hardware concurrency). Connections are state machines on the
-// reactors, so thousands of idle keep-alive peers are fine with two
-// reactor threads — size --threads to the estimation work instead.
+// (0 = one per CPU the process may run on). Connections are state
+// machines on the reactors, so thousands of idle keep-alive peers are
+// fine with two reactor threads — size --threads to the estimation work
+// instead.
 //
 // --trace-sample-rate N traces one request in N (default 256; 0 disables
 // tracing, 1 traces every request); sampled traces feed the per-stage
