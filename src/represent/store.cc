@@ -11,6 +11,7 @@
 #include <limits>
 
 #include "represent/input_file.h"
+#include "util/thread_pool.h"
 
 namespace useful::represent {
 namespace {
@@ -368,6 +369,50 @@ Representative RepresentativeView::Materialize() const {
   return rep;
 }
 
+Status RepresentativeView::ValidateTerms() const {
+  // Walk the whole front-coded blob once: exact term count, restart
+  // offsets that match the recorded table, shared prefixes that stay
+  // within the previous term, and strictly ascending terms (the binary
+  // search and scan both rely on sortedness). An entry is
+  // prev[0, shared) + suffix, so it is above `prev` exactly when
+  // `suffix` is above prev[shared:]; `prev` is extended in place.
+  const unsigned char* pos = terms_;
+  const unsigned char* end = terms_ + terms_bytes_;
+  std::string prev;
+  for (std::uint64_t i = 0; i < num_terms_; ++i) {
+    if (i % restart_interval_ == 0) {
+      const std::uint64_t r = i / restart_interval_;
+      if (RestartOffset(r) != static_cast<std::uint64_t>(pos - terms_)) {
+        return Status::Corruption("URPZ: restart offset mismatch");
+      }
+    }
+    std::uint32_t shared = 0, suffix_len = 0;
+    if (!ReadVarint(&pos, end, &shared) ||
+        !ReadVarint(&pos, end, &suffix_len)) {
+      return Status::Corruption("URPZ: truncated term entry");
+    }
+    if (i % restart_interval_ == 0 && shared != 0) {
+      return Status::Corruption("URPZ: nonzero shared prefix at restart");
+    }
+    if (shared > prev.size() ||
+        suffix_len > static_cast<std::uint64_t>(end - pos)) {
+      return Status::Corruption("URPZ: term entry out of bounds");
+    }
+    const std::string_view suffix(reinterpret_cast<const char*>(pos),
+                                  suffix_len);
+    pos += suffix_len;
+    if (i > 0 && !(std::string_view(prev).substr(shared) < suffix)) {
+      return Status::Corruption("URPZ: terms not strictly ascending");
+    }
+    prev.resize(shared);
+    prev.append(suffix);
+  }
+  if (pos != end) {
+    return Status::Corruption("URPZ: trailing bytes in term blob");
+  }
+  return Status::OK();
+}
+
 StoreView::~StoreView() {
   if (map_ != nullptr) ::munmap(map_, map_len_);
 }
@@ -383,7 +428,7 @@ std::optional<RepresentativeView> StoreView::Find(std::string_view name) const {
 }
 
 Result<std::shared_ptr<const StoreView>> StoreView::Validate(
-    std::shared_ptr<StoreView> view) {
+    std::shared_ptr<StoreView> view, std::size_t threads) {
   const unsigned char* data = view->data_;
   const std::size_t size = view->size_;
   if (size < kFileHeaderBytes) {
@@ -410,12 +455,12 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
     return Status::Corruption("URPZ: engine count exceeds index size");
   }
 
-  // Walk the index first: engine extents and names.
-  view->engines_.reserve(num_engines);
+  // Pass 1, serial: the index (engine extents and names) and each engine's
+  // header, in index order, up to the first bad entry.
   const unsigned char* cursor = data + index_offset;
   const unsigned char* file_end = data + size;
   std::string_view prev_name;
-  for (std::uint32_t e = 0; e < num_engines; ++e) {
+  auto read_entry = [&](std::uint32_t e) -> Status {
     if (file_end - cursor < static_cast<std::ptrdiff_t>(kIndexEntryBytes)) {
       return Status::Corruption("URPZ: truncated engine index");
     }
@@ -493,50 +538,29 @@ Result<std::shared_ptr<const StoreView>> StoreView::Validate(
     rv.dfbits_ = block + dfbits_offset;
     rv.terms_ = block + terms_offset;
     rv.codes_ = block + codes_offset;
-
-    // Walk the whole front-coded blob once: exact term count, restart
-    // offsets that match the recorded table, shared prefixes that stay
-    // within the previous term, and strictly ascending terms (the binary
-    // search and scan both rely on sortedness). An entry is
-    // prev[0, shared) + suffix, so it is above `prev` exactly when
-    // `suffix` is above prev[shared:]; `prev` is extended in place.
-    const unsigned char* pos = rv.terms_;
-    const unsigned char* end = rv.terms_ + rv.terms_bytes_;
-    std::string prev;
-    for (std::uint64_t i = 0; i < rv.num_terms_; ++i) {
-      if (i % rv.restart_interval_ == 0) {
-        const std::uint64_t r = i / rv.restart_interval_;
-        if (rv.RestartOffset(r) !=
-            static_cast<std::uint64_t>(pos - rv.terms_)) {
-          return Status::Corruption("URPZ: restart offset mismatch");
-        }
-      }
-      std::uint32_t shared = 0, suffix_len = 0;
-      if (!ReadVarint(&pos, end, &shared) ||
-          !ReadVarint(&pos, end, &suffix_len)) {
-        return Status::Corruption("URPZ: truncated term entry");
-      }
-      if (i % rv.restart_interval_ == 0 && shared != 0) {
-        return Status::Corruption("URPZ: nonzero shared prefix at restart");
-      }
-      if (shared > prev.size() ||
-          suffix_len > static_cast<std::uint64_t>(end - pos)) {
-        return Status::Corruption("URPZ: term entry out of bounds");
-      }
-      const std::string_view suffix(reinterpret_cast<const char*>(pos),
-                                    suffix_len);
-      pos += suffix_len;
-      if (i > 0 && !(std::string_view(prev).substr(shared) < suffix)) {
-        return Status::Corruption("URPZ: terms not strictly ascending");
-      }
-      prev.resize(shared);
-      prev.append(suffix);
-    }
-    if (pos != end) {
-      return Status::Corruption("URPZ: trailing bytes in term blob");
-    }
     view->engines_.push_back(rv);
+    return Status::OK();
+  };
+  view->engines_.reserve(num_engines);
+  Status index_status;
+  for (std::uint32_t e = 0; e < num_engines && index_status.ok(); ++e) {
+    index_status = read_entry(e);
   }
+
+  // Pass 2: the term walks of the engines before the first bad entry, one
+  // engine per pool index; walk e writes only walks[e]. A serial walk
+  // checks engine e's entry after the walks of engines 0..e-1, so the
+  // report keeps its order: the first failing walk, then the bad entry,
+  // then the bytes after the index.
+  std::vector<Status> walks(view->engines_.size());
+  util::ThreadPool pool(util::ThreadPool::ThreadsFor(walks.size(), threads));
+  pool.ParallelFor(walks.size(), [&](std::size_t e) {
+    walks[e] = view->engines_[e].ValidateTerms();
+  });
+  for (const Status& walk : walks) {
+    if (!walk.ok()) return walk;
+  }
+  if (!index_status.ok()) return index_status;
   if (cursor != file_end) {
     return Status::Corruption("URPZ: trailing bytes after engine index");
   }
@@ -553,7 +577,7 @@ Result<std::shared_ptr<const StoreView>> StoreView::Open(
 }
 
 Result<std::shared_ptr<const StoreView>> StoreView::Open(
-    const InputFile& file) {
+    const InputFile& file, std::size_t threads) {
   const std::string& path = file.path();
   struct stat st;
   if (::fstat(file.fd(), &st) != 0) {
@@ -573,16 +597,16 @@ Result<std::shared_ptr<const StoreView>> StoreView::Open(
   view->map_len_ = size;
   view->data_ = static_cast<const unsigned char*>(map);
   view->size_ = size;
-  return Validate(std::move(view));
+  return Validate(std::move(view), threads);
 }
 
 Result<std::shared_ptr<const StoreView>> StoreView::FromBuffer(
-    std::string bytes) {
+    std::string bytes, std::size_t threads) {
   auto view = std::shared_ptr<StoreView>(new StoreView());
   view->owned_ = std::move(bytes);
   view->data_ = reinterpret_cast<const unsigned char*>(view->owned_.data());
   view->size_ = view->owned_.size();
-  return Validate(std::move(view));
+  return Validate(std::move(view), threads);
 }
 
 }  // namespace useful::represent

@@ -146,6 +146,9 @@ class RepresentativeView {
   /// Appends the i-th term into `*out` (cleared first) by scanning its
   /// restart block.
   void DecodeTermInto(std::size_t i, std::string* out) const;
+  /// Walks the whole front-coded term blob once; the first fault found, or
+  /// OK. Reads only this engine's block, so engines walk independently.
+  Status ValidateTerms() const;
 
   std::string_view name_;
   std::uint32_t kind_flags_ = 0;
@@ -166,19 +169,28 @@ class RepresentativeView {
 /// An open URPZ file: the whole image mapped (or held) read-only, with
 /// every engine block validated up front so the per-query accessors can
 /// run unchecked. Immutable once opened; share freely across threads.
+///
+/// Validation reads the index and every engine header serially, then walks
+/// each engine's terms on up to `threads` threads, the caller included (one
+/// engine per thread at a time; 0 and 1 start no thread). Whatever the
+/// thread count, a corrupt image reports the error a serial walk in index
+/// order meets first.
 class StoreView {
  public:
-  /// mmaps the file at `path` and validates the image. The returned view
-  /// owns the mapping; it is unmapped when the last reference drops (the
-  /// broker's RELOAD swap relies on this).
+  /// mmaps the file at `path` and validates the image on the caller. The
+  /// returned view owns the mapping; it is unmapped when the last reference
+  /// drops (the broker's RELOAD swap relies on this).
   static Result<std::shared_ptr<const StoreView>> Open(const std::string& path);
 
   /// Like Open(path), mapping the already open `file` (which need not stay
-  /// open afterwards).
-  static Result<std::shared_ptr<const StoreView>> Open(const InputFile& file);
+  /// open afterwards) and validating on up to `threads` threads.
+  static Result<std::shared_ptr<const StoreView>> Open(const InputFile& file,
+                                                       std::size_t threads = 1);
 
-  /// Validates an in-memory image (tests, corruption probes).
-  static Result<std::shared_ptr<const StoreView>> FromBuffer(std::string bytes);
+  /// Validates an in-memory image (tests, corruption probes) on up to
+  /// `threads` threads.
+  static Result<std::shared_ptr<const StoreView>> FromBuffer(
+      std::string bytes, std::size_t threads = 1);
 
   ~StoreView();
   StoreView(const StoreView&) = delete;
@@ -199,7 +211,7 @@ class StoreView {
  private:
   StoreView() = default;
   static Result<std::shared_ptr<const StoreView>> Validate(
-      std::shared_ptr<StoreView> view);
+      std::shared_ptr<StoreView> view, std::size_t threads);
 
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;

@@ -60,18 +60,20 @@ Status WithPath(const std::string& path, const Status& status) {
              : Status::IOError(std::move(msg));
 }
 
-Result<LoadedReps> LoadRepFile(const std::string& path) {
+Result<LoadedReps> LoadRepFile(const std::string& path,
+                               std::size_t threads = 1) {
   LoadedReps out;
   // One path may carry either format; its first four bytes decide, read
   // from the one descriptor that is then mapped or read. Packed URPZ
   // stores register zero-copy (the mapping stays shared until the last
-  // snapshot serving one of its engines drops); URP1 files become term
-  // tables that every later snapshot shares. A file shorter than a magic
-  // is read as URP1 and fails its magic check.
+  // snapshot serving one of its engines drops) after their engines are
+  // checked on up to `threads` threads; URP1 files become term tables that
+  // every later snapshot shares. A file shorter than a magic is read as
+  // URP1 and fails its magic check.
   auto file = represent::InputFile::Open(path);
   if (!file.ok()) return Status::IOError(path + ": cannot open " + path);
   if (file.value().StartsWith(represent::kStoreMagic)) {
-    auto store = represent::StoreView::Open(file.value());
+    auto store = represent::StoreView::Open(file.value(), threads);
     if (!store.ok()) return WithPath(path, store.status());
     out.store = std::move(store).value();
     return out;
@@ -118,17 +120,20 @@ Result<std::unique_ptr<Service>> Service::Create(const text::Analyzer* analyzer,
 
 Result<std::shared_ptr<const broker::Metasearcher>> Service::LoadSnapshot()
     const {
-  // Files load in parallel, one thread per allowed CPU (one path loads on
-  // the caller): each file is read and indexed on its own, and worker i
-  // writes only slot i. Registration stays serial and in path order, so
-  // the engine order and the error reported (the first failing path's)
-  // are a serial load's.
+  // One thread budget, the CPUs this process may use, the caller
+  // included. Many paths load one file per thread, each file checked
+  // serially, and worker i writes only slot i; one path loads on the
+  // caller, and its packed store checks its engines on the whole budget.
+  // Registration stays serial and in path order, so the engine order and
+  // the error reported (the first failing path's) are a serial load's.
   const std::vector<std::string>& paths = options_.representative_paths;
   std::vector<Result<LoadedReps>> loaded(paths.size(), LoadedReps{});
-  util::ThreadPool pool(
-      std::min(paths.size(), util::ThreadPool::ResolveThreads(0)));
-  pool.ParallelFor(paths.size(),
-                   [&](std::size_t i) { loaded[i] = LoadRepFile(paths[i]); });
+  const std::size_t budget = util::ThreadPool::ResolveThreads(0);
+  const std::size_t per_file = paths.size() == 1 ? budget : 1;
+  util::ThreadPool pool(util::ThreadPool::ThreadsFor(paths.size(), budget));
+  pool.ParallelFor(paths.size(), [&](std::size_t i) {
+    loaded[i] = LoadRepFile(paths[i], per_file);
+  });
   auto next = std::make_shared<broker::Metasearcher>(analyzer_);
   for (Result<LoadedReps>& file : loaded) {
     if (!file.ok()) return file.status();

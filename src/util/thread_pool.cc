@@ -18,6 +18,10 @@ std::size_t ThreadPool::ResolveThreads(std::size_t threads) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
+std::size_t ThreadPool::ThreadsFor(std::size_t jobs, std::size_t threads) {
+  return std::max<std::size_t>(1, std::min(jobs, threads));
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t wanted = ResolveThreads(num_threads);
   workers_.reserve(wanted - 1);

@@ -61,6 +61,11 @@ class ThreadPool {
   /// Shared by the --threads flags of the CLI tools.
   static std::size_t ResolveThreads(std::size_t threads);
 
+  /// The pool size for `jobs` indices under a budget of `threads` (the
+  /// caller included): at most either, and never 0, which the constructor
+  /// reads as every allowed CPU. No jobs or one job gives 1: no thread.
+  static std::size_t ThreadsFor(std::size_t jobs, std::size_t threads);
+
  private:
   void WorkerLoop();
   void RunJob();

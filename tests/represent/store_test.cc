@@ -667,6 +667,137 @@ TEST(StoreTermEntryTest, RejectsBytesAfterLastTerm) {
   EXPECT_EQ(s.message(), "URPZ: trailing bytes in term blob");
 }
 
+// --- Error order: engines' term walks run on several threads, yet a
+// corrupt image reports the error a serial walk in index order meets
+// first. Each image carries two faults. ----------------------------------
+
+/// Offset of engine `e`'s index entry in `image`.
+std::size_t IndexEntryAt(const std::string& image, int e) {
+  std::size_t entry = ReadU64At(image, 16);
+  for (int i = 0; i < e; ++i) {
+    std::uint32_t name_len;
+    std::memcpy(&name_len, image.data() + entry + 16, 4);
+    entry += 20 + name_len;
+  }
+  return entry;
+}
+
+/// Offset of engine `e`'s block in `image`.
+std::size_t BlockAt(const std::string& image, int e) {
+  return ReadU64At(image, IndexEntryAt(image, e));
+}
+
+std::uint32_t ReadU32At(const std::string& bytes, std::size_t off) {
+  std::uint32_t v;
+  std::memcpy(&v, bytes.data() + off, 4);
+  return v;
+}
+
+/// Walk fault at engine `e`'s last restart, the end of its walk: that
+/// entry claims a shared prefix.
+void BreakLastRestart(std::string* image, int e) {
+  const std::size_t block = BlockAt(*image, e);
+  const std::uint32_t num_restarts = ReadU32At(*image, block + 28);
+  const std::uint64_t restarts = ReadU64At(*image, block + 32);
+  const std::uint64_t terms = ReadU64At(*image, block + 48);
+  const std::uint32_t last =
+      ReadU32At(*image, block + restarts + 4 * (num_restarts - 1));
+  (*image)[block + terms + last] = 1;
+}
+
+/// Walk fault at engine `e`'s second restart, early in its walk: the
+/// restart table points one byte past the entry.
+void BreakSecondRestartOffset(std::string* image, int e) {
+  const std::size_t block = BlockAt(*image, e);
+  const std::uint64_t restarts = ReadU64At(*image, block + 32);
+  (*image)[block + restarts + 4] += 1;
+}
+
+/// Bad index entry for engine `e`: its header's field count fits no kind.
+void BreakFieldCount(std::string* image, int e) {
+  const std::size_t block = BlockAt(*image, e);
+  const std::uint32_t fields = 5;
+  std::memcpy(image->data() + block + 4, &fields, 4);
+}
+
+/// Bytes after the engine index, with the header's file size to match.
+void AppendAfterIndex(std::string* image) {
+  *image += "xx";
+  WriteU64At(image, 24, image->size());
+}
+
+class StoreErrorOrderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // alpha's walk is long and beta's and gamma's short, so a fault late
+    // in alpha is met after an early one in gamma by threads that run
+    // side by side.
+    Representative a =
+        MakeRep("alpha", 6000, 51, RepresentativeKind::kQuadruplet);
+    Representative b = MakeRep("beta", 200, 52, RepresentativeKind::kTriplet);
+    Representative c =
+        MakeRep("gamma", 200, 53, RepresentativeKind::kQuadruplet);
+    auto image = EncodeStore({&a, &b, &c});
+    ASSERT_TRUE(image.ok());
+    image_ = std::move(image).value();
+  }
+
+  /// Opens `bytes` 20 times on four threads and once on one; every open
+  /// must fail with exactly `expected`.
+  void ExpectReported(const std::string& bytes, const std::string& expected) {
+    EXPECT_EQ(StoreView::FromBuffer(bytes).status().ToString(), expected)
+        << "one thread";
+    for (int run = 0; run < 20; ++run) {
+      EXPECT_EQ(StoreView::FromBuffer(bytes, 4).status().ToString(), expected)
+          << "run " << run;
+    }
+  }
+
+  std::string image_;
+};
+
+TEST_F(StoreErrorOrderTest, WalkBeforeBadEntryWins) {
+  std::string bad = image_;
+  BreakLastRestart(&bad, 1);
+  BreakFieldCount(&bad, 2);
+  ExpectReported(bad, "Corruption: URPZ: nonzero shared prefix at restart");
+}
+
+TEST_F(StoreErrorOrderTest, BadEntryBeforeWalkWins) {
+  std::string bad = image_;
+  BreakFieldCount(&bad, 1);
+  BreakSecondRestartOffset(&bad, 2);
+  ExpectReported(bad, "Corruption: URPZ: field count does not match kind");
+}
+
+TEST_F(StoreErrorOrderTest, FirstEngineWalkWinsOverAnEarlierFinish) {
+  std::string bad = image_;
+  BreakLastRestart(&bad, 0);
+  BreakSecondRestartOffset(&bad, 2);
+  ExpectReported(bad, "Corruption: URPZ: nonzero shared prefix at restart");
+}
+
+TEST_F(StoreErrorOrderTest, WalkWinsOverBytesAfterIndex) {
+  std::string bad = image_;
+  BreakSecondRestartOffset(&bad, 2);
+  AppendAfterIndex(&bad);
+  ExpectReported(bad, "Corruption: URPZ: restart offset mismatch");
+}
+
+TEST_F(StoreErrorOrderTest, EmptyAndOneEngineStoresOpenOnManyThreads) {
+  // The walk pool is sized by the engines, never from zero.
+  auto empty = StoreView::FromBuffer(EncodeStore({}).value(), 8);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty.value()->num_engines(), 0u);
+  Representative rep = MakeRep("db", 50, 4, RepresentativeKind::kTriplet);
+  auto one = StoreView::FromBuffer(EncodeStore({&rep}).value(), 8);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one.value()->num_engines(), 1u);
+  auto all = StoreView::FromBuffer(image_, 8);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value()->num_engines(), 3u);
+}
+
 // --- Sweep: no image makes open throw, and every image that opens is
 // searchable for every term it lists. ---------------------------------
 

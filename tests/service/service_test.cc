@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -738,6 +740,72 @@ TEST_F(PackedServiceTest, CorruptPackedFileFailsLoudWithPath) {
   ASSERT_FALSE(service.ok());
   EXPECT_NE(service.status().message().find("packed.urpz"),
             std::string::npos);
+}
+
+// A one-path store checks its 53 engines on every allowed CPU, yet a fault
+// in its last block fails Create and RELOAD with the status a serial check
+// gives, and the failed RELOAD keeps the old snapshot.
+TEST_F(PackedServiceTest, CorruptLastBlockOfOnePathStoreFailsAsSerially) {
+  std::vector<std::pair<std::string, std::vector<std::string>>> engines;
+  for (int i = 0; i < 53; ++i) {
+    const std::string name = StringPrintf("group%02d", i);
+    engines.push_back({name, {name + " treaty shared", "melody " + name}});
+  }
+  PackEngines(engines);
+  ServiceOptions options;
+  options.representative_paths = {StorePath()};
+  auto created = Service::Create(&analyzer_, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Service> service = std::move(created).value();
+  auto before = service->Execute("ESTIMATE subrange 0.1 shared");
+  ASSERT_TRUE(before.status.ok());
+  ASSERT_EQ(before.payload.size(), 53u);
+  auto old_snapshot = service->snapshot();
+
+  // The last block's first term entry claims a shared prefix. The image
+  // is renamed over the store, so the live mapping keeps the old file.
+  std::string image;
+  {
+    std::ifstream in(StorePath(), std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  auto read_u64 = [&image](std::size_t off) {
+    std::uint64_t v;
+    std::memcpy(&v, image.data() + off, sizeof(v));
+    return v;
+  };
+  std::size_t entry = read_u64(16);
+  for (int e = 0; e < 52; ++e) {
+    std::uint32_t name_len;
+    std::memcpy(&name_len, image.data() + entry + 16, sizeof(name_len));
+    entry += 20 + name_len;
+  }
+  const std::uint64_t block = read_u64(entry);
+  image[block + read_u64(block + 48)] = 1;
+  const std::string bad = StorePath() + ".bad";
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << image;
+  }
+  std::filesystem::rename(bad, StorePath());
+
+  const std::string expected = "Corruption: " + StorePath() +
+                               ": URPZ: nonzero shared prefix at restart";
+  for (int run = 0; run < 20; ++run) {
+    auto refused = Service::Create(&analyzer_, options);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().ToString(), expected) << "run " << run;
+  }
+  auto reply = service->Execute("RELOAD");
+  ASSERT_FALSE(reply.status.ok());
+  EXPECT_EQ(reply.status.ToString(), expected);
+  EXPECT_EQ(service->snapshot(), old_snapshot);
+  EXPECT_EQ(service->snapshot_epoch(), 0u);
+  EXPECT_EQ(service->stats().Get(Stats::kReloads), 0u);
+  auto after = service->Execute("ESTIMATE subrange 0.1 shared");
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_EQ(after.payload, before.payload);
 }
 
 // Each path is opened once and its first four bytes pick the format: a

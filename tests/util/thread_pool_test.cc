@@ -43,6 +43,18 @@ TEST(ThreadPoolTest, SingleThreadPoolSpawnsNothingAndRunsInline) {
   for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
 }
 
+// A pool sized for no jobs or one job starts no thread: ThreadPool(0)
+// would mean every allowed CPU.
+TEST(ThreadPoolTest, ThreadsForNeverSizesFromZero) {
+  EXPECT_EQ(ThreadPool::ThreadsFor(0, 8), 1u);
+  EXPECT_EQ(ThreadPool::ThreadsFor(1, 8), 1u);
+  EXPECT_EQ(ThreadPool::ThreadsFor(5, 0), 1u);
+  EXPECT_EQ(ThreadPool::ThreadsFor(2, 8), 2u);
+  EXPECT_EQ(ThreadPool::ThreadsFor(53, 3), 3u);
+  ThreadPool none(ThreadPool::ThreadsFor(0, 8));
+  EXPECT_EQ(none.num_threads(), 1u);
+}
+
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(8);
   constexpr std::size_t kN = 10000;

@@ -155,20 +155,17 @@ struct WorkerResult {
   bool transport_error = false;
 };
 
-/// One connection's replay loop. `requests` are pre-rendered wire lines;
-/// request i is due at start + offset + i*interval (interval 0:
-/// closed-loop with a `window`-deep pipeline).
-void RunWorker(const Options& opt, const std::vector<std::string>* pool,
+/// One connection's replay loop over the connected `fd`, which it closes.
+/// `pool` holds the pre-rendered wire lines; request i is due at start +
+/// offset + i*interval (interval 0: closed-loop with a `window`-deep
+/// pipeline).
+void RunWorker(const Options& opt, int fd,
+               const std::vector<std::string>* pool,
                const ZipfSampler* sampler, std::uint64_t seed,
                std::size_t count, Clock::time_point start,
                Clock::duration offset, Clock::duration interval,
                useful::util::LatencyHistogram* histogram,
                WorkerResult* result) {
-  int fd = ConnectTo(opt.host, opt.port);
-  if (fd < 0) {
-    result->transport_error = true;
-    return;
-  }
   std::mt19937_64 rng(seed);
   useful::service::ReplyReader reader;
   useful::service::Reply reply;
@@ -342,6 +339,20 @@ int main(int argc, char** argv) {
   }
   ZipfSampler sampler(pool.size(), opt.zipf);
 
+  // Every connection is made before the run starts, so a server that
+  // cannot be reached is a connect error, not a broken run.
+  std::vector<int> fds;
+  for (std::size_t c = 0; c < opt.connections; ++c) {
+    const int fd = ConnectTo(opt.host, opt.port);
+    if (fd < 0) {
+      std::fprintf(stderr, "cannot connect to %s:%u\n", opt.host.c_str(),
+                   static_cast<unsigned>(opt.port));
+      for (int open_fd : fds) ::close(open_fd);
+      return 2;
+    }
+    fds.push_back(fd);
+  }
+
   useful::util::LatencyHistogram histogram;
   std::vector<WorkerResult> results(opt.connections);
   std::vector<std::thread> workers;
@@ -360,7 +371,7 @@ int main(int argc, char** argv) {
         opt.qps > 0.0 ? std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double>(c / opt.qps))
                       : Clock::duration{0};
-    workers.emplace_back(RunWorker, std::cref(opt), &pool, &sampler,
+    workers.emplace_back(RunWorker, std::cref(opt), fds[c], &pool, &sampler,
                          opt.seed * 0x9e3779b97f4a7c15ULL + c, count, start,
                          offset, interval, &histogram, &results[c]);
   }
