@@ -158,6 +158,14 @@ std::size_t Metasearcher::store_bytes() const {
   return bytes;
 }
 
+std::size_t Metasearcher::table_bytes() const {
+  std::size_t bytes = 0;
+  for (const Entry& e : entries_) {
+    if (e.table != nullptr) bytes += e.table->bytes();
+  }
+  return bytes;
+}
+
 estimate::UsefulnessEstimate Metasearcher::EstimateEngine(
     std::size_t i, const ir::Query& q, double threshold,
     const estimate::UsefulnessEstimator& estimator) const {

@@ -131,6 +131,10 @@ class Metasearcher {
   /// entries serve engines from.
   std::size_t store_bytes() const;
 
+  /// Total bytes of the term tables of this broker's entries
+  /// (TermTable::bytes); store-backed engines hold none.
+  std::size_t table_bytes() const;
+
   /// Number of registered representatives whose stale_max flag is set
   /// (their stored max weights are upper bounds, not exact).
   std::size_t num_stale_representatives() const {

@@ -89,7 +89,9 @@ constexpr service::MetricRow kClusterRows[] = {
     {"shard_errors", "useful_cluster_shard_errors_total", kCounter, kNone,
      kShardErrors, "Replica transport failures observed by the front-end."},
     {nullptr, "useful_shard_roundtrip_seconds", kHistogram, kNone,
-     kRoundtrip, "Full scatter-gather round-trip per request, per shard.",
+     kRoundtrip,
+     "Round trip of each shard's leg of a fan-out, from the send to the "
+     "replica that answered until its reply is read.",
      "shard"},
     {nullptr, "useful_cluster_downstream_requests_total", kGauge, kNone,
      kDownstreamRequests,
@@ -175,6 +177,7 @@ void Frontend::SendLeg(const std::string& line, Leg* leg) {
     if (leg->conn == nullptr) {
       leg->conn = factory_(replica->endpoint, leg->shard, index);
     }
+    leg->sent = std::chrono::steady_clock::now();
     if (leg->conn->Send(line).ok()) return;
     leg->conn.reset();
     OnReplicaFailure(replica);
@@ -186,6 +189,7 @@ void Frontend::ReceiveLeg(const std::string& line, Leg* leg) {
     Replica* replica =
         shards_[leg->shard]->replicas[leg->candidates[leg->tried - 1]].get();
     if (leg->conn->Receive(&leg->reply).ok()) {
+      leg->roundtrip_us = MicrosSince(leg->sent);
       replica->consecutive_failures.store(0, std::memory_order_relaxed);
       replica->backoff_ms.store(0, std::memory_order_relaxed);
       replica->retry_at_ms.store(0, std::memory_order_relaxed);
@@ -203,7 +207,6 @@ void Frontend::ReceiveLeg(const std::string& line, Leg* leg) {
 }
 
 std::vector<Frontend::Leg> Frontend::FanOut(const std::string& line) {
-  auto start = std::chrono::steady_clock::now();
   std::vector<Leg> legs(shards_.size());
   // Scatter: send on one replica per shard. Candidate order: live
   // replicas by preference, then ejected ones — an all-ejected shard
@@ -223,9 +226,8 @@ std::vector<Frontend::Leg> Frontend::FanOut(const std::string& line) {
   // Gather: receive each shard's reply in turn.
   for (Leg& leg : legs) ReceiveLeg(line, &leg);
 
-  std::uint64_t micros = MicrosSince(start);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->roundtrip.Record(micros);
+    if (legs[i].reached) shards_[i]->roundtrip.Record(legs[i].roundtrip_us);
     shards_[i]->down.store(!legs[i].reached, std::memory_order_relaxed);
     if (legs[i].reached && legs[i].tried > 1) {
       rerouted_.fetch_add(1, std::memory_order_relaxed);

@@ -61,6 +61,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -151,7 +152,8 @@ class Frontend : public service::RequestHandler {
     /// Sticky: the last request to fan out here found the whole shard
     /// unreachable. Feeds stale_shards.
     std::atomic<bool> down{false};
-    /// Full scatter+gather round-trip per request, this shard only.
+    /// Round trip of this shard's leg of each fan-out, from the send to
+    /// the replica that answered until its reply was read.
     util::LatencyHistogram roundtrip;
   };
 
@@ -162,7 +164,9 @@ class Frontend : public service::RequestHandler {
     std::vector<std::size_t> candidates;  // replica indices, in order
     std::size_t tried = 0;                // candidates[0, tried) were used
     std::unique_ptr<ShardBackend> conn;   // sent to candidates[tried - 1]
+    std::chrono::steady_clock::time_point sent;  // of the send on conn
     bool reached = false;  // some replica produced a framed response
+    std::uint64_t roundtrip_us = 0;  // sent until the reply was read
     service::Reply reply;  // valid when reached
   };
 

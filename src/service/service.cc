@@ -162,6 +162,7 @@ void Service::PublishLocked(
              snap->broker->num_stale_representatives());
   stats_.Set(Stats::kPackedEngines, snap->broker->num_store_engines());
   stats_.Set(Stats::kPackedBytes, snap->broker->store_bytes());
+  stats_.Set(Stats::kTableBytes, snap->broker->table_bytes());
   stats_.Set(Stats::kSnapshotEpoch, epoch_);
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snap);

@@ -63,6 +63,10 @@ constexpr MetricRow kRows[] = {
     {"representative_packed_bytes", "useful_representative_packed_bytes",
      kGauge, kMax, Stats::kPackedBytes,
      "Total bytes of the packed store images behind the snapshot."},
+    {"representative_table_bytes", "useful_representative_table_bytes",
+     kGauge, kMax, Stats::kTableBytes,
+     "Total bytes of the URP1 term tables behind the snapshot: compact "
+     "records plus 4 per slot."},
     {"cache_hits", "useful_cache_hits_total", kCounter, kSum, kCacheHits,
      "Query cache hits."},
     {"cache_misses", "useful_cache_misses_total", kCounter, kSum,

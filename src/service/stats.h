@@ -88,6 +88,7 @@ class Stats {
     kRepresentativeStale,
     kPackedEngines,
     kPackedBytes,
+    kTableBytes,
     kConnsOpened,
     kConnsShed,
     kIdleTimeouts,

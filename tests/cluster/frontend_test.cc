@@ -34,6 +34,8 @@ struct ReplicaScript {
   std::atomic<int> starts{0};    // Send calls
   std::atomic<int> finishes{0};  // Receive calls
   std::atomic<int> opened{0};    // connections the factory opened
+  /// How long Receive sleeps before answering: a slow replica.
+  std::chrono::milliseconds receive_delay{0};
   /// Response for any request line; defaults to an empty-OK frame.
   std::function<service::Reply(const std::string&)> respond;
 };
@@ -63,6 +65,7 @@ class ScriptedBackend : public ShardBackend {
 
   Status Receive(service::Reply* reply) override {
     script_->finishes.fetch_add(1);
+    std::this_thread::sleep_for(script_->receive_delay);
     if (script_->fail_finish.load()) {
       return Status::IOError("scripted: died mid-request");
     }
@@ -690,6 +693,35 @@ TEST_F(FrontendTest, MetricsExposeClusterFamilies) {
   EXPECT_TRUE(
       has_prefix("useful_cluster_downstream_errors_total{shard=\"0\"} 1"));
   EXPECT_TRUE(has_prefix("useful_shard_roundtrip_seconds_count"));
+}
+
+TEST_F(FrontendTest, EachShardsRoundtripTimesOnlyItsOwnLeg) {
+  // Shard 1 answers 20 ms late. Each leg is timed from its own send until
+  // its own reply is read, so shard 0, read first, does not absorb it.
+  MakeFrontend();
+  RespondWithRanking(0, {"borealis 5 0.5"});
+  RespondWithRanking(1, {"aurora 3 0.75"});
+  for (ReplicaScript& script : scripts_[1]) {
+    script.receive_delay = std::chrono::milliseconds(20);
+  }
+  ASSERT_TRUE(Execute("ROUTE subrange 0.1 0 fox").status.ok());
+
+  // METRICS fans STATS first, which adds a second leg per shard.
+  service::Reply reply = Execute("METRICS");
+  ASSERT_TRUE(reply.status.ok());
+  auto value = [&](const std::string& series) {
+    for (const std::string& line : reply.payload) {
+      if (line.rfind(series + ' ', 0) == 0) {
+        return std::stod(line.substr(series.size() + 1));
+      }
+    }
+    ADD_FAILURE() << "no " << series;
+    return -1.0;
+  };
+  EXPECT_EQ(value("useful_shard_roundtrip_seconds_count{shard=\"0\"}"), 2);
+  EXPECT_EQ(value("useful_shard_roundtrip_seconds_count{shard=\"1\"}"), 2);
+  EXPECT_LT(value("useful_shard_roundtrip_seconds_sum{shard=\"0\"}"), 0.005);
+  EXPECT_GE(value("useful_shard_roundtrip_seconds_sum{shard=\"1\"}"), 0.04);
 }
 
 TEST_F(FrontendTest, ReloadFansToEveryReplicaOfEveryShard) {

@@ -1,0 +1,286 @@
+// Bit identity of TermTable's compact records. The images are built by
+// hand, so each record can carry what a writer never produces: a -0.0
+// sigma, a p one ulp off df / n, NaNs with payloads, an engine of zero
+// documents, terms whose lengths sit at the LEB128 byte boundaries.
+// Whichever fields a compact record leaves out, Find must return every
+// field with the bits DecodeUrp1Term gives for the file's own record.
+#include "represent/term_table.h"
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <filesystem>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "corpus/newsgroup_sim.h"
+#include "ir/search_engine.h"
+#include "represent/builder.h"
+#include "represent/serialize.h"
+#include "text/analyzer.h"
+#include "urp1_parity.h"
+
+namespace useful::represent {
+namespace {
+
+/// One term record exactly as it goes on disk.
+struct Record {
+  std::string term;
+  std::uint32_t df = 0;
+  double p = 0.0;
+  double w = 0.0;
+  double sigma = 0.0;
+  double mw = 0.0;
+};
+
+template <typename T>
+void Append(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// A URP1 image of a quadruplet engine "hand" over `num_docs` documents
+/// holding `records` in order.
+std::string Urp1Image(std::uint64_t num_docs,
+                      const std::vector<Record>& records) {
+  std::string out = "URP1";
+  out.push_back(static_cast<char>(RepresentativeKind::kQuadruplet));
+  Append(&out, num_docs);
+  Append(&out, std::uint32_t{4});
+  out += "hand";
+  Append(&out, static_cast<std::uint64_t>(records.size()));
+  for (const Record& r : records) {
+    Append(&out, static_cast<std::uint32_t>(r.term.size()));
+    out += r.term;
+    Append(&out, r.df);
+    Append(&out, r.p);
+    Append(&out, r.w);
+    Append(&out, r.sigma);
+    Append(&out, r.mw);
+  }
+  return out;
+}
+
+double FromBits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+/// Each term of `image` with the stats DecodeUrp1Term gives for its last
+/// record.
+std::map<std::string, TermStats> DecodeAll(std::string_view image) {
+  Result<Urp1Header> header = ParseUrp1Header(&image);
+  EXPECT_TRUE(header.ok()) << header.status().ToString();
+  std::map<std::string, TermStats> decoded;
+  for (std::uint64_t i = 0; header.ok() && i < header.value().num_terms;
+       ++i) {
+    const char* record = image.data();
+    std::string_view term;
+    EXPECT_TRUE(ParseUrp1Term(&image, &term, nullptr).ok());
+    DecodeUrp1Term(record, &decoded[std::string(term)]);
+  }
+  return decoded;
+}
+
+/// Checks Find on `table`, parsed from `image`, against DecodeUrp1Term
+/// term by term.
+void ExpectBitIdentical(std::string_view image, const TermTable& table) {
+  const std::map<std::string, TermStats> want = DecodeAll(image);
+  EXPECT_EQ(table.num_terms(), want.size());
+  for (const auto& [term, stats] : want) {
+    std::optional<TermStats> found = table.Find(term);
+    ASSERT_TRUE(found.has_value()) << "term of " << term.size() << " bytes";
+    EXPECT_TRUE(BitIdentical(*found, stats))
+        << "term of " << term.size() << " bytes";
+  }
+}
+
+/// The bytes of a compact record for a term of `len` bytes holding
+/// `optional_doubles` of p, sigma and mw.
+std::size_t CompactBytes(std::size_t len, int optional_doubles) {
+  const std::size_t length_bytes = len < 128 ? 1 : len < 16384 ? 2 : 3;
+  return 1 + length_bytes + len + 4 + 8 + 8 * optional_doubles;
+}
+
+TEST(TermTableCompactTest, SigmaAndMaxWeightAreLeftOutOnlyWhenBitExact) {
+  const double w = 0.3;
+  const double nan_w = FromBits(0x7ff8'0000'0000'0123ull);
+  const std::string image = Urp1Image(
+      10, {{"plain", 1, 0.1, w, 0.0, w},           // both left out
+           {"negzero", 1, 0.1, w, -0.0, w},        // -0.0 sigma is kept
+           {"wider", 1, 0.1, w, 0.0, 0.5},         // mw != w is kept
+           {"nanw", 1, 0.1, nan_w, 0.0, nan_w}});  // mw has w's NaN bits
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_TRUE(std::signbit(table.Find("negzero")->stddev));
+  EXPECT_FALSE(std::signbit(table.Find("plain")->stddev));
+  // Slots: bit_ceil(2 * 4 + 2) = 16.
+  EXPECT_EQ(table.bytes(), CompactBytes(5, 0) + CompactBytes(7, 2) +
+                               CompactBytes(5, 2) + CompactBytes(4, 0) +
+                               16 * 4);
+}
+
+TEST(TermTableCompactTest, PIsLeftOutOnlyWhenItHasTheBitsOfDfOverN) {
+  const double exact = 3.0 / 7.0;
+  const std::string image = Urp1Image(
+      7, {{"exact", 3, exact, 0.2, 0.0, 0.2},
+          {"up", 3, std::nextafter(exact, 1.0), 0.2, 0.0, 0.2},
+          {"down", 3, std::nextafter(exact, 0.0), 0.2, 0.0, 0.2},
+          {"payload", 3, FromBits(0x7ff8'0000'0000'beefull), 0.2, 0.0, 0.2},
+          {"negnan", 3, FromBits(0xfff8'0000'0000'0001ull), 0.2, 0.0, 0.2},
+          {"zero", 0, 0.0, 0.0, 0.0, 0.0},
+          {"negzero", 0, -0.0, 0.0, 0.0, 0.0}});  // == 0 / 7, other bits
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(table.Find("payload")->p),
+            0x7ff8'0000'0000'beefull);
+  EXPECT_TRUE(std::signbit(table.Find("negzero")->p));
+  // Slots: bit_ceil(2 * 7 + 2) = 16.
+  EXPECT_EQ(table.bytes(), CompactBytes(5, 0) + CompactBytes(2, 1) +
+                               CompactBytes(4, 1) + CompactBytes(7, 1) +
+                               CompactBytes(6, 1) + CompactBytes(4, 0) +
+                               CompactBytes(7, 1) + 16 * 4);
+}
+
+TEST(TermTableCompactTest, ZeroDocumentsDeriveNanAndInfinityExactly) {
+  // df / 0 is NaN for df = 0 and +inf otherwise; a record carrying those
+  // very bits drops p, any other p is kept.
+  volatile double zero = 0.0;
+  const double nan = zero / zero;
+  const double inf = 1.0 / zero;
+  const std::string image = Urp1Image(
+      0, {{"nan", 0, nan, 0.0, 0.0, 0.0},
+          {"inf", 2, inf, 0.5, 0.0, 0.5},
+          {"zero", 0, 0.0, 0.0, 0.0, 0.0},
+          {"quiet", 0, std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0,
+           0.0},
+          {"neginf", 2, -inf, 0.5, 0.0, 0.5}});
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_EQ(table.num_docs(), 0u);
+  EXPECT_TRUE(std::isnan(table.Find("nan")->p));
+  EXPECT_EQ(table.Find("inf")->p, inf);
+}
+
+TEST(TermTableCompactTest, TermLengthsAtEveryLengthByteBoundary) {
+  std::vector<Record> records;
+  std::size_t expected = 0;
+  const std::size_t lengths[] = {0, 1, 127, 128, 16'383, 16'384, 1u << 20};
+  for (const std::size_t len : lengths) {
+    std::string term(len, 'a');
+    if (len > 0) term.back() = 'z';
+    const std::uint32_t df = 1 + static_cast<std::uint32_t>(len % 5);
+    records.push_back({term, df, df / 40.0, 0.25, 0.0, 0.25});
+    expected += CompactBytes(len, 0);
+  }
+  const std::string image = Urp1Image(40, records);
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  // Slots: bit_ceil(2 * 7 + 2) = 16.
+  EXPECT_EQ(table.bytes(), expected + 16 * 4);
+  EXPECT_FALSE(table.Find(std::string(127, 'a')).has_value());
+  EXPECT_FALSE(table.Find(std::string(1u << 20, 'a')).has_value());
+}
+
+TEST(TermTableCompactTest, RepeatedTermKeepsItsLastRecord) {
+  // The first "dup" leaves out every optional field and the last keeps
+  // them all; "twice" does the opposite.
+  const std::string image =
+      Urp1Image(4, {{"dup", 1, 0.25, 0.5, 0.0, 0.5},
+                    {"twice", 2, 0.3, 0.5, 0.1, 0.9},
+                    {"other", 1, 0.25, 0.1, 0.0, 0.1},
+                    {"dup", 2, 0.125, 0.5, 0.2, 0.7},
+                    {"twice", 2, 0.5, 0.5, 0.0, 0.5}});
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_EQ(table.num_terms(), 3u);
+  EXPECT_EQ(table.Find("dup")->p, 0.125);
+  EXPECT_EQ(table.Find("twice")->stddev, 0.0);
+}
+
+TEST(TermTableCompactTest, TableWithoutTerms) {
+  const std::string image = Urp1Image(5, {});
+  Result<TermTable> table = TermTable::Parse(image);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table.value().num_terms(), 0u);
+  EXPECT_EQ(table.value().engine_name(), "hand");
+  EXPECT_FALSE(table.value().Find("").has_value());
+  EXPECT_FALSE(table.value().Find("hand").has_value());
+  EXPECT_EQ(table.value().bytes(), 2u * 4);  // bit_ceil(2) slots, no records
+}
+
+TEST(TermTableCompactTest, TruncatedLastRecordFailsAsBefore) {
+  // The records before the cut have been rewritten by the time the last
+  // one is found short; the error is still the reader's.
+  // Long enough earlier terms that the header's count check (40 bytes a
+  // record) passes at every cut.
+  const std::string image = Urp1Image(
+      9, {{std::string(20, 'k'), 1, 1.0 / 9.0, 0.5, 0.0, 0.5},
+          {std::string(20, 'a'), 3, 0.4, 0.5, 0.1, 0.6},
+          {"last", 2, 2.0 / 9.0, 0.5, 0.0, 0.5}});
+  const std::size_t last = image.size() - (4 + 4 + 36);
+  const struct {
+    std::size_t cut;
+    const char* message;
+  } cuts[] = {{last + 2, "truncated string length"},
+              {last + 6, "truncated string body"},
+              {last + 8, "truncated term record"},
+              {image.size() - 1, "truncated term record"}};
+  for (const auto& c : cuts) {
+    Result<TermTable> table = TermTable::Parse(image.substr(0, c.cut));
+    ASSERT_FALSE(table.ok()) << "cut=" << c.cut;
+    EXPECT_EQ(table.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(table.status().message(), c.message) << "cut=" << c.cut;
+    // The same code and message as ReadRepresentative.
+    ReadBoth(image.substr(0, c.cut));
+  }
+}
+
+TEST(TermTableCompactTest, EveryTestbedTermReadsBackAsLoadRepresentative) {
+  // The serving testbed: the 53 newsgroups' representatives, each saved
+  // and loaded both ways.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "term_table_testbed";
+  std::filesystem::create_directories(dir);
+  text::Analyzer analyzer;
+  const corpus::NewsgroupSimulator sim;
+  std::size_t terms = 0;
+  std::size_t file_bytes = 0;
+  std::size_t table_bytes = 0;
+  for (const corpus::Collection& group : sim.groups()) {
+    ir::SearchEngine engine(group.name(), &analyzer);
+    ASSERT_TRUE(engine.AddCollection(group).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    Result<Representative> built = BuildRepresentative(engine);
+    ASSERT_TRUE(built.ok());
+    const std::string path = (dir / (group.name() + ".rep")).string();
+    ASSERT_TRUE(SaveRepresentative(built.value(), path).ok());
+
+    Result<Representative> rep = LoadRepresentative(path);
+    Result<TermTable> table = TermTable::Load(path);
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ExpectSameTerms(rep.value(), table.value());
+    terms += table.value().num_terms();
+    file_bytes += std::filesystem::file_size(path);
+    table_bytes += table.value().bytes();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(sim.groups().size(), 53u);
+  EXPECT_GT(terms, 0u);
+  // Most records drop p, and df = 1 terms drop sigma and mw too, so the
+  // tables, slots included, hold less than the files.
+  EXPECT_LT(table_bytes, file_bytes);
+}
+
+}  // namespace
+}  // namespace useful::represent

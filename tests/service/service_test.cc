@@ -469,6 +469,29 @@ TEST_F(ServiceTest, DropSweepsOnlyTheDroppedEnginesEntries) {
   EXPECT_EQ(again.status.code(), Status::Code::kNotFound);
 }
 
+TEST_F(ServiceTest, TableBytesGaugeFallsByTheDroppedTable) {
+  const std::uint64_t before = service_->stats().Get(Stats::kTableBytes);
+  std::size_t cooking_bytes = 0;
+  {
+    auto snapshot = service_->snapshot();
+    auto cooking = snapshot->FindRepresentative("cooking");
+    ASSERT_TRUE(cooking.ok());
+    cooking_bytes = cooking.value()->bytes();
+  }
+  EXPECT_GT(cooking_bytes, 0u);
+  EXPECT_GT(before, cooking_bytes);
+
+  ASSERT_TRUE(service_->Execute("DROP cooking").status.ok());
+  const std::uint64_t after = service_->stats().Get(Stats::kTableBytes);
+  EXPECT_EQ(after, before - cooking_bytes);
+  auto metrics = service_->Execute("METRICS");
+  ASSERT_TRUE(metrics.status.ok());
+  EXPECT_NE(std::find(metrics.payload.begin(), metrics.payload.end(),
+                      "useful_representative_table_bytes " +
+                          std::to_string(after)),
+            metrics.payload.end());
+}
+
 TEST_F(ServiceTest, UpdateReplacesOneEngineAndKeepsOthersCached) {
   auto before = service_->Execute("ESTIMATE subrange 0.1 volleyball");
   ASSERT_TRUE(before.status.ok());

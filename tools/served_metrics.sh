@@ -6,8 +6,10 @@
 # Spawns useful_served with every-request tracing (--trace-sample-rate 1),
 # drives ROUTE traffic, then scrapes METRICS twice and SLOWLOG once via
 # useful_client's one-shot mode. Asserts the exposition is well-formed
-# (every sample line is "<series> <number>"), that counters are monotone
-# across the two scrapes, and that the slow-query log retained the traffic.
+# (every sample line is "<series> <number>"), that the two URP1 tables
+# report a positive representative_table_bytes gauge, that counters are
+# monotone across the two scrapes, and that the slow-query log retained
+# the traffic.
 set -e
 
 SERVED=$1
@@ -78,6 +80,9 @@ echo "$SCRAPE1" | grep -q '^# TYPE useful_requests_total counter$' \
   || fail "missing TYPE header for useful_requests_total"
 echo "$SCRAPE1" | grep -q '^useful_stage_latency_seconds_bucket{stage="estimate",le="' \
   || fail "missing per-stage latency buckets"
+TABLE_BYTES=$(series "$SCRAPE1" useful_representative_table_bytes)
+[ -n "$TABLE_BYTES" ] && [ "$TABLE_BYTES" -gt 0 ] \
+  || fail "representative_table_bytes gauge missing or not positive: '$TABLE_BYTES'"
 REQ1=$(series "$SCRAPE1" useful_requests_total)
 HITS1=$(series "$SCRAPE1" useful_cache_hits_total)
 # Per-engine cache entries: the repeated ROUTE hits once per engine.
