@@ -5,11 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <new>
 #include <utility>
 
 namespace useful::represent {
@@ -28,26 +26,6 @@ void Prefault([[maybe_unused]] void* data, [[maybe_unused]] std::size_t bytes) {
               MADV_POPULATE_WRITE);
   }
 #endif
-}
-
-void FileImage::Shrink(std::size_t n) {
-  // realloc to 0 bytes may free the block and return null, so one byte
-  // stays.
-  char* old = data.release();
-  void* shrunk = std::realloc(old, std::max<std::size_t>(n, 1));
-  data.reset(shrunk != nullptr ? static_cast<char*>(shrunk) : old);
-  size = n;
-}
-
-FileImage AllocateImage(std::size_t size) {
-  FileImage image;
-  // malloc(0) may return null, which must only mean failure here.
-  image.data.reset(
-      static_cast<char*>(std::malloc(std::max<std::size_t>(size, 1))));
-  if (image.data == nullptr) throw std::bad_alloc();
-  Prefault(image.data.get(), size);
-  image.size = size;
-  return image;
 }
 
 Result<InputFile> InputFile::Open(const std::string& path) {
@@ -85,7 +63,10 @@ Result<FileImage> InputFile::ReadAll() const {
   if (!S_ISREG(st.st_mode)) {
     return Status::IOError(path_ + ": " + std::strerror(ENOTSUP));
   }
-  FileImage image = AllocateImage(static_cast<std::size_t>(st.st_size));
+  FileImage image;
+  image.size = static_cast<std::size_t>(st.st_size);
+  image.data = std::make_unique_for_overwrite<char[]>(image.size);
+  Prefault(image.data.get(), image.size);
   for (std::size_t done = 0; done < image.size;) {
     const ssize_t n = ::read(fd_, image.data.get() + done, image.size - done);
     if (n < 0 && errno == EINTR) continue;

@@ -2,13 +2,10 @@
 // (URPZ) through the same descriptor, and every whole-file read goes
 // through InputFile::ReadAll: one read() into storage that was not
 // zero-filled first and whose pages were faulted in by one call, instead
-// of a zero fill that traps once per page. That storage comes from
-// malloc, so a TermTable can shrink it in place once it has rewritten
-// the records compactly.
+// of a zero fill that traps once per page.
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,36 +20,13 @@ namespace useful::represent {
 /// written.
 void Prefault(void* data, std::size_t bytes);
 
-/// Storage for `n` values of T that is not zero-filled first, prefaulted.
-template <typename T>
-std::unique_ptr<T[]> AllocatePrefaulted(std::size_t n) {
-  auto storage = std::make_unique_for_overwrite<T[]>(n);
-  Prefault(storage.get(), n * sizeof(T));
-  return storage;
-}
-
-/// Releases storage that came from std::malloc.
-struct FreeDeleter {
-  void operator()(void* data) const { std::free(data); }
-};
-
-/// A file's bytes: exactly what read() wrote, nothing else. The storage
-/// comes from std::malloc, so its owner can shrink it in place.
+/// A file's bytes: exactly what read() wrote, nothing else.
 struct FileImage {
-  std::unique_ptr<char[], FreeDeleter> data;
+  std::unique_ptr<char[]> data;
   std::size_t size = 0;
 
   std::string_view view() const { return {data.get(), size}; }
-
-  /// Keeps the first `n` bytes (n <= size) and hands the rest back with
-  /// std::realloc; glibc returns the tail pages of an mmapped block to the
-  /// kernel (mremap). Where realloc fails, the block stays as it was.
-  void Shrink(std::size_t n);
 };
-
-/// A FileImage of `size` bytes from std::malloc, not zero-filled,
-/// prefaulted. Throws std::bad_alloc when malloc fails.
-FileImage AllocateImage(std::size_t size);
 
 /// A file opened read-only; the descriptor closes with the object.
 class InputFile {

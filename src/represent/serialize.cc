@@ -14,13 +14,10 @@ namespace {
 
 constexpr char kMagic[4] = {'U', 'R', 'P', '1'};
 // Guards against corrupt headers allocating absurd buffers.
-constexpr std::uint32_t kMaxStringLen = 1u << 20;
 constexpr std::uint64_t kMaxTerms = 1ull << 32;
-// What follows a record's term bytes: u32 doc_freq + four f64 statistics.
-constexpr std::size_t kTermStatsBytes = 4 + 4 * sizeof(double);
 // Smallest possible on-disk term record: u32 length + empty term bytes +
 // the statistics.
-constexpr std::uint64_t kMinTermRecordBytes = 4 + kTermStatsBytes;
+constexpr std::uint64_t kMinTermRecordBytes = 4 + kUrp1TermStatsBytes;
 // High bit of the kind byte carries the stale-max flag; the low 7 bits
 // remain the RepresentativeKind, so files written before the flag existed
 // read back with the flag clear and old readers reject flagged files as an
@@ -33,37 +30,17 @@ void WritePod(std::ostream& out, T value) {
 }
 
 Status WriteString(std::ostream& out, const std::string& s) {
-  // The on-disk length is a u32 capped at kMaxStringLen; anything longer
-  // would either wrap (>= 4 GiB) or be rejected by TakeString, so refuse
-  // to produce the unreadable file instead of reporting a phantom OK.
-  if (s.size() > kMaxStringLen) {
+  // The on-disk length is a u32 capped at kMaxUrp1StringBytes; anything
+  // longer would either wrap (>= 4 GiB) or be rejected by TakeString, so
+  // refuse to produce the unreadable file instead of reporting a phantom
+  // OK.
+  if (s.size() > kMaxUrp1StringBytes) {
     return Status::InvalidArgument(
         "string exceeds serialization cap (" + std::to_string(s.size()) +
-        " > " + std::to_string(kMaxStringLen) + " bytes)");
+        " > " + std::to_string(kMaxUrp1StringBytes) + " bytes)");
   }
   WritePod(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
-  return Status::OK();
-}
-
-/// Moves a fixed-width value off the front of `*bytes`; false when short.
-template <typename T>
-bool TakePod(std::string_view* bytes, T* value) {
-  if (bytes->size() < sizeof(T)) return false;
-  std::memcpy(value, bytes->data(), sizeof(T));
-  bytes->remove_prefix(sizeof(T));
-  return true;
-}
-
-Status TakeString(std::string_view* bytes, std::string_view* s) {
-  std::uint32_t len = 0;
-  if (!TakePod(bytes, &len)) {
-    return Status::Corruption("truncated string length");
-  }
-  if (len > kMaxStringLen) return Status::Corruption("string too long");
-  if (bytes->size() < len) return Status::Corruption("truncated string body");
-  *s = bytes->substr(0, len);
-  bytes->remove_prefix(len);
   return Status::OK();
 }
 
@@ -136,18 +113,6 @@ Result<Urp1Header> ParseUrp1Header(std::string_view* bytes) {
     return Status::Corruption("term count exceeds stream size");
   }
   return h;
-}
-
-Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
-                     TermStats* stats) {
-  const char* record = bytes->data();
-  USEFUL_RETURN_IF_ERROR(TakeString(bytes, term));
-  if (bytes->size() < kTermStatsBytes) {
-    return Status::Corruption("truncated term record");
-  }
-  bytes->remove_prefix(kTermStatsBytes);
-  if (stats != nullptr) DecodeUrp1Term(record, stats);
-  return Status::OK();
 }
 
 Result<Representative> ReadRepresentative(std::istream& in) {

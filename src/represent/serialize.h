@@ -12,6 +12,7 @@
 // DecodeUrp1Term.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
@@ -52,12 +53,10 @@ struct Urp1Header {
 /// Corruption.
 Result<Urp1Header> ParseUrp1Header(std::string_view* bytes);
 
-/// Parses the term record at the front of `*bytes` and advances past it.
-/// `*term` views the record's term bytes; the statistics are decoded into
-/// `*stats` unless it is null. A repeated term is not detected here; every
-/// consumer keeps the last record. Failures are Corruption.
-Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
-                     TermStats* stats);
+/// The longest engine name or term a URP1 file may hold.
+inline constexpr std::uint32_t kMaxUrp1StringBytes = 1u << 20;
+/// What follows a record's term bytes: u32 doc_freq + four f64 statistics.
+inline constexpr std::size_t kUrp1TermStatsBytes = 4 + 4 * sizeof(double);
 
 /// Decodes the term record starting at `record` with memcpy only and no
 /// bounds checks, so only a record ParseUrp1Term has accepted may be
@@ -76,6 +75,46 @@ inline std::string_view DecodeUrp1Term(const char* record, TermStats* stats) {
     std::memcpy(&stats->max_weight, tail + 28, 8);
   }
   return std::string_view(term, len);
+}
+
+/// Moves a fixed-width value off the front of `*bytes`; false when short.
+template <typename T>
+bool TakePod(std::string_view* bytes, T* value) {
+  if (bytes->size() < sizeof(T)) return false;
+  std::memcpy(value, bytes->data(), sizeof(T));
+  bytes->remove_prefix(sizeof(T));
+  return true;
+}
+
+/// Moves a u32-length-prefixed string within the string cap off the front
+/// of `*bytes` into `*s`, which views it. Failures are Corruption.
+inline Status TakeString(std::string_view* bytes, std::string_view* s) {
+  std::uint32_t len = 0;
+  if (!TakePod(bytes, &len)) {
+    return Status::Corruption("truncated string length");
+  }
+  if (len > kMaxUrp1StringBytes) return Status::Corruption("string too long");
+  if (bytes->size() < len) return Status::Corruption("truncated string body");
+  *s = bytes->substr(0, len);
+  bytes->remove_prefix(len);
+  return Status::OK();
+}
+
+/// Parses the term record at the front of `*bytes` and advances past it.
+/// `*term` views the record's term bytes; the statistics are decoded into
+/// `*stats` unless it is null. A repeated term is not detected here; every
+/// consumer keeps the last record. Failures are Corruption. Inline, so a
+/// loader's per-record loop has no call to make.
+inline Status ParseUrp1Term(std::string_view* bytes, std::string_view* term,
+                            TermStats* stats) {
+  const char* record = bytes->data();
+  USEFUL_RETURN_IF_ERROR(TakeString(bytes, term));
+  if (bytes->size() < kUrp1TermStatsBytes) {
+    return Status::Corruption("truncated term record");
+  }
+  bytes->remove_prefix(kUrp1TermStatsBytes);
+  if (stats != nullptr) DecodeUrp1Term(record, stats);
+  return Status::OK();
 }
 
 }  // namespace useful::represent

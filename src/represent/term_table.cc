@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "represent/serialize.h"
 
@@ -10,119 +13,171 @@ namespace useful::represent {
 
 namespace {
 
-/// A copy of `bytes` in the storage a file read would fill.
-FileImage CopyImage(std::string_view bytes) {
-  FileImage image = AllocateImage(bytes.size());
-  std::copy(bytes.begin(), bytes.end(), image.data.get());
-  return image;
-}
+// Offsets into an image and into a table's records are u32s.
+constexpr std::uint64_t kMaxBytes = std::numeric_limits<std::uint32_t>::max();
+// Terms per bucket, about: the bucket count is the power of two at or
+// above num_terms / kTermsPerBucket.
+constexpr std::uint64_t kTermsPerBucket = 2;
 
 bool SameBits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+std::size_t VarintBytes(std::uint32_t value) {
+  return (std::bit_width(value | 1u) + 6) / 7;
+}
+
+char* WriteVarint(std::uint32_t value, char* out) {
+  for (; value >= 0x80; value >>= 7) {
+    *out++ = static_cast<char>((value & 0x7f) | 0x80);
+  }
+  *out++ = static_cast<char>(value);
+  return out;
+}
+
 }  // namespace
 
-char* TermTable::Encode(std::string_view term, const TermStats& stats,
-                        char* out) const {
-  // Branch-free: which fields a record keeps is as good as random over
-  // the records, so the optional fields are always written and the
-  // cursor steps over the ones kept.
+unsigned char TermTable::FlagsOf(std::uint64_t hash,
+                                 const TermStats& stats) const {
   const bool has_p = !SameBits(stats.p, DerivedP(stats.doc_freq));
   const bool has_spread = !SameBits(stats.stddev, 0.0) |
                           !SameBits(stats.max_weight, stats.avg_weight);
-  *out++ = static_cast<char>((has_p ? kHasP : 0) |
-                             (has_spread ? kHasSpread : 0));
-  // A term is at most 1 MiB, so its length takes at most 3 bytes and the
-  // header ends before the term's old first byte.
-  std::size_t len = term.size();
-  for (; len >= 0x80; len >>= 7) {
-    *out++ = static_cast<char>((len & 0x7f) | 0x80);
-  }
-  *out++ = static_cast<char>(len);
-  // Copied forward 8 bytes at a time, which is safe while `out` is at or
-  // before the term: each chunk is read before it can be overwritten. The
-  // last chunk reads into the record's statistics (36 bytes follow the
-  // term) and writes past the term into bytes the statistics then cover.
-  for (std::size_t i = 0; i < term.size(); i += 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, term.data() + i, 8);
-    std::memcpy(out + i, &chunk, 8);
-  }
-  out += term.size();
-  std::memcpy(out, &stats.doc_freq, 4);
-  std::memcpy(out + 4, &stats.avg_weight, 8);
-  out += 12;
-  std::memcpy(out, &stats.p, 8);
-  out += has_p ? 8 : 0;
-  std::memcpy(out, &stats.stddev, 8);
-  std::memcpy(out + 8, &stats.max_weight, 8);
-  return out + (has_spread ? 16 : 0);
+  return TagOf(hash) | (has_p ? kHasP : 0) | (has_spread ? kHasSpread : 0);
 }
 
-Result<TermTable> TermTable::Index(FileImage image) {
-  if (image.size > kEmpty) {
+std::size_t TermTable::CompactBytes(std::uint32_t len, std::uint32_t doc_freq,
+                                    unsigned char flags) {
+  return 1 + VarintBytes(len) + len + VarintBytes(doc_freq) + 8 +
+         8 * (flags & (kHasP | kHasSpread));
+}
+
+char* TermTable::Encode(std::string_view term, const TermStats& stats,
+                        unsigned char flags, char* out) {
+  *out++ = static_cast<char>(flags);
+  out = WriteVarint(static_cast<std::uint32_t>(term.size()), out);
+  std::memcpy(out, term.data(), term.size());
+  out = WriteVarint(stats.doc_freq, out + term.size());
+  std::memcpy(out, &stats.avg_weight, 8);
+  out += 8;
+  if (flags & kHasP) {
+    std::memcpy(out, &stats.p, 8);
+    out += 8;
+  }
+  if (flags & kHasSpread) {
+    std::memcpy(out, &stats.stddev, 8);
+    std::memcpy(out + 8, &stats.max_weight, 8);
+    out += 16;
+  }
+  return out;
+}
+
+Result<TermTable> TermTable::Index(std::string_view image) {
+  if (image.size() > kMaxBytes) {
     return Status::Corruption("representative image exceeds 4 GiB");
   }
-  TermTable table;
-  std::string_view bytes = image.view();
-  Result<Urp1Header> header = ParseUrp1Header(&bytes);
+  Result<Urp1Header> header = ParseUrp1Header(&image);
   if (!header.ok()) return header.status();
   const Urp1Header& h = header.value();
+  TermTable table;
   table.engine_name_ = std::string(h.engine_name);
   table.num_docs_ = static_cast<std::size_t>(h.num_docs);
   table.docs_ = static_cast<double>(h.num_docs);
   table.kind_ = h.kind;
   table.stale_max_ = h.stale_max;
-  const std::size_t num_slots = std::bit_ceil(2 * h.num_terms + 2);
-  table.slots_ = AllocatePrefaulted<std::uint32_t>(num_slots);
-  std::fill_n(table.slots_.get(), num_slots, kEmpty);
-  table.slot_mask_ = num_slots - 1;
-  table.records_ = std::move(image);
-  // Compact records are written from the front of the buffer, over the
-  // header, and none is longer than the URP1 record it replaces, so the
-  // write cursor never passes the unread bytes.
-  char* const base = table.records_.data.get();
-  char* out = base;
+  const std::size_t num_buckets = std::bit_ceil(
+      std::max<std::uint64_t>(h.num_terms / kTermsPerBucket, 1));
+  table.bucket_mask_ = num_buckets - 1;
+  table.bounds_ = std::make_unique<std::uint32_t[]>(num_buckets + 1);
+  std::uint32_t* const bounds = table.bounds_.get();
+
+  // Pass 1: each record through ParseUrp1Term, in file order. Its hash
+  // and flags are kept for pass 2, and its compact size is added to its
+  // bucket's.
+  const auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(
+      static_cast<std::size_t>(h.num_terms));
+  const char* at = image.data();  // the first record, where pass 2 starts
+  std::uint64_t total = 0;
   for (std::uint64_t i = 0; i < h.num_terms; ++i) {
     std::string_view term;
     TermStats stats;
-    USEFUL_RETURN_IF_ERROR(ParseUrp1Term(&bytes, &term, &stats));
-    // The slot is found while the term is still where the file had it.
-    std::uint32_t& slot = table.slots_[table.SlotOf(term)];
-    if (slot == kEmpty) ++table.num_terms_;
-    slot = static_cast<std::uint32_t>(out - base);
-    out = table.Encode(term, stats, out);
+    USEFUL_RETURN_IF_ERROR(ParseUrp1Term(&image, &term, &stats));
+    const std::uint64_t hash = Hash(term);
+    const unsigned char flags = table.FlagsOf(hash, stats);
+    keys[i] = hash >> kTagBits << 8 | flags;  // bucket bits, then flags
+    const std::size_t bytes = CompactBytes(
+        static_cast<std::uint32_t>(term.size()), stats.doc_freq, flags);
+    bounds[(hash >> kTagBits) & table.bucket_mask_] += bytes;
+    total += bytes;
   }
-  table.records_.Shrink(static_cast<std::size_t>(out - base));
+  if (total > kMaxBytes) {
+    return Status::Corruption("representative image exceeds 4 GiB");
+  }
+  // Bucket sizes to bounds; the last bound, never added to, becomes the
+  // total.
+  std::uint32_t start = 0;
+  for (std::size_t b = 0; b <= num_buckets; ++b) {
+    start += std::exchange(bounds[b], start);
+  }
+
+  // Pass 2: each record, in file order, at its bucket's cursor. Only a
+  // record whose tag its bucket has seen can repeat a term; the bucket's
+  // run is then scanned for an earlier record of the term, which is
+  // retired, so the term keeps its last record.
+  table.records_ = std::make_unique_for_overwrite<char[]>(total);
+  char* const records = table.records_.get();
+  Prefault(records, total);
+  std::vector<std::uint32_t> cursors(bounds, bounds + num_buckets);
+  std::vector<std::uint64_t> tags_seen(num_buckets);
+  for (std::uint64_t i = 0; i < h.num_terms; ++i) {
+    TermStats stats;
+    const std::string_view term = DecodeUrp1Term(at, &stats);
+    at = term.data() + term.size() + kUrp1TermStatsBytes;
+    const auto flags = static_cast<unsigned char>(keys[i]);
+    const std::size_t bucket = (keys[i] >> 8) & table.bucket_mask_;
+    std::uint32_t& cursor = cursors[bucket];
+    const std::uint64_t tag_bit = std::uint64_t{1} << (flags >> 2);
+    const char* const earlier =
+        (tags_seen[bucket] & tag_bit) != 0
+            ? Scan(records + bounds[bucket], records + cursor,
+                   flags & kTagMask, term)
+            : nullptr;
+    tags_seen[bucket] |= tag_bit;
+    if (earlier != nullptr) {
+      records[earlier - records] ^= static_cast<char>(kTagMask);
+    } else {
+      ++table.num_terms_;
+    }
+    cursor = static_cast<std::uint32_t>(
+        Encode(term, stats, flags, records + cursor) - records);
+  }
   return table;
 }
 
 Result<TermTable> TermTable::Parse(std::string_view bytes) {
-  return Index(CopyImage(bytes));
+  return Index(bytes);
 }
 
 Result<TermTable> TermTable::Load(const std::string& path) {
   Result<FileImage> image = ReadFileImage(path);
   if (!image.ok()) return image.status();
-  return Index(std::move(image).value());
+  return Index(image.value().view());
 }
 
 Result<TermTable> TermTable::Load(const InputFile& file) {
   Result<FileImage> image = file.ReadAll();
   if (!image.ok()) return image.status();
-  return Index(std::move(image).value());
+  return Index(image.value().view());
 }
 
 Result<TermTable> TermTable::Freeze(const Representative& rep) {
   std::ostringstream out;
   USEFUL_RETURN_IF_ERROR(WriteRepresentative(rep, out));
   const std::string_view image = out.view();
-  if (image.size() > kEmpty) {
+  if (image.size() > kMaxBytes) {
     return Status::InvalidArgument("representative image exceeds 4 GiB: " +
                                    rep.engine_name());
   }
-  return Index(CopyImage(image));
+  return Index(image);
 }
 
 }  // namespace useful::represent

@@ -53,20 +53,21 @@ constexpr MetricRow kRows[] = {
      "RELOAD/ADD/DROP/UPDATE)."},
     {nullptr, "useful_engines", kGauge, kNone, kEngines,
      "Engines in the serving snapshot."},
-    {"representative_stale", "useful_representative_stale", kGauge, kMax,
+    // Summed like engines: each counts or sizes the shard's own engines.
+    {"representative_stale", "useful_representative_stale", kGauge, kSum,
      Stats::kRepresentativeStale,
      "Loaded representatives whose max weights are stale upper bounds "
      "(producer removed documents without a rebuild)."},
     {"representative_packed_engines", "useful_representative_packed_engines",
-     kGauge, kMax, Stats::kPackedEngines,
+     kGauge, kSum, Stats::kPackedEngines,
      "Engines served zero-copy from mmap'd URPZ packed stores."},
     {"representative_packed_bytes", "useful_representative_packed_bytes",
-     kGauge, kMax, Stats::kPackedBytes,
+     kGauge, kSum, Stats::kPackedBytes,
      "Total bytes of the packed store images behind the snapshot."},
     {"representative_table_bytes", "useful_representative_table_bytes",
-     kGauge, kMax, Stats::kTableBytes,
+     kGauge, kSum, Stats::kTableBytes,
      "Total bytes of the URP1 term tables behind the snapshot: compact "
-     "records plus 4 per slot."},
+     "records plus 4 per bucket bound."},
     {"cache_hits", "useful_cache_hits_total", kCounter, kSum, kCacheHits,
      "Query cache hits."},
     {"cache_misses", "useful_cache_misses_total", kCounter, kSum,

@@ -421,6 +421,43 @@ TEST_F(FrontendTest, StatsAggregatesGaugesByMaxNotSum) {
   EXPECT_FALSE(has_line("agg_snapshot_epoch 8"));
 }
 
+TEST_F(FrontendTest, StatsSumsPartitionedRepresentativeGauges) {
+  // Shards partition the engines, so the representatives they hold add up
+  // to the cluster's, as engines does; the cache gauges keep the max.
+  MakeFrontend();
+  for (ReplicaScript& script : scripts_[0]) {
+    script.respond = [](const std::string&) {
+      return OkReply({"representative_stale 2",
+                      "representative_packed_engines 1",
+                      "representative_packed_bytes 4096",
+                      "representative_table_bytes 3699194",
+                      "cache_entries 10"});
+    };
+  }
+  for (ReplicaScript& script : scripts_[1]) {
+    script.respond = [](const std::string&) {
+      return OkReply({"representative_stale 1",
+                      "representative_packed_engines 2",
+                      "representative_packed_bytes 1000",
+                      "representative_table_bytes 3525361",
+                      "cache_entries 6"});
+    };
+  }
+  service::Reply reply = Execute("STATS");
+  ASSERT_TRUE(reply.status.ok());
+  auto has_line = [&](const std::string& want) {
+    for (const std::string& line : reply.payload) {
+      if (line == want) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_line("agg_representative_table_bytes 7224555"));
+  EXPECT_TRUE(has_line("agg_representative_packed_engines 3"));
+  EXPECT_TRUE(has_line("agg_representative_packed_bytes 5096"));
+  EXPECT_TRUE(has_line("agg_representative_stale 3"));
+  EXPECT_TRUE(has_line("agg_cache_entries 10"));
+}
+
 std::vector<std::string> ReadGolden(const std::string& name) {
   std::ifstream in(std::string(USEFUL_GOLDEN_DIR) + "/" + name);
   EXPECT_TRUE(in.good()) << "missing golden file " << name;

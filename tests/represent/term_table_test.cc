@@ -10,13 +10,17 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "corpus/newsgroup_sim.h"
+#include "corpus/query_log.h"
 #include "ir/search_engine.h"
 #include "represent/builder.h"
 #include "represent/serialize.h"
@@ -94,11 +98,11 @@ void ExpectBitIdentical(std::string_view image, const TermTable& table) {
   }
 }
 
-/// The bytes of a compact record for a term of `len` bytes holding
-/// `optional_doubles` of p, sigma and mw.
+/// The bytes of a compact record for a term of `len` bytes with a df
+/// under 128, holding `optional_doubles` of p, sigma and mw.
 std::size_t CompactBytes(std::size_t len, int optional_doubles) {
   const std::size_t length_bytes = len < 128 ? 1 : len < 16384 ? 2 : 3;
-  return 1 + length_bytes + len + 4 + 8 + 8 * optional_doubles;
+  return 1 + length_bytes + len + 1 + 8 + 8 * optional_doubles;
 }
 
 TEST(TermTableCompactTest, SigmaAndMaxWeightAreLeftOutOnlyWhenBitExact) {
@@ -115,10 +119,10 @@ TEST(TermTableCompactTest, SigmaAndMaxWeightAreLeftOutOnlyWhenBitExact) {
   ExpectBitIdentical(image, table);
   EXPECT_TRUE(std::signbit(table.Find("negzero")->stddev));
   EXPECT_FALSE(std::signbit(table.Find("plain")->stddev));
-  // Slots: bit_ceil(2 * 4 + 2) = 16.
+  // Buckets: bit_ceil(4 / 2) = 2, so three bounds.
   EXPECT_EQ(table.bytes(), CompactBytes(5, 0) + CompactBytes(7, 2) +
                                CompactBytes(5, 2) + CompactBytes(4, 0) +
-                               16 * 4);
+                               3 * 4);
 }
 
 TEST(TermTableCompactTest, PIsLeftOutOnlyWhenItHasTheBitsOfDfOverN) {
@@ -138,11 +142,11 @@ TEST(TermTableCompactTest, PIsLeftOutOnlyWhenItHasTheBitsOfDfOverN) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(table.Find("payload")->p),
             0x7ff8'0000'0000'beefull);
   EXPECT_TRUE(std::signbit(table.Find("negzero")->p));
-  // Slots: bit_ceil(2 * 7 + 2) = 16.
+  // Buckets: bit_ceil(7 / 2) = 4, so five bounds.
   EXPECT_EQ(table.bytes(), CompactBytes(5, 0) + CompactBytes(2, 1) +
                                CompactBytes(4, 1) + CompactBytes(7, 1) +
                                CompactBytes(6, 1) + CompactBytes(4, 0) +
-                               CompactBytes(7, 1) + 16 * 4);
+                               CompactBytes(7, 1) + 5 * 4);
 }
 
 TEST(TermTableCompactTest, ZeroDocumentsDeriveNanAndInfinityExactly) {
@@ -183,8 +187,8 @@ TEST(TermTableCompactTest, TermLengthsAtEveryLengthByteBoundary) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const TermTable& table = parsed.value();
   ExpectBitIdentical(image, table);
-  // Slots: bit_ceil(2 * 7 + 2) = 16.
-  EXPECT_EQ(table.bytes(), expected + 16 * 4);
+  // Buckets: bit_ceil(7 / 2) = 4, so five bounds.
+  EXPECT_EQ(table.bytes(), expected + 5 * 4);
   EXPECT_FALSE(table.Find(std::string(127, 'a')).has_value());
   EXPECT_FALSE(table.Find(std::string(1u << 20, 'a')).has_value());
 }
@@ -215,7 +219,7 @@ TEST(TermTableCompactTest, TableWithoutTerms) {
   EXPECT_EQ(table.value().engine_name(), "hand");
   EXPECT_FALSE(table.value().Find("").has_value());
   EXPECT_FALSE(table.value().Find("hand").has_value());
-  EXPECT_EQ(table.value().bytes(), 2u * 4);  // bit_ceil(2) slots, no records
+  EXPECT_EQ(table.value().bytes(), 2u * 4);  // one bucket: two bounds
 }
 
 TEST(TermTableCompactTest, TruncatedLastRecordFailsAsBefore) {
@@ -280,6 +284,161 @@ TEST(TermTableCompactTest, EveryTestbedTermReadsBackAsLoadRepresentative) {
   // Most records drop p, and df = 1 terms drop sigma and mw too, so the
   // tables, slots included, hold less than the files.
   EXPECT_LT(table_bytes, file_bytes);
+}
+
+TEST(TermTableLayoutTest, TermRepeatedThriceKeepsItsLastRecordAndCountsOnce) {
+  // Each "tri" record keeps other optional fields: none, then all, then p
+  // alone. The earlier two are retired in the bucket.
+  const std::string image =
+      Urp1Image(8, {{"tri", 1, 0.125, 0.5, 0.0, 0.5},
+                    {"one", 2, 0.25, 0.4, 0.0, 0.4},
+                    {"tri", 2, 0.3, 0.5, 0.1, 0.9},
+                    {"two", 3, 0.375, 0.3, 0.2, 0.6},
+                    {"tri", 3, 0.5, 0.6, 0.0, 0.6}});
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_EQ(table.num_terms(), 3u);
+  const std::optional<TermStats> tri = table.Find("tri");
+  ASSERT_TRUE(tri.has_value());
+  EXPECT_EQ(tri->doc_freq, 3u);
+  EXPECT_EQ(tri->p, 0.5);
+  EXPECT_EQ(tri->stddev, 0.0);
+  EXPECT_EQ(tri->max_weight, 0.6);
+  // Retired records keep their bytes. Buckets: bit_ceil(5 / 2) = 2, so
+  // three bounds.
+  EXPECT_EQ(table.bytes(), CompactBytes(3, 0) + CompactBytes(3, 0) +
+                               CompactBytes(3, 3) + CompactBytes(3, 2) +
+                               CompactBytes(3, 1) + 3 * 4);
+
+  // The same among thousands of terms and many buckets, where other terms
+  // share a repeated term's bucket and tag: every term once, in a
+  // shuffled order, then every third term again with other statistics.
+  std::vector<Record> records;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    const std::uint32_t df = 1 + i % 7;
+    records.push_back(
+        {"t" + std::to_string(i * 7919 % 3000), df, df / 16.0, 0.5, 0.0, 0.5});
+  }
+  for (std::uint32_t i = 0; i < 3000; i += 3) {
+    records.push_back({"t" + std::to_string(i), 9, 0.75, 0.25, 0.5, 1.0});
+  }
+  const std::string many = Urp1Image(16, records);
+  Result<TermTable> many_table = TermTable::Parse(many);
+  ASSERT_TRUE(many_table.ok()) << many_table.status().ToString();
+  ExpectBitIdentical(many, many_table.value());
+  EXPECT_EQ(many_table.value().num_terms(), 3000u);
+}
+
+TEST(TermTableLayoutTest, DocFrequenciesAtEveryVarintBoundaryReadBack) {
+  const std::uint32_t dfs[] = {0,       127,     128,     16'383,
+                               16'384,  1u << 21, 1u << 28,
+                               std::numeric_limits<std::uint32_t>::max()};
+  const std::uint64_t num_docs = std::uint64_t{1} << 32;
+  std::vector<Record> records;
+  std::size_t expected = 0;
+  for (const std::uint32_t df : dfs) {
+    const double p = static_cast<double>(df) / static_cast<double>(num_docs);
+    records.push_back({"df" + std::to_string(df), df, p, 0.5, 0.0, 0.5});
+    const std::size_t df_bytes = df < (1u << 7)    ? 1
+                                 : df < (1u << 14) ? 2
+                                 : df < (1u << 21) ? 3
+                                 : df < (1u << 28) ? 4
+                                                   : 5;
+    expected += 1 + 1 + records.back().term.size() + df_bytes + 8;
+  }
+  const std::string image = Urp1Image(num_docs, records);
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  for (const std::uint32_t df : dfs) {
+    const std::optional<TermStats> found =
+        table.Find("df" + std::to_string(df));
+    ASSERT_TRUE(found.has_value()) << df;
+    EXPECT_EQ(found->doc_freq, df);
+  }
+  // Every p is df / n, so no record keeps one. Buckets: bit_ceil(8 / 2)
+  // = 4, so five bounds.
+  EXPECT_EQ(table.bytes(), expected + 5 * 4);
+}
+
+TEST(TermTableLayoutTest, NoAbsentTermIsFoundInTheTestbedTables) {
+  text::Analyzer analyzer;
+  const corpus::NewsgroupSimulator sim;
+  std::set<std::string> tokens;
+  for (const corpus::Query& query : corpus::QueryLogGenerator().Generate(sim)) {
+    for (std::string& token : analyzer.Analyze(query.text)) {
+      tokens.insert(std::move(token));
+    }
+  }
+  // Random byte strings of every length up to 40, drawn once for all
+  // tables.
+  std::mt19937_64 rng(12345);
+  std::vector<std::string> random_terms(100'000);
+  for (std::string& term : random_terms) {
+    term.resize(rng() % 41);
+    for (char& c : term) c = static_cast<char>(rng());
+  }
+  std::size_t absent_tokens = 0;
+  std::size_t present_tokens = 0;
+  for (const corpus::Collection& group : sim.groups()) {
+    ir::SearchEngine engine(group.name(), &analyzer);
+    ASSERT_TRUE(engine.AddCollection(group).ok());
+    ASSERT_TRUE(engine.Finalize().ok());
+    Result<Representative> rep = BuildRepresentative(engine);
+    ASSERT_TRUE(rep.ok());
+    Result<TermTable> table = TermTable::Freeze(rep.value());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    for (const std::string& token : tokens) {
+      const std::optional<TermStats> want = rep.value().Find(token);
+      const std::optional<TermStats> found = table.value().Find(token);
+      ASSERT_EQ(found.has_value(), want.has_value()) << token;
+      if (want.has_value()) {
+        EXPECT_TRUE(BitIdentical(*found, *want)) << token;
+        ++present_tokens;
+      } else {
+        ++absent_tokens;
+      }
+    }
+    for (const std::string& term : random_terms) {
+      if (!rep.value().Find(term).has_value()) {
+        ASSERT_FALSE(table.value().Find(term).has_value())
+            << "a random term of " << term.size() << " bytes";
+      }
+    }
+  }
+  EXPECT_EQ(sim.groups().size(), 53u);
+  EXPECT_GT(present_tokens, 0u);
+  EXPECT_GT(absent_tokens, 0u);
+}
+
+TEST(TermTableLayoutTest, CorruptRecordAfterThousandsOfGoodOnesFailsAsBefore) {
+  std::vector<Record> records;
+  for (std::uint32_t i = 0; i < 4000; ++i) {
+    records.push_back({"good" + std::to_string(i), 1, 0.5, 0.5, 0.0, 0.5});
+  }
+  records.push_back({"last", 1, 0.5, 0.5, 0.0, 0.5});
+  const std::string image = Urp1Image(2, records);
+  const std::size_t last = image.size() - (4 + 4 + 36);
+  std::string too_long = image;
+  const std::uint32_t over_cap = kMaxUrp1StringBytes + 1;
+  std::memcpy(too_long.data() + last, &over_cap, 4);
+  const struct {
+    std::string image;
+    const char* message;
+  } cases[] = {{image.substr(0, last + 3), "truncated string length"},
+               {too_long, "string too long"},
+               {image.substr(0, last + 7), "truncated string body"},
+               {image.substr(0, image.size() - 1), "truncated term record"}};
+  for (const auto& c : cases) {
+    Result<TermTable> table = TermTable::Parse(c.image);
+    ASSERT_FALSE(table.ok()) << c.message;
+    EXPECT_EQ(table.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(table.status().message(), c.message);
+    ReadBoth(c.image);
+  }
 }
 
 }  // namespace

@@ -11,7 +11,8 @@
 #
 #   phase 1  fronted ROUTE/ESTIMATE output is byte-identical to the
 #            oracle for every estimator (the scatter-gather merge is
-#            invisible to clients);
+#            invisible to clients), and the front-end's
+#            agg_representative_table_bytes is the sum of the shards';
 #   phase 2  kill -9 the FIRST replica of shard 0: requests keep
 #            answering OK with no DEGRADED marker (failover to the
 #            second replica), stale_shards stays 0, rerouted counts it;
@@ -25,6 +26,7 @@
 #            cluster serving them zero-copy behind a fresh front-end, and
 #            compare byte-for-byte against an oracle serving the SAME
 #            collections as quantized URP1 files (cross-format identity);
+#            the front-end sums the shards' packed engines to 2,
 #            RELOAD on a packed shard must swap the mapping in place,
 #            METRICS must report the packed-store gauges, and 20 UPDATEs
 #            of the shard's engine must leave its packed_bytes gauge
@@ -148,14 +150,28 @@ compare_to_oracle() {
   done
 }
 
+port_stat() {
+  # port_stat <port> <key>: that key's value in the STATS of that server.
+  "$CLIENT" --port "$1" STATS | awk -v k="$2" '$1 == k {print $2}'
+}
+
 stat_value() {
   # stat_value <key>: that key's value in the front-end's STATS.
-  "$CLIENT" --port "$FE_PORT" STATS | awk -v k="$1" '$1 == k {print $2}'
+  port_stat "$FE_PORT" "$1"
 }
 
 # --- phase 1: the cluster is protocol-invisible.
 compare_to_oracle "phase1"
 [ "$(stat_value stale_shards)" = "0" ] || fail "phase1: stale_shards != 0"
+# The shards partition the engines, so the cluster's term tables are the
+# sum of theirs.
+S0_TABLES=$(port_stat "$S0A_PORT" representative_table_bytes)
+S1_TABLES=$(port_stat "$S1A_PORT" representative_table_bytes)
+[ "${S0_TABLES:-0}" -gt 0 ] && [ "${S1_TABLES:-0}" -gt 0 ] \
+  || fail "phase1: shard table bytes '$S0_TABLES' '$S1_TABLES' not positive"
+AGG_TABLES=$(stat_value agg_representative_table_bytes)
+[ "$AGG_TABLES" = "$((S0_TABLES + S1_TABLES))" ] \
+  || fail "phase1: agg_representative_table_bytes $AGG_TABLES is not $S0_TABLES + $S1_TABLES"
 echo "phase 1 ok: fronted output byte-identical to the oracle"
 
 # --- phase 2: kill the PREFERRED replica of shard 0 mid-load.
@@ -259,6 +275,8 @@ while [ $i -lt 50 ]; do
   i=$((i + 1))
 done
 [ "$READY" = "1" ] || fail "phase5: packed front-end never became ready"
+[ "$(port_stat "$PFE_PORT" agg_representative_packed_engines)" = "2" ] \
+  || fail "phase5: packed front-end does not report agg_representative_packed_engines 2"
 
 # The packed shard must report its store through the METRICS gauges.
 SCRAPE=$("$CLIENT" --port "$P0_PORT" METRICS)
