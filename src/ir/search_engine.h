@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,22 +104,6 @@ class SearchEngine {
 
   /// Ground-truth usefulness (Eqs. 1-2) for query `q` at `threshold`.
   Usefulness TrueUsefulness(const Query& q, double threshold) const;
-
-  /// Persists the finalized engine (options, dictionary, document ids and
-  /// weighted vectors) to `out` in a versioned little-endian format. The
-  /// inverted index is rebuilt on load rather than stored.
-  Status Save(std::ostream& out) const;
-
-  /// Restores an engine saved by Save(). `analyzer` must match the one the
-  /// engine was built with (it is needed for future queries, not for the
-  /// stored vectors) and outlive the engine.
-  static Result<SearchEngine> Load(std::istream& in,
-                                   const text::Analyzer* analyzer);
-
-  /// File convenience wrappers.
-  Status SaveToFile(const std::string& path) const;
-  static Result<SearchEngine> LoadFromFile(const std::string& path,
-                                           const text::Analyzer* analyzer);
 
  private:
   /// Accumulates per-document scores for q's terms present in this engine.

@@ -51,7 +51,7 @@
 // Parsing and rendering live here, socket-free, so the framing is unit
 // testable and shared by the server, the clients, and the tests: the
 // server renders with RenderReply, and every client — the front-end's
-// shard connections, useful_client, useful_loadgen, useful_faultclient —
+// shard connections, useful_client and useful_faultclient —
 // reads with ReplyReader.
 #pragma once
 

@@ -2,13 +2,14 @@
 # Live-churn smoke, run by ctest (smoke + tsan labels).
 #
 #   served_churn.sh <useful_served> <useful_frontend> <useful_client>
-#                   <useful_loadgen> <useful_repgen> <smokedir>
+#                   <useful_repgen> <smokedir>
 #
 # Boots a 2-shard x 2-replica cluster (shard 0 serves group00, shard 1
 # serves group01, each declaring its slice with --num-shards/--shard-index)
-# behind a front-end, puts sustained open-loop loadgen traffic on it, and
-# then runs >= 10 full churn cycles through the front-end while the trace
-# is in flight:
+# behind a front-end, and puts closed-loop background traffic on it: one
+# useful_client on one kept connection, fed `ESTIMATE subrange 0.1 <query>`
+# for every line of queries.tsv, pass after pass. It then runs >= 10 full
+# churn cycles through the front-end while that stream is in flight:
 #
 #   ADD churn_g2.rep     exactly one shard (group02's hash owner) must
 #                        register it: the fanned reply says "added 1";
@@ -17,30 +18,35 @@
 #                        is tolerated: "dropped 1".
 #
 # Invariants asserted every cycle:
-#   - no torn snapshot: the background trace finishes with ZERO ERR
-#     replies and zero transport errors (loadgen exits 0) even though
-#     every reply raced a snapshot swap;
+#   - no torn snapshot: the background stream gets ZERO ERR replies and
+#     its connection never breaks (useful_client exits 0) even though
+#     every reply raced a snapshot swap. The stream has a reply before
+#     the first cycle, is still running after the last, and gets replies
+#     in between;
 #   - untouched engines are byte-identical: mid-cycle (group02 live) the
 #     group00/group01 lines of a fronted ESTIMATE equal the pre-churn
 #     baseline bytes exactly, and after the DROP the whole reply does.
 #
 # After the cycles, a DROP of the now-absent engine must fail NotFound
 # through the front-end (the tolerated per-shard NotFound only absorbs
-# non-owners, not a cluster-wide miss).
+# non-owners, not a cluster-wide miss). The front-end's STATS must then
+# count every request (requests_total), show that DROP as its only error
+# (errors_total 1), and show the repeated queries hitting the shards'
+# caches (agg_cache_hits).
 set -e
 
 SERVED=$1
 FRONTEND=$2
 CLIENT=$3
-LOADGEN=$4
-REPGEN=$5
-DIR=$6
+REPGEN=$4
+DIR=$5
 
 CYCLES=12
 
 G2="$DIR/churn_g2.rep"
-LG_OUT="$DIR/churn_loadgen.out"
-rm -f "$G2" "$LG_OUT" "$DIR"/churn_*.out "$DIR"/churn_*.port \
+BG_OUT="$DIR/churn_bg.txt"
+BG_STOP="$DIR/churn_bg.stop"
+rm -f "$G2" "$BG_OUT" "$BG_STOP" "$DIR"/churn_*.out "$DIR"/churn_*.port \
       "$DIR"/churn_base.txt "$DIR"/churn_mid.txt "$DIR"/churn_end.txt
 
 ALL_PIDS=""
@@ -107,13 +113,27 @@ PROBE=$(head -1 "$DIR/queries.tsv" | cut -f2)
 grep -q '^group00 ' "$DIR/churn_base.txt" || fail "baseline missing group00"
 grep -q '^group01 ' "$DIR/churn_base.txt" || fail "baseline missing group01"
 
-# Sustained background trace for the whole churn window; its exit code
-# is the no-torn-snapshot verdict.
-"$LOADGEN" --port "$FE" --connections 2 --qps 600 --queries 6000 \
-           --distinct 128 --queries-file "$DIR/queries.tsv" --seed 11 \
-           --tag churn > "$LG_OUT" 2>&1 &
-LG_PID=$!
-ALL_PIDS="$ALL_PIDS $LG_PID"
+# Background stream for the whole churn window; the client's exit code
+# is the no-torn-snapshot verdict. The writer stops at the stop file, when
+# this script is gone, or when the client is gone and a write fails.
+while [ ! -f "$BG_STOP" ] && kill -0 $$ 2>/dev/null &&
+      awk -F '\t' '$2 != "" {print "ESTIMATE subrange 0.1 " $2}' \
+          "$DIR/queries.tsv"; do
+  :
+done | "$CLIENT" --port "$FE" > "$BG_OUT" 2> "$DIR/churn_bg.out" &
+BG_PID=$!
+ALL_PIDS="$ALL_PIDS $BG_PID"
+
+bg_replies() { grep -c '^OK' "$BG_OUT" || true; }
+i=0
+until grep -q '^OK' "$BG_OUT" 2>/dev/null; do
+  kill -0 "$BG_PID" 2>/dev/null \
+    || fail "background client died before its first reply"
+  [ $i -lt 150 ] || fail "background client got no reply"
+  sleep 0.1
+  i=$((i + 1))
+done
+BG_BEFORE=$(bg_replies)
 
 cycle=1
 while [ $cycle -le $CYCLES ]; do
@@ -155,21 +175,44 @@ while [ $cycle -le $CYCLES ]; do
 done
 echo "churn: $CYCLES add/update/drop cycles, untouched replies byte-identical"
 
+kill -0 "$BG_PID" 2>/dev/null \
+  || fail "background client ended before the last cycle"
+BG_DURING=$(($(bg_replies) - BG_BEFORE))
+[ "$BG_DURING" -gt 0 ] \
+  || fail "background client got no reply during the cycles"
+: > "$BG_STOP"
+wait "$BG_PID" || fail "background stream saw an ERR reply or a dead \
+connection: $(grep -m 1 '^ERR' "$BG_OUT")"
+BG_REPLIES=$(bg_replies)
+echo "churn: background stream got $BG_REPLIES replies," \
+     "$BG_BEFORE before the first cycle and $BG_DURING during the cycles"
+
 # A cluster-wide miss must still surface as NotFound.
 "$CLIENT" --port "$FE" DROP group02 > /dev/null 2>"$DIR/churn_err.txt" \
   && fail "DROP of an absent engine succeeded"
 grep -q 'NotFound' "$DIR/churn_err.txt" \
   || fail "DROP of an absent engine was not NotFound"
 
+STATS=$("$CLIENT" --port "$FE" STATS) || fail "STATS errored"
+stat_of() { echo "$STATS" | awk -v key="$1" '$1 == key {print $2}'; }
+
 # The owner shard's snapshot epoch moved 3x per cycle; the front-end's
 # max-aggregated gauge must show it.
-EPOCH=$("$CLIENT" --port "$FE" STATS \
-  | awk '$1 == "agg_snapshot_epoch" {print $2}')
+EPOCH=$(stat_of agg_snapshot_epoch)
 [ "${EPOCH:-0}" -ge "$CYCLES" ] \
   || fail "agg_snapshot_epoch=$EPOCH, expected >= $CYCLES"
 
-wait "$LG_PID" || fail "background trace saw ERR replies or a dead connection"
-grep -q ' errors=0 ' "$LG_OUT" || fail "background trace reported errors"
+# Every request was counted: the background replies plus this script's
+# baseline ESTIMATE, five per cycle, and the absent-engine DROP.
+REQUESTS=$(stat_of requests_total)
+WANT=$((BG_REPLIES + 2 + 5 * CYCLES))
+[ "${REQUESTS:-0}" -ge "$WANT" ] \
+  || fail "requests_total=$REQUESTS, expected >= $WANT"
+ERRORS=$(stat_of errors_total)
+[ "$ERRORS" = 1 ] \
+  || fail "errors_total=$ERRORS, expected 1 (the absent-engine DROP)"
+HITS=$(stat_of agg_cache_hits)
+[ "${HITS:-0}" -gt 0 ] || fail "repeated queries produced no cache hits"
 
 printf 'QUIT\n' | "$CLIENT" --port "$FE" > /dev/null
 wait "$FE_PID"
@@ -183,4 +226,5 @@ for name in s0a s0b s1a s1b; do
   grep -q 'shut down cleanly' "$DIR/churn_$name.out" \
     || fail "churn_$name exit was not clean"
 done
-echo "churn smoke ok"
+echo "churn smoke ok: requests_total=$REQUESTS errors_total=$ERRORS" \
+     "agg_cache_hits=$HITS"

@@ -29,8 +29,9 @@
 // OK-header payload count and the line length stop a corrupt server from
 // making the client read forever. Exits 0 when every request got an OK
 // response, 1 when any got an ERR or the connection failed mid-stream, 2
-// on usage/connect errors. In one-shot mode an ERR response is printed to
-// stderr instead.
+// on usage errors and when the first request cannot connect. A stdin
+// session over more than one --hosts entry exits 1 on a connect error
+// too. In one-shot mode an ERR response is printed to stderr instead.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>

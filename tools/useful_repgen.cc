@@ -2,7 +2,6 @@
 // the artifact a local search engine would ship to the metasearch broker.
 //
 //   useful_repgen <collection.trec> <out.rep> [--triplet] [--quantize]
-//                 [--save-index <out.idx>]
 //   useful_repgen <collection.trec>... <out.urpz> --pack [--triplet]
 //
 // With --pack, every input collection becomes one engine inside a single
@@ -25,7 +24,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: useful_repgen <collection.trec> <out.rep> "
-               "[--triplet] [--quantize] [--save-index <out.idx>]\n"
+               "[--triplet] [--quantize]\n"
                "       useful_repgen <collection.trec>... <out.urpz> "
                "--pack [--triplet]\n");
   return 2;
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
       represent::RepresentativeKind::kQuadruplet;
   bool quantize = false;
   bool pack = false;
-  std::string index_path;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--triplet") == 0) {
@@ -48,8 +46,6 @@ int main(int argc, char** argv) {
       quantize = true;
     } else if (std::strcmp(argv[i], "--pack") == 0) {
       pack = true;
-    } else if (std::strcmp(argv[i], "--save-index") == 0 && i + 1 < argc) {
-      index_path = argv[++i];
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -59,10 +55,6 @@ int main(int argc, char** argv) {
   }
   if (positional.size() < 2) return Usage();
   if (!pack && positional.size() != 2) return Usage();
-  if (!index_path.empty() && positional.size() != 2) {
-    std::fprintf(stderr, "--save-index needs exactly one collection\n");
-    return 2;
-  }
   const std::string out_path = positional.back();
   positional.pop_back();
 
@@ -90,14 +82,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "finalize: %s\n", s.ToString().c_str());
       return 1;
     }
-    if (!index_path.empty()) {
-      if (Status s = engine.SaveToFile(index_path); !s.ok()) {
-        std::fprintf(stderr, "save index: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote index to %s\n", index_path.c_str());
-    }
-
     auto rep = represent::BuildRepresentative(engine, kind);
     if (!rep.ok()) {
       std::fprintf(stderr, "build: %s\n", rep.status().ToString().c_str());
