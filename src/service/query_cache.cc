@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "util/string_util.h"
 
 namespace useful::service {
 
 namespace {
-// Rough fixed cost of one entry beyond its key string: list/map node plus
-// the inline estimate. Keeps the byte budget honest for many tiny entries.
+// Rough fixed cost of one entry beyond its key and slots: the list and
+// map nodes and the slot array's header. Keeps the byte budget honest for
+// many tiny entries.
 constexpr std::size_t kEntryOverhead = 96;
+
+bool ByGen(const QueryCache::Slot& a, const QueryCache::Slot& b) {
+  return a.gen < b.gen;
+}
 
 // Exact bit pattern of a double as 16 hex digits, so keying never depends
 // on decimal formatting precision. Negative zero is canonicalized to
@@ -26,16 +32,8 @@ void AppendDoubleBits(std::string* out, double value) {
 }
 }  // namespace
 
-QueryCache::QueryCache(QueryCacheOptions options) {
-  std::size_t num_shards = std::max<std::size_t>(1, options.shards);
-  shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  entries_per_shard_ =
-      std::max<std::size_t>(1, options.max_entries / num_shards);
-  bytes_per_shard_ = options.max_bytes / num_shards;
-}
+QueryCache::QueryCache(QueryCacheOptions options)
+    : max_slots_(options.max_entries), max_bytes_(options.max_bytes) {}
 
 std::string QueryCache::MakeKey(std::string_view estimator, double threshold,
                                 const ir::Query& query) {
@@ -74,113 +72,152 @@ std::string QueryCache::MakeKey(std::string_view estimator, double threshold,
   return key;
 }
 
-QueryCache::Shard& QueryCache::ShardFor(std::string_view key) {
-  return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
+std::size_t QueryCache::EntryBytes(std::string_view key, std::size_t slots) {
+  return kEntryOverhead + key.size() + slots * sizeof(Slot);
 }
 
-std::size_t QueryCache::EntryBytes(std::string_view key) {
-  return kEntryOverhead + key.size() + sizeof(CachedEstimate);
+bool QueryCache::Fits(std::size_t slots, std::size_t bytes) const {
+  return slots <= max_slots_ && (max_bytes_ == 0 || bytes <= max_bytes_);
+}
+
+std::vector<std::optional<CachedEstimate>> QueryCache::Lookup(
+    std::string_view key, std::span<const std::uint64_t> gens) {
+  std::vector<std::optional<CachedEstimate>> out(gens.size());
+  std::size_t found = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    const std::vector<Slot>& slots = it->second->slots;
+    // A snapshot's generations ascend like the slots, so the slot after
+    // the last one matched is tried before a search.
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < gens.size(); ++i) {
+      auto slot = slots.begin() + next;
+      if (next == slots.size() || slot->gen != gens[i]) {
+        slot = std::lower_bound(slots.begin(), slots.end(),
+                                Slot{gens[i], {}}, ByGen);
+      }
+      next = slot - slots.begin();
+      if (slot != slots.end() && slot->gen == gens[i]) {
+        out[i] = slot->value;
+        ++found;
+        ++next;
+      }
+    }
+  }
+  hits_ += found;
+  misses_ += gens.size() - found;
+  return out;
+}
+
+void QueryCache::Insert(std::string_view key, std::span<const Slot> slots,
+                        std::uint64_t epoch) {
+  std::vector<Slot> fresh(slots.begin(), slots.end());
+  std::sort(fresh.begin(), fresh.end(), ByGen);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Checked under the lock a sweep takes after raising the epoch: either
+  // this Insert lands before the sweep, which then removes it, or it sees
+  // the raised epoch.
+  if (epoch < min_epoch_) {
+    expired_ += fresh.size();
+    return;
+  }
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    const std::size_t bytes = EntryBytes(key, fresh.size());
+    if (fresh.empty() || !Fits(fresh.size(), bytes)) return;
+    lru_.push_front(Entry{std::string(key), std::move(fresh), bytes});
+    index_.emplace(std::string_view(lru_.front().key), lru_.begin());
+    slots_ += lru_.front().slots.size();
+    bytes_ += bytes;
+  } else {
+    // Merge by generation; a fresh slot replaces a cached one of the same
+    // generation.
+    Entry& entry = *it->second;
+    std::vector<Slot> merged;
+    merged.reserve(fresh.size() + entry.slots.size());
+    std::set_union(fresh.begin(), fresh.end(), entry.slots.begin(),
+                   entry.slots.end(), std::back_inserter(merged), ByGen);
+    const std::size_t bytes = EntryBytes(key, merged.size());
+    if (!Fits(merged.size(), bytes)) return;
+    slots_ += merged.size() - entry.slots.size();
+    bytes_ += bytes - entry.bytes;
+    entry.slots = std::move(merged);
+    entry.bytes = bytes;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  }
+  // The front entry, this one, fits on its own, so eviction stops before
+  // reaching it.
+  while (lru_.size() > 1 && !Fits(slots_, bytes_)) {
+    const Entry& victim = lru_.back();
+    slots_ -= victim.slots.size();
+    bytes_ -= victim.bytes;
+    evictions_ += victim.slots.size();
+    index_.erase(std::string_view(victim.key));
+    lru_.pop_back();
+  }
 }
 
 std::optional<CachedEstimate> QueryCache::Get(std::string_view key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->value;
+  const std::uint64_t gen = 0;
+  return Lookup(key, {&gen, 1}).front();
 }
 
 void QueryCache::Put(std::string_view key, const CachedEstimate& value,
                      std::uint64_t epoch) {
-  if (epoch < min_epoch_.load(std::memory_order_acquire)) {
-    // Computed under a snapshot an invalidation already retired; caching
-    // it would resurrect a dead-generation entry behind the sweep.
-    expired_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::size_t bytes = EntryBytes(key);
-  if (bytes_per_shard_ > 0 && bytes > bytes_per_shard_) return;  // oversize
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    it->second->value = value;
-    it->second->bytes = bytes;
-    shard.bytes += bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  } else {
-    shard.lru.push_front(Entry{std::string(key), value, bytes});
-    shard.index.emplace(std::string_view(shard.lru.front().key),
-                        shard.lru.begin());
-    shard.bytes += bytes;
-  }
-  while (shard.lru.size() > entries_per_shard_ ||
-         (bytes_per_shard_ > 0 && shard.bytes > bytes_per_shard_ &&
-          shard.lru.size() > 1)) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(std::string_view(victim.key));
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const Slot slot{0, value};
+  Insert(key, {&slot, 1}, epoch);
 }
 
 void QueryCache::SetMinEpoch(std::uint64_t epoch) {
   // Monotone max: concurrent mutators may race here, the larger epoch
   // must win.
-  std::uint64_t seen = min_epoch_.load(std::memory_order_relaxed);
-  while (seen < epoch && !min_epoch_.compare_exchange_weak(
-                             seen, epoch, std::memory_order_release,
-                             std::memory_order_relaxed)) {
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  min_epoch_ = std::max(min_epoch_, epoch);
 }
 
-std::size_t QueryCache::ErasePrefix(std::string_view prefix) {
+std::size_t QueryCache::EraseGenerations(std::vector<std::uint64_t> gens) {
+  std::sort(gens.begin(), gens.end());
   std::size_t erased = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.size() >= prefix.size() &&
-          std::string_view(it->key).substr(0, prefix.size()) == prefix) {
-        shard->bytes -= it->bytes;
-        shard->index.erase(std::string_view(it->key));
-        it = shard->lru.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    const std::size_t removed = std::erase_if(it->slots, [&](const Slot& s) {
+      return std::binary_search(gens.begin(), gens.end(), s.gen);
+    });
+    erased += removed;
+    slots_ -= removed;
+    bytes_ -= it->bytes;
+    it->bytes = EntryBytes(it->key, it->slots.size());
+    if (it->slots.empty()) {
+      index_.erase(std::string_view(it->key));
+      it = lru_.erase(it);
+    } else {
+      bytes_ += it->bytes;
+      ++it;
     }
   }
-  expired_.fetch_add(erased, std::memory_order_relaxed);
+  expired_ += erased;
   return erased;
 }
 
 void QueryCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  index_.clear();
+  lru_.clear();
+  slots_ = 0;
+  bytes_ = 0;
 }
 
 QueryCache::Counters QueryCache::counters() const {
+  std::lock_guard<std::mutex> lock(mu_);
   Counters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  c.expired = expired_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    c.entries += shard->lru.size();
-    c.bytes += shard->bytes;
-  }
+  c.hits = hits_;
+  c.misses = misses_;
+  c.evictions = evictions_;
+  c.expired = expired_;
+  c.entries = slots_;
+  c.bytes = bytes_;
   return c;
 }
 

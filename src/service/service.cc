@@ -28,22 +28,6 @@ std::string FormatSelection(const broker::EngineSelection& sel) {
          FormatScore(sel.estimate.avg_sim);
 }
 
-/// Full cache key for one engine: name, generation, then the canonical
-/// query sub-key. The generation is the scoped-invalidation lever —
-/// updating an engine bumps only its own generation, so every other
-/// engine's keys (and cached entries) survive.
-std::string EngineKey(std::string_view engine, std::uint64_t gen,
-                      const std::string& query_key) {
-  std::string key;
-  key.reserve(engine.size() + query_key.size() + 24);
-  key.append(engine);
-  key.push_back('\x1f');
-  key.append(StringPrintf("%llu", static_cast<unsigned long long>(gen)));
-  key.push_back('\x1f');
-  key.append(query_key);
-  return key;
-}
-
 /// One representative file, either format: a packed URPZ store (possibly
 /// many engines, served zero-copy) or a single URP1 representative frozen
 /// into a term table.
@@ -239,13 +223,16 @@ Status Service::DropEngine(const std::string& engine) {
   std::shared_ptr<const Snapshot> current = GetSnapshot();
   std::unique_ptr<broker::Metasearcher> clone = current->broker->Clone();
   USEFUL_RETURN_IF_ERROR(clone->RemoveEngine(engine));
-  engine_gens_.erase(engine);
+  auto gen = engine_gens_.find(engine);
+  const std::uint64_t dropped = gen->second;
+  engine_gens_.erase(gen);
   ++epoch_;
   PublishLocked(std::move(clone));
-  // Publish first, sweep second: once the epoch is raised, a racing Put
-  // computed under the old snapshot is refused, so the sweep is final.
+  // Publish first, sweep second: once the epoch is raised, a racing
+  // Insert computed under the old snapshot is refused, so the sweep is
+  // final.
   cache_.SetMinEpoch(epoch_);
-  cache_.ErasePrefix(engine + '\x1f');
+  cache_.EraseGenerations({dropped});
   stats_.Add(Stats::kEnginesDropped);
   return Status::OK();
 }
@@ -291,15 +278,17 @@ Status Service::UpdateEngines(const std::string& path,
     USEFUL_RETURN_IF_ERROR(
         clone->RegisterTable(std::move(loaded.value().table)));
   }
+  std::vector<std::uint64_t> retired;
+  retired.reserve(touched.size());
   for (const std::string& name : touched) {
-    engine_gens_[name] = next_gen_++;
+    std::uint64_t& gen = engine_gens_.at(name);
+    retired.push_back(gen);
+    gen = next_gen_++;
   }
   ++epoch_;
   PublishLocked(std::move(clone));
   cache_.SetMinEpoch(epoch_);
-  for (const std::string& name : touched) {
-    cache_.ErasePrefix(name + '\x1f');
-  }
+  cache_.EraseGenerations(std::move(retired));
   stats_.Add(Stats::kEnginesUpdated, touched.size());
   return Status::OK();
 }
@@ -420,51 +409,47 @@ Reply Service::DoRank(const Request& request, bool apply_policy,
   const broker::Metasearcher& broker = *snapshot->broker;
   std::size_t n = broker.num_engines();
 
-  // Per-engine cache probe: each engine's estimate lives under its own
-  // (engine, generation, query) key, so a request is part hit / part
-  // miss after a scoped invalidation and only the touched engines are
-  // re-estimated.
+  // One probe per request: the query's entry holds a slot per engine
+  // generation, so a request is part hit / part miss after a scoped
+  // invalidation and only the touched engines are re-estimated.
   std::vector<broker::EngineSelection> ranked;
   ranked.reserve(n);
   std::vector<std::size_t> miss_index;
-  std::vector<std::string> miss_keys;
+  std::string query_key;
   {
     obs::Trace::Span cache_span =
         obs::Trace::StartSpan(trace, obs::Stage::kCache);
-    std::string query_key =
+    query_key =
         QueryCache::MakeKey(request.estimator, request.threshold, query);
+    std::vector<std::optional<CachedEstimate>> cached =
+        cache_.Lookup(query_key, snapshot->gens);
     for (std::size_t i = 0; i < n; ++i) {
-      std::string key =
-          EngineKey(broker.engine_name(i), snapshot->gens[i], query_key);
-      std::optional<CachedEstimate> est = cache_.Get(key);
-      if (est.has_value()) {
+      if (cached[i].has_value()) {
         ranked.push_back(broker::EngineSelection{
-            std::string(broker.engine_name(i)), *est});
+            std::string(broker.engine_name(i)), *cached[i]});
       } else {
         miss_index.push_back(i);
-        miss_keys.push_back(std::move(key));
       }
     }
   }
   trace->SetCacheHit(miss_index.empty());
   if (!miss_index.empty()) {
-    std::vector<estimate::UsefulnessEstimate> computed(miss_index.size());
+    std::vector<QueryCache::Slot> computed(miss_index.size());
     {
       obs::Trace::Span estimate_span =
           obs::Trace::StartSpan(trace, obs::Stage::kEstimate);
       for (std::size_t k = 0; k < miss_index.size(); ++k) {
-        computed[k] = broker.EstimateEngine(miss_index[k], query,
-                                            request.threshold,
-                                            *estimator.value());
+        const std::size_t i = miss_index[k];
+        computed[k] = {snapshot->gens[i],
+                       broker.EstimateEngine(i, query, request.threshold,
+                                             *estimator.value())};
         ranked.push_back(broker::EngineSelection{
-            std::string(broker.engine_name(miss_index[k])), computed[k]});
+            std::string(broker.engine_name(i)), computed[k].value});
       }
     }
     obs::Trace::Span cache_span =
         obs::Trace::StartSpan(trace, obs::Stage::kCache);
-    for (std::size_t k = 0; k < miss_index.size(); ++k) {
-      cache_.Put(miss_keys[k], computed[k], snapshot->epoch);
-    }
+    cache_.Insert(query_key, computed, snapshot->epoch);
   }
   {
     obs::Trace::Span rank_span =

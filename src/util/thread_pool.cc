@@ -7,6 +7,23 @@
 
 namespace useful::util {
 
+namespace {
+
+/// Moves the calling thread to `cpu`, then gives it `mask` back: the
+/// thread stays where it was moved unless the scheduler balances it
+/// elsewhere. A negative `cpu` leaves the thread where it is.
+void StartOn(int cpu, const cpu_set_t& mask) {
+  if (cpu < 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (::sched_setaffinity(0, sizeof(one), &one) == 0) {
+    ::sched_setaffinity(0, sizeof(mask), &mask);
+  }
+}
+
+}  // namespace
+
 std::size_t ThreadPool::ResolveThreads(std::size_t threads) {
   if (threads != 0) return threads;
   // The affinity mask, not the machine: a process confined to three of
@@ -22,14 +39,43 @@ std::size_t ThreadPool::ThreadsFor(std::size_t jobs, std::size_t threads) {
   return std::max<std::size_t>(1, std::min(jobs, threads));
 }
 
+std::vector<int> ThreadPool::WorkerCpus(const std::vector<int>& allowed,
+                                        int current, std::size_t workers) {
+  std::vector<int> cpus;
+  if (allowed.empty()) return cpus;
+  const std::size_t first = static_cast<std::size_t>(
+      std::upper_bound(allowed.begin(), allowed.end(), current) -
+      allowed.begin());
+  cpus.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    cpus.push_back(allowed[(first + i) % allowed.size()]);
+  }
+  return cpus;
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t wanted = ResolveThreads(num_threads);
+  if (wanted < 2) return;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  std::vector<int> allowed;
+  if (::sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) allowed.push_back(cpu);
+    }
+  }
+  const std::vector<int> cpus =
+      WorkerCpus(allowed, ::sched_getcpu(), wanted - 1);
   workers_.reserve(wanted - 1);
   for (std::size_t i = 0; i + 1 < wanted; ++i) {
+    const int cpu = cpus.empty() ? -1 : cpus[i];
     // A failed start must not escape: the workers already running would
     // be destroyed joinable, which is std::terminate.
     try {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, cpu, mask] {
+        StartOn(cpu, mask);
+        WorkerLoop();
+      });
     } catch (const std::system_error&) {
       break;
     }

@@ -36,6 +36,14 @@ class ThreadPool {
   /// the serial path. A worker that fails to start (the process is out of
   /// threads) stops the pool growing: it runs with the workers it has, or
   /// the caller alone, and num_threads() says how many.
+  ///
+  /// Each worker first moves itself to its CPU of WorkerCpus(the creator's
+  /// affinity mask, the creator's CPU), then takes the creator's whole
+  /// mask back. Where the scheduler does not balance load (a cpuset with
+  /// sched_load_balance 0), a thread stays on the CPU it started on, so
+  /// without this every worker would share the creator's; with the mask
+  /// restored, a balancing scheduler may still move it, and a worker's own
+  /// ResolveThreads(0) counts every CPU.
   explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Joins all workers. Must not be called while a ParallelFor is running.
@@ -65,6 +73,13 @@ class ThreadPool {
   /// caller included): at most either, and never 0, which the constructor
   /// reads as every allowed CPU. No jobs or one job gives 1: no thread.
   static std::size_t ThreadsFor(std::size_t jobs, std::size_t threads);
+
+  /// The CPU each of `workers` workers starts on: the `allowed` CPUs
+  /// (ascending ids) in turn, beginning with the first one after
+  /// `current`, the creating thread's CPU, so that CPU comes last. Empty
+  /// when `allowed` is.
+  static std::vector<int> WorkerCpus(const std::vector<int>& allowed,
+                                     int current, std::size_t workers);
 
  private:
   void WorkerLoop();

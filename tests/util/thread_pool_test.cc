@@ -33,6 +33,54 @@ TEST(ThreadPoolTest, ResolveThreadsZeroCountsAllowedCpus) {
   EXPECT_EQ(pinned, 1u);
 }
 
+// Workers take the CPUs of the mask in turn from the one after the
+// creator's, so the creator's own CPU is the last one a worker gets.
+TEST(ThreadPoolTest, WorkerCpusStartAfterTheCreatorsCpu) {
+  using V = std::vector<int>;
+  EXPECT_EQ(ThreadPool::WorkerCpus({0, 1, 2, 3}, 1, 3), (V{2, 3, 0}));
+  EXPECT_EQ(ThreadPool::WorkerCpus({0, 1, 2, 3}, 3, 3), (V{0, 1, 2}));
+  EXPECT_EQ(ThreadPool::WorkerCpus({0, 1, 2}, 0, 5), (V{1, 2, 0, 1, 2}));
+  // Gaps in the mask, and more workers than CPUs.
+  EXPECT_EQ(ThreadPool::WorkerCpus({0, 2, 5}, 2, 4), (V{5, 0, 2, 5}));
+  // A creator outside the mask (or an unknown CPU, -1) starts from the
+  // first allowed CPU above it.
+  EXPECT_EQ(ThreadPool::WorkerCpus({1, 2}, 0, 2), (V{1, 2}));
+  EXPECT_EQ(ThreadPool::WorkerCpus({1, 4}, 3, 2), (V{4, 1}));
+  EXPECT_EQ(ThreadPool::WorkerCpus({1, 2}, 7, 1), (V{1}));
+  EXPECT_EQ(ThreadPool::WorkerCpus({0, 1}, -1, 2), (V{0, 1}));
+  // One CPU: every worker shares it.
+  EXPECT_EQ(ThreadPool::WorkerCpus({3}, 3, 2), (V{3, 3}));
+  EXPECT_TRUE(ThreadPool::WorkerCpus({}, 0, 3).empty());
+  EXPECT_TRUE(ThreadPool::WorkerCpus({0, 1}, 0, 0).empty());
+}
+
+// A worker is placed on one CPU only while it starts: by the time it runs
+// a job it holds its creator's whole mask again.
+TEST(ThreadPoolTest, WorkersHoldTheCreatorsAffinityMask) {
+  cpu_set_t creator;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(creator), &creator), 0);
+  ThreadPool pool(4);
+  const std::size_t n = pool.num_threads();
+  // Every index waits for all n, so each thread runs exactly one of them.
+  std::atomic<std::size_t> arrived{0};
+  std::vector<int> same_mask(n, 0);
+  std::vector<std::size_t> resolved(n, 0);
+  pool.ParallelFor(n, [&](std::size_t i) {
+    arrived.fetch_add(1);
+    while (arrived.load() < n) std::this_thread::yield();
+    cpu_set_t mine;
+    if (::sched_getaffinity(0, sizeof(mine), &mine) == 0) {
+      same_mask[i] = CPU_EQUAL(&mine, &creator) ? 1 : 0;
+    }
+    resolved[i] = ThreadPool::ResolveThreads(0);
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(same_mask[i], 1) << i;
+    EXPECT_EQ(resolved[i], static_cast<std::size_t>(CPU_COUNT(&creator)))
+        << i;
+  }
+}
+
 TEST(ThreadPoolTest, SingleThreadPoolSpawnsNothingAndRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);

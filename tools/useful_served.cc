@@ -19,6 +19,12 @@
 // fine with two reactor threads — size --threads to the estimation work
 // instead.
 //
+// --cache-entries N (default 4096) bounds the query cache by per-engine
+// estimates: a query over E engines holds up to E of them, and one with
+// more than N is not cached. --cache-bytes N (default 8 MiB, 0 for no
+// bound) bounds its bytes; eviction drops whole least-recently-used
+// queries.
+//
 // --trace-sample-rate N traces one request in N (default 256; 0 disables
 // tracing, 1 traces every request); sampled traces feed the per-stage
 // histograms that METRICS exposes and the ring --slowlog-size sizes,
