@@ -211,7 +211,9 @@ void Connection::FlushOut() {
 }
 
 void Connection::FinishFlush(Clock::time_point now) {
-  out_.clear();
+  // Release the flushed batch rather than keep its capacity: the next
+  // batch brings its own buffer, so an idle connection pins none.
+  std::string().swap(out_);
   out_off_ = 0;
   std::uint64_t write_us = util::MicrosSince(write_start_, now);
   for (obs::Trace& t : pending_traces_) {

@@ -19,8 +19,9 @@
 // The owning Reactor asks NextDeadline() for the earliest applicable one
 // (feeding its earliest-deadline heap), and calls OnDeadline() to fire
 // it. Exactly one request batch is in flight at the offload pool per
-// connection at a time, so replies stay in request order and the out
-// buffer never holds more than one rendered batch.
+// connection at a time, so replies stay in request order. The out buffer
+// holds at most the one rendered batch being flushed and is released
+// once it is, so an idle connection holds no reply bytes.
 //
 // All methods must be called from the connection's owning reactor thread;
 // there is no internal locking.
@@ -128,9 +129,9 @@ class Connection {
   // --- Reactor bookkeeping (written by the owning reactor only) ---------
   /// Epoll interest last installed via epoll_ctl for this fd.
   std::uint32_t registered_mask = 0;
-  /// Deadline last pushed on the reactor's heap (lazy invalidation: stale
-  /// heap entries are dropped when popped).
-  Clock::time_point scheduled_deadline{};
+  /// The time of this connection's live entry on the reactor's deadline
+  /// heap, or max() when there is none; any other entry of it is skipped.
+  Clock::time_point scheduled_deadline = Clock::time_point::max();
 
  private:
   void NoteAppended(std::size_t old_size, Clock::time_point now);

@@ -223,12 +223,13 @@ void Reactor::ApplyCompletion(BatchResult result) {
 
 void Reactor::FireDeadlines(Clock::time_point now) {
   while (!deadlines_.empty() && deadlines_.top().first <= now) {
-    std::uint64_t id = deadlines_.top().second;
+    auto [when, id] = deadlines_.top();
     deadlines_.pop();
     auto it = conns_.find(id);
-    if (it == conns_.end()) continue;  // lazy invalidation: stale entry
+    if (it == conns_.end()) continue;  // the connection closed
     Connection* conn = it->second.get();
-    conn->scheduled_deadline = {};
+    if (conn->scheduled_deadline != when) continue;  // superseded entry
+    conn->scheduled_deadline = Clock::time_point::max();
     // OnDeadline re-derives the deadline from current state, so an entry
     // made stale by later activity fires as a no-op and Pump re-arms it.
     conn->OnDeadline(now);
@@ -311,13 +312,12 @@ void Reactor::UpdateInterest(Connection* conn) {
 }
 
 void Reactor::ScheduleDeadline(Connection* conn) {
+  // scheduled_deadline is max() when no entry is queued, and next is max()
+  // when no deadline applies (a batch in flight), which keeps the entry.
   Clock::time_point next = conn->NextDeadline();
-  if (next == Clock::time_point::max()) {
-    conn->scheduled_deadline = {};
-    return;
-  }
-  if (conn->scheduled_deadline == next) return;  // entry already queued
+  if (conn->scheduled_deadline <= next) return;
   deadlines_.push({next, conn->id()});
+  stats_->Add(Stats::kDeadlinePushes);
   conn->scheduled_deadline = next;
 }
 

@@ -2,12 +2,20 @@
 //
 // Each Reactor owns an epoll instance, an eventfd for cross-thread
 // wakeups, and the Connection state machines the acceptor handed it. Its
-// loop is the classic shape: compute the earliest connection deadline
-// (an earliest-deadline min-heap with lazy invalidation, replacing the
-// old per-socket poll timeouts), epoll_wait no longer than that (capped
-// at poll_interval_ms so the stop flag stays observable), run the ready
-// state machines, then drain the two mailboxes — adopted sockets from
-// the acceptor and completed batches from the estimation offload pool.
+// loop is the classic shape: compute the earliest connection deadline,
+// epoll_wait no longer than that (capped at poll_interval_ms so the stop
+// flag stays observable), run the ready state machines, then drain the
+// two mailboxes — adopted sockets from the acceptor and completed
+// batches from the estimation offload pool.
+//
+// The deadlines sit on one earliest-deadline min-heap with at most one
+// live entry per connection. A connection pushes only when it has no
+// entry queued or its deadline comes before the queued one; a later
+// deadline waits for the queued entry, which fires as a no-op and
+// re-arms from the connection's current state. A busy keep-alive
+// connection thus pushes about once per idle timeout, not once per
+// request, and the heap holds about two entries per open connection
+// plus those of connections closed within the last idle timeout.
 //
 // The reactor never executes a request. When a connection has complete
 // lines buffered, the reactor carves a batch, stamps it, and submits one

@@ -20,11 +20,12 @@
 // bytes arriving), request_timeout_ms (a partial request line pending;
 // trickling one byte at a time does NOT reset it, so slow-loris writers
 // are cut off), and write_timeout_ms (the peer stops draining our
-// replies). Deadlines live on each reactor's earliest-deadline heap —
-// the epoll_wait timeout is the time to the nearest one, capped at
-// poll_interval_ms. Expired connections get a best-effort one-line ERR
-// and are closed; each expiry increments a Stats counter rendered by
-// STATS.
+// replies). Deadlines live on each reactor's earliest-deadline heap, one
+// live entry per connection, so a busy keep-alive connection pushes about
+// once per idle timeout rather than once per request; the epoll_wait
+// timeout is the time to the nearest one, capped at poll_interval_ms.
+// Expired connections get a best-effort one-line ERR and are closed;
+// each expiry increments a Stats counter rendered by STATS.
 //
 // Backpressure: the server sheds rather than queues unboundedly. A
 // connection accepted while open connections >= max_connections or while

@@ -111,6 +111,9 @@ constexpr MetricRow kRows[] = {
      Stats::kDispatchQueueDepth,
      "Batches queued at the estimation offload pool, not yet picked up by "
      "a worker."},
+    {"deadline_pushes", "useful_deadline_pushes_total", kCounter, kSum,
+     Stats::kDeadlinePushes,
+     "Entries pushed onto the reactors' connection deadline heaps."},
     {"offload_wait", nullptr, kHistogram, kNone, kOffloadWait, nullptr},
     {"conn_lifetime", nullptr, kHistogram, kNone, kConnLifetime, nullptr},
     {nullptr, "useful_trace_sample_rate", kGauge, kNone, kSampleRate,

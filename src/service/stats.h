@@ -99,6 +99,7 @@ class Stats {
     kDispatches,
     kDispatchedLines,
     kDispatchQueueDepth,
+    kDeadlinePushes,
     kTracesSampled,
     kNumStats,
   };

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -72,6 +73,13 @@ class TestClient {
 
   /// Half-closes the write side: the server sees EOF after our request.
   void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
+
+  /// Bounds every later receive (after Connect): a read that waits longer
+  /// fails instead of blocking the test.
+  void SetReceiveTimeoutMs(int ms) {
+    timeval tv{ms / 1000, (ms % 1000) * 1000};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
 
   bool ReadLine(std::string* line) {
     for (;;) {
@@ -596,6 +604,59 @@ TEST_F(ServerTest, StatsExposeReactorCounters) {
   EXPECT_GE(kv["epoll_wakeups"], kv["dispatches"]);
   EXPECT_GE(kv["dispatches"], 5u);
   EXPECT_GE(kv["dispatched_lines"], kv["dispatches"]);
+}
+
+TEST_F(ServerTest, KeepAliveRoundTripsPushAFewDeadlinesNotOnePerRequest) {
+  // Each round trip moves the idle deadline later. The entry queued when
+  // the connection opened is due first, so none is pushed until it fires
+  // (60 s away), however many requests the connection carries.
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  for (int i = 0; i < 2'000; ++i) {
+    auto wire = client.RoundTrip("ROUTE subrange 0.1 0 football");
+    ASSERT_FALSE(wire.empty());
+    ASSERT_EQ(wire[0].substr(0, 3), "OK ") << wire[0];
+  }
+  EXPECT_LE(service_->stats().Get(Stats::kDeadlinePushes), 4u);
+}
+
+TEST_F(ServerTest, TrafficInsideTheIdleTimeoutKeepsTheConnectionUntilIdle) {
+  // Requests every 50 ms for four idle timeouts: the entry queued when the
+  // connection opened fires as a no-op and re-arms from the last traffic,
+  // and so does each entry after it. Once the traffic stops, the idle
+  // deadline runs from the last reply.
+  ServerOptions options;
+  options.threads = 2;
+  options.poll_interval_ms = 10;
+  options.idle_timeout_ms = 300;
+  RestartServer(options);
+
+  using Clock = std::chrono::steady_clock;
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  client.SetReceiveTimeoutMs(5'000);
+  const Clock::time_point start = Clock::now();
+  Clock::time_point last_sent = start;
+  for (int i = 0; Clock::now() - start < std::chrono::milliseconds(1'200);
+       ++i) {
+    std::this_thread::sleep_until(start + i * std::chrono::milliseconds(50));
+    last_sent = Clock::now();
+    auto wire = client.RoundTrip("ROUTE subrange 0.1 0 football");
+    ASSERT_FALSE(wire.empty()) << "request " << i;
+    ASSERT_EQ(wire[0].substr(0, 3), "OK ") << wire[0];
+  }
+  EXPECT_EQ(service_->stats().Get(Stats::kIdleTimeouts), 0u);
+
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  const auto idle_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           Clock::now() - last_sent)
+                           .count();
+  EXPECT_NE(line.find("idle timeout"), std::string::npos) << line;
+  EXPECT_TRUE(client.WaitForClose());
+  EXPECT_GE(idle_ms, 300);
+  EXPECT_LT(idle_ms, 3'000);  // slack for sanitizer builds
+  EXPECT_EQ(service_->stats().Get(Stats::kIdleTimeouts), 1u);
 }
 
 TEST_F(ServerTest, ManyMoreConnectionsThanOffloadWorkersAllGetServed) {

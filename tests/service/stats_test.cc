@@ -68,6 +68,7 @@ void RecordFixedSequence(Stats* stats) {
   stats->RecordOffloadWait(40);
   stats->RecordOffloadWait(900);
   stats->Set(Stats::kDispatchQueueDepth, 2);
+  stats->Add(Stats::kDeadlinePushes, 4);
   stats->Set(Stats::kRepresentativeStale, 1);
   stats->Set(Stats::kPackedEngines, 2);
   stats->Set(Stats::kPackedBytes, 4'096);

@@ -5,7 +5,7 @@
 //
 //   useful_frontend --cluster h:p,h:p|h:p,h:p [--host H] [--port P]
 //                   [--port-file PATH] [--threads N] [--reactor-threads N]
-//                   [--eject-failures N] [--probe-backoff-ms N]
+//                   [--backlog N] [--eject-failures N] [--probe-backoff-ms N]
 //                   [--connect-timeout-ms N] [--io-timeout-ms N]
 //                   [--trace-sample-rate N] [--slowlog-size N]
 //   useful_frontend --cluster 127.0.0.1:7001,127.0.0.1:7002\|127.0.0.1:7003

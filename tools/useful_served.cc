@@ -4,7 +4,7 @@
 // until a QUIT request or SIGINT winds it down gracefully.
 //
 //   useful_served [--host H] [--port P] [--port-file PATH] [--threads N]
-//                 [--reactor-threads N] [--cache-entries N]
+//                 [--reactor-threads N] [--backlog N] [--cache-entries N]
 //                 [--cache-bytes N] [--idle-timeout-ms N]
 //                 [--request-timeout-ms N] [--write-timeout-ms N]
 //                 [--max-connections N] [--max-accept-queue N]
