@@ -9,8 +9,11 @@
 
 namespace useful::broker {
 
-Metasearcher::Metasearcher(const text::Analyzer* analyzer)
-    : analyzer_(analyzer) {
+Metasearcher::Metasearcher(const text::Analyzer* analyzer,
+                           std::shared_ptr<ReleaseCounter> releases)
+    : analyzer_(analyzer),
+      releases_(releases != nullptr ? std::move(releases)
+                                    : std::make_shared<ReleaseCounter>(0)) {
   assert(analyzer_ != nullptr);
 }
 
@@ -46,7 +49,7 @@ Status Metasearcher::RegisterEngine(const ir::SearchEngine* engine,
   if (!table.ok()) return table.status();
   Append(Entry{std::make_shared<const represent::TermTable>(
                    std::move(table).value()),
-               std::nullopt, nullptr, engine});
+               nullptr, engine});
   return Status::OK();
 }
 
@@ -71,7 +74,7 @@ Status Metasearcher::RegisterTable(
     return Status::InvalidArgument("duplicate engine name: " +
                                    table->engine_name());
   }
-  Append(Entry{std::move(table), std::nullopt, nullptr, nullptr});
+  Append(Entry{std::move(table), nullptr, nullptr});
   return Status::OK();
 }
 
@@ -87,7 +90,7 @@ void Metasearcher::Append(Entry entry) {
                            "bounds";
     ++num_stale_representatives_;
   }
-  if (entry.view.has_value()) ++num_store_engines_;
+  if (entry.engine != nullptr) ++num_store_engines_;
   index_by_name_.emplace(std::string(entry.name()), entries_.size());
   entries_.push_back(std::move(entry));
 }
@@ -114,9 +117,13 @@ Status Metasearcher::RegisterStore(
     }
   }
   for (std::size_t i = 0; i < store->num_engines(); ++i) {
-    const represent::RepresentativeView& view = store->engine(i);
-    if (filter && !filter(view.engine_name())) continue;
-    Append(Entry{nullptr, view, store, nullptr});
+    if (filter && !filter(store->engine(i).engine_name())) {
+      StoreEngine::Release(*store, i, releases_.get());
+      continue;
+    }
+    Append(Entry{nullptr,
+                 std::make_shared<const StoreEngine>(store, i, releases_),
+                 nullptr});
   }
   return Status::OK();
 }
@@ -128,7 +135,7 @@ Status Metasearcher::RemoveEngine(std::string_view engine_name) {
   }
   const Entry& doomed = entries_[idx];
   if (doomed.stale_max()) --num_stale_representatives_;
-  if (doomed.view.has_value()) --num_store_engines_;
+  if (doomed.engine != nullptr) --num_store_engines_;
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(idx));
   // Every entry past the erased one shifted down a slot.
   index_by_name_.clear();
@@ -139,7 +146,7 @@ Status Metasearcher::RemoveEngine(std::string_view engine_name) {
 }
 
 std::unique_ptr<Metasearcher> Metasearcher::Clone() const {
-  auto clone = std::make_unique<Metasearcher>(analyzer_);
+  auto clone = std::make_unique<Metasearcher>(analyzer_, releases_);
   clone->entries_ = entries_;
   clone->num_stale_representatives_ = num_stale_representatives_;
   clone->num_store_engines_ = num_store_engines_;
@@ -151,8 +158,8 @@ std::size_t Metasearcher::store_bytes() const {
   std::unordered_set<const represent::StoreView*> counted;
   std::size_t bytes = 0;
   for (const Entry& e : entries_) {
-    if (e.store != nullptr && counted.insert(e.store.get()).second) {
-      bytes += e.store->file_bytes();
+    if (e.engine != nullptr && counted.insert(&e.engine->store()).second) {
+      bytes += e.engine->store().file_bytes();
     }
   }
   return bytes;
@@ -176,7 +183,7 @@ estimate::UsefulnessEstimate Metasearcher::EstimateEngine(
   const Entry& e = entries_[i];
   const estimate::ResolvedQuery rq =
       e.table != nullptr ? estimate::ResolvedQuery(*e.table, q)
-                         : estimate::ResolvedQuery(*e.view, q);
+                         : estimate::ResolvedQuery(e.engine->view(), q);
   estimate::ExpansionWorkspace ws;
   estimate::UsefulnessEstimate est;
   estimator.EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,

@@ -4,9 +4,10 @@
 // results under the global similarity function.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,11 @@ struct MetasearchResult {
 /// identically.
 bool RankedBefore(const EngineSelection& a, const EngineSelection& b);
 
+/// Counts the packed-store engines whose pages a broker released (see
+/// RegisterStore). Held by shared pointer, so a snapshot that outlives
+/// the broker's owner can still count into it.
+using ReleaseCounter = std::atomic<std::uint64_t>;
+
 /// The broker. Engines are registered with (optionally) a live
 /// ir::SearchEngine for dispatch; selection needs only representatives.
 /// Each engine is held as an immutable represent::TermTable or a packed
@@ -53,8 +59,10 @@ bool RankedBefore(const EngineSelection& a, const EngineSelection& b);
 class Metasearcher {
  public:
   /// `analyzer` parses user queries; it must match the engines' analyzers
-  /// and outlive the broker.
-  explicit Metasearcher(const text::Analyzer* analyzer);
+  /// and outlive the broker. `releases`, shared with every clone, counts
+  /// the store engines released (a fresh counter when null).
+  explicit Metasearcher(const text::Analyzer* analyzer,
+                        std::shared_ptr<ReleaseCounter> releases = nullptr);
 
   /// Registers a live engine: its representative is built and frozen into
   /// a TermTable on the spot, and queries can be dispatched to it. The
@@ -77,11 +85,12 @@ class Metasearcher {
 
   /// Registers every engine of a packed URPZ store as a selection-only
   /// entry served zero-copy from the store's mapping (no Representative
-  /// is materialized). Each such entry keeps a reference to `store`, so
-  /// the mapping outlives every query ranked against a snapshot that
-  /// serves one of its engines, and is unmapped once no snapshot, current
-  /// or in flight, does (after RELOAD, or once UPDATE/DROP have replaced
-  /// or removed its last engine). Duplicate names are rejected.
+  /// is materialized). Each such entry holds a handle on its engine that
+  /// the broker's clones share and that keeps `store` mapped: once no
+  /// snapshot, current or in flight, serves the engine (after RELOAD, or
+  /// an UPDATE or DROP of it), the handle releases the engine's pages
+  /// (StoreView::ReleaseEngine) and counts it, and the mapping goes with
+  /// the store's last handle. Duplicate names are rejected.
   Status RegisterStore(std::shared_ptr<const represent::StoreView> store);
 
   /// Predicate over engine names; see the filtering RegisterStore
@@ -89,24 +98,25 @@ class Metasearcher {
   using EngineFilter = std::function<bool(std::string_view)>;
 
   /// Like RegisterStore, but only registers the store's engines whose
-  /// name passes `filter` (used by the ADD verb under shard ownership).
-  /// Engines filtered out are skipped silently, so the store is kept only
-  /// when at least one engine was registered. Registering zero engines is
-  /// OK (returns OK, broker unchanged).
+  /// name passes `filter` (the ADD verb under shard ownership, UPDATE's
+  /// replaced engines). Engines filtered out are skipped silently and
+  /// released (and counted) at once, since nothing will serve them; the
+  /// store is kept only when at least one engine was registered.
+  /// Registering zero engines is OK (returns OK, broker unchanged).
   Status RegisterStore(std::shared_ptr<const represent::StoreView> store,
                        const EngineFilter& filter);
 
   /// Removes the named engine from the registry (NotFound when absent).
   /// Stale/store-engine counters follow the entry out, and so does its
-  /// reference to a packed store: once no entry of this broker serves one
-  /// of the store's engines, store_bytes() stops counting it, and its
-  /// mapping is unmapped when no other snapshot holds it either.
+  /// handle on a packed store engine: once no entry of this broker serves
+  /// one of the store's engines, store_bytes() stops counting it, and the
+  /// engine's pages are released when no other snapshot serves it either.
   Status RemoveEngine(std::string_view engine_name);
 
   /// Copy for copy-on-write churn (ADD/DROP/UPDATE build a mutated clone
-  /// aside, then swap it in). Term tables and packed-store mappings are
-  /// immutable and shared (refcounted), so a clone costs O(engines), not
-  /// O(terms).
+  /// aside, then swap it in). Term tables and packed-store engine handles
+  /// are immutable and shared (refcounted), so a clone costs O(engines),
+  /// not O(terms).
   std::unique_ptr<Metasearcher> Clone() const;
 
   std::size_t num_engines() const { return entries_.size(); }
@@ -173,21 +183,53 @@ class Metasearcher {
       std::string_view engine_name) const;
 
  private:
-  /// One engine: exactly one of `table` and `view` is set.
+  /// Engine `index` of a packed store, held by every clone's entry that
+  /// serves it. Keeps the store mapped; the last holder to let go
+  /// releases the engine's pages and counts the release.
+  class StoreEngine {
+   public:
+    StoreEngine(std::shared_ptr<const represent::StoreView> store,
+                std::size_t index, std::shared_ptr<ReleaseCounter> releases)
+        : store_(std::move(store)),
+          index_(index),
+          releases_(std::move(releases)) {}
+    ~StoreEngine() { Release(*store_, index_, releases_.get()); }
+    StoreEngine(const StoreEngine&) = delete;
+    StoreEngine& operator=(const StoreEngine&) = delete;
+
+    const represent::StoreView& store() const { return *store_; }
+    const represent::RepresentativeView& view() const {
+      return store_->engine(index_);
+    }
+
+    /// Releases engine `index` of `store` and counts it.
+    static void Release(const represent::StoreView& store, std::size_t index,
+                        ReleaseCounter* releases) {
+      store.ReleaseEngine(index);
+      releases->fetch_add(1, std::memory_order_relaxed);
+    }
+
+   private:
+    std::shared_ptr<const represent::StoreView> store_;
+    std::size_t index_;
+    std::shared_ptr<ReleaseCounter> releases_;
+  };
+
+  /// One engine: exactly one of `table` and `engine` is set.
   struct Entry {
     std::shared_ptr<const represent::TermTable> table;
-    // Set for store-backed engines: a zero-copy accessor into `store`'s
-    // mapping, which `store` keeps alive.
-    std::optional<represent::RepresentativeView> view;
-    std::shared_ptr<const represent::StoreView> store;
+    // Set for store-backed engines: a zero-copy accessor into its store's
+    // mapping.
+    std::shared_ptr<const StoreEngine> engine;
     const ir::SearchEngine* live = nullptr;  // null: selection-only
 
     std::string_view name() const {
       return table != nullptr ? std::string_view(table->engine_name())
-                              : view->engine_name();
+                              : engine->view().engine_name();
     }
     bool stale_max() const {
-      return table != nullptr ? table->stale_max() : view->stale_max();
+      return table != nullptr ? table->stale_max()
+                              : engine->view().stale_max();
     }
   };
 
@@ -199,6 +241,7 @@ class Metasearcher {
   void Append(Entry entry);
 
   const text::Analyzer* analyzer_;
+  std::shared_ptr<ReleaseCounter> releases_;
   std::vector<Entry> entries_;
   std::size_t num_stale_representatives_ = 0;
   std::size_t num_store_engines_ = 0;

@@ -12,19 +12,22 @@
 
 namespace useful::represent {
 
-void Prefault([[maybe_unused]] void* data, [[maybe_unused]] std::size_t bytes) {
-#ifdef MADV_POPULATE_WRITE
+void AdviseWholePages(const void* data, std::size_t bytes, int advice) {
   static const auto page =
       static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
   const auto begin = reinterpret_cast<std::uintptr_t>(data);
   const std::uintptr_t first = (begin + page - 1) & ~(page - 1);
   const std::uintptr_t last = (begin + bytes) & ~(page - 1);
-  // The result is ignored: a kernel older than 5.14 answers EINVAL, and a
-  // page the call leaves out faults in when it is first written.
   if (first < last) {
-    ::madvise(reinterpret_cast<void*>(first), last - first,
-              MADV_POPULATE_WRITE);
+    ::madvise(reinterpret_cast<void*>(first), last - first, advice);
   }
+}
+
+void Prefault([[maybe_unused]] void* data, [[maybe_unused]] std::size_t bytes) {
+#ifdef MADV_POPULATE_WRITE
+  // A kernel older than 5.14 answers EINVAL, and a page the call leaves
+  // out faults in when it is first written.
+  AdviseWholePages(data, bytes, MADV_POPULATE_WRITE);
 #endif
 }
 
@@ -50,7 +53,8 @@ bool InputFile::StartsWith(std::string_view prefix) const {
   return n == static_cast<ssize_t>(head.size()) && head == prefix;
 }
 
-Result<FileImage> InputFile::ReadAll() const {
+Status InputFile::ReadAll(FileImage* image) const {
+  image->size = 0;
   struct stat st;
   if (::fstat(fd_, &st) != 0) {
     const int err = errno;
@@ -63,25 +67,31 @@ Result<FileImage> InputFile::ReadAll() const {
   if (!S_ISREG(st.st_mode)) {
     return Status::IOError(path_ + ": " + std::strerror(ENOTSUP));
   }
-  FileImage image;
-  image.size = static_cast<std::size_t>(st.st_size);
-  image.data = std::make_unique_for_overwrite<char[]>(image.size);
-  Prefault(image.data.get(), image.size);
-  for (std::size_t done = 0; done < image.size;) {
-    const ssize_t n = ::read(fd_, image.data.get() + done, image.size - done);
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (size > image->capacity) {
+    image->data.reset();  // never hold the old storage and the new at once
+    image->data = std::make_unique_for_overwrite<char[]>(size);
+    image->capacity = size;
+    Prefault(image->data.get(), size);
+  }
+  for (std::size_t done = 0; done < size;) {
+    const ssize_t n = ::read(fd_, image->data.get() + done, size - done);
     if (n < 0 && errno == EINTR) continue;
     // A file that ends before its fstat size is as unreadable as an error:
     // the bytes past the end were never written.
     if (n <= 0) return Status::IOError("read failed: " + path_);
     done += static_cast<std::size_t>(n);
   }
-  return image;
+  image->size = size;
+  return Status::OK();
 }
 
 Result<FileImage> ReadFileImage(const std::string& path) {
   Result<InputFile> file = InputFile::Open(path);
   if (!file.ok()) return Status::IOError("cannot open for reading: " + path);
-  return file.value().ReadAll();
+  FileImage image;
+  USEFUL_RETURN_IF_ERROR(file.value().ReadAll(&image));
+  return image;
 }
 
 }  // namespace useful::represent

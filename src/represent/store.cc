@@ -417,6 +417,14 @@ StoreView::~StoreView() {
   if (map_ != nullptr) ::munmap(map_, map_len_);
 }
 
+void StoreView::ReleaseEngine(std::size_t i) const {
+  // DONTNEED on the heap bytes of a buffer-backed view would zero them.
+  if (map_ == nullptr) return;
+  const RepresentativeView& engine = engines_[i];
+  AdviseWholePages(engine.codebooks_ - kEngineHeaderBytes,
+                   engine.block_bytes(), MADV_DONTNEED);
+}
+
 std::optional<RepresentativeView> StoreView::Find(std::string_view name) const {
   auto it = std::lower_bound(engines_.begin(), engines_.end(), name,
                              [](const RepresentativeView& e,
@@ -592,6 +600,13 @@ Result<std::shared_ptr<const StoreView>> StoreView::Open(
     const int err = errno;
     return Status::IOError("mmap " + path + ": " + std::strerror(err));
   }
+  // Where the page cache holds the file in large folios, a mapping of 2
+  // MiB or more may map one whole folio at once (a PMD entry): DONTNEED on
+  // a few of its pages then drops the whole folio's mapping, and the next
+  // read maps all of it back. Asked before the first read, the hint keeps
+  // every page mapped on its own, so ReleaseEngine frees exactly its
+  // engine's pages. Only a hint: the result is ignored.
+  ::madvise(map, size, MADV_NOHUGEPAGE);
   auto view = std::shared_ptr<StoreView>(new StoreView());
   view->map_ = map;
   view->map_len_ = size;

@@ -169,6 +169,8 @@ class RepresentativeView {
 /// An open URPZ file: the whole image mapped (or held) read-only, with
 /// every engine block validated up front so the per-query accessors can
 /// run unchecked. Immutable once opened; share freely across threads.
+/// ReleaseEngine gives one engine's pages back to the kernel without
+/// changing a byte any accessor reads.
 ///
 /// Validation reads the index and every engine header serially, then walks
 /// each engine's terms on up to `threads` threads, the caller included (one
@@ -179,7 +181,9 @@ class StoreView {
  public:
   /// mmaps the file at `path` and validates the image on the caller. The
   /// returned view owns the mapping; it is unmapped when the last reference
-  /// drops (the broker's RELOAD swap relies on this).
+  /// drops (the broker's RELOAD swap relies on this). The mapping is made
+  /// with MADV_NOHUGEPAGE, so each page stays resident or not on its own
+  /// and ReleaseEngine can drop one engine's pages.
   static Result<std::shared_ptr<const StoreView>> Open(const std::string& path);
 
   /// Like Open(path), mapping the already open `file` (which need not stay
@@ -207,6 +211,14 @@ class StoreView {
   const RepresentativeView& engine(std::size_t i) const {
     return engines_[i];
   }
+
+  /// Drops the whole pages inside engine `i`'s block from this process
+  /// (madvise MADV_DONTNEED): a read of them afterwards faults the same
+  /// file bytes back in, so releasing an engine that is still read costs
+  /// faults, never a wrong byte. The pages it shares with a neighbouring
+  /// block, and the index holding the engine names, stay. A no-op for a
+  /// buffer-backed view.
+  void ReleaseEngine(std::size_t i) const;
 
  private:
   StoreView() = default;

@@ -163,10 +163,9 @@ Result<TermTable> TermTable::Load(const std::string& path) {
   return Index(image.value().view());
 }
 
-Result<TermTable> TermTable::Load(const InputFile& file) {
-  Result<FileImage> image = file.ReadAll();
-  if (!image.ok()) return image.status();
-  return Index(image.value().view());
+Result<TermTable> TermTable::Load(const InputFile& file, FileImage* buffer) {
+  USEFUL_RETURN_IF_ERROR(file.ReadAll(buffer));
+  return Index(buffer->view());
 }
 
 Result<TermTable> TermTable::Freeze(const Representative& rep) {

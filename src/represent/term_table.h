@@ -48,8 +48,10 @@ class TermTable {
   /// Reads the URP1 file at `path` with ReadFileImage and parses it.
   static Result<TermTable> Load(const std::string& path);
 
-  /// Reads the already open `file` with InputFile::ReadAll and parses it.
-  static Result<TermTable> Load(const InputFile& file);
+  /// Reads the already open `file` into `*buffer` with InputFile::ReadAll
+  /// and parses it. The table keeps none of the buffer, so a loader can
+  /// pass the same one for file after file.
+  static Result<TermTable> Load(const InputFile& file, FileImage* buffer);
 
   /// The table of `rep`'s terms and header fields, indexed over the bytes
   /// WriteRepresentative gives for `rep`. Fails with the writer's

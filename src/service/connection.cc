@@ -24,6 +24,11 @@ constexpr int kErrorLineBudgetMs = 20;
 // Longest request line a connection buffers; a longer one is fatal.
 constexpr std::size_t kMaxLineBytes = 1u << 16;
 
+// Inbound capacity an idle connection may keep: well above one request
+// line, so a client sending one line at a time keeps its buffer, while the
+// buffer of a pipelined burst is given back.
+constexpr std::size_t kIdleInboundBytes = 1024;
+
 }  // namespace
 
 bool SendErrorLine(int fd, const Status& status, int budget_ms) {
@@ -212,9 +217,13 @@ void Connection::FlushOut() {
 
 void Connection::FinishFlush(Clock::time_point now) {
   // Release the flushed batch rather than keep its capacity: the next
-  // batch brings its own buffer, so an idle connection pins none.
+  // batch brings its own buffer, so an idle connection pins none. With
+  // nothing left to serve, an inbound buffer a burst grew goes too.
   std::string().swap(out_);
   out_off_ = 0;
+  if (in_.empty() && in_.capacity() > kIdleInboundBytes) {
+    std::string().swap(in_);
+  }
   std::uint64_t write_us = util::MicrosSince(write_start_, now);
   for (obs::Trace& t : pending_traces_) {
     // The socket write is the one stage the service cannot see. Every

@@ -21,7 +21,9 @@
 // it. Exactly one request batch is in flight at the offload pool per
 // connection at a time, so replies stay in request order. The out buffer
 // holds at most the one rendered batch being flushed and is released
-// once it is, so an idle connection holds no reply bytes.
+// once it is, so an idle connection holds no reply bytes; an empty
+// inbound buffer is released with it once a burst has grown it past
+// about 1 KiB.
 //
 // All methods must be called from the connection's owning reactor thread;
 // there is no internal locking.
@@ -106,6 +108,9 @@ class Connection {
   std::vector<std::string> TakeBatch(std::size_t max_lines);
 
   bool batch_in_flight() const { return in_flight_; }
+
+  /// Bytes the inbound buffer has room for (its std::string capacity).
+  std::size_t inbound_capacity() const { return in_.capacity(); }
 
   /// Applies an executed batch: queues the rendered bytes, arms the write
   /// deadline, and attempts an immediate flush. `close_after` closes the

@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -55,7 +56,20 @@ std::string JoinQuery(const std::vector<std::string_view>& tokens,
 
 }  // namespace
 
-std::string FormatScore(double value) { return StringPrintf("%.17g", value); }
+std::string FormatScore(double value) {
+  std::string out;
+  AppendScore(&out, value);
+  return out;
+}
+
+void AppendScore(std::string* out, double value) {
+  // The longest %.17g output is 24 bytes: a sign, 17 digits, a point and
+  // an exponent like "e-308".
+  char buf[32];
+  const std::to_chars_result printed = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out->append(buf, printed.ptr);
+}
 
 Result<double> ParseScore(std::string_view token) {
   if (token.empty()) return Status::InvalidArgument("empty score");

@@ -122,6 +122,11 @@ Result<Request> ParseRequest(std::string_view line);
 /// re-serializes a score can never drift from the server.
 std::string FormatScore(double value);
 
+/// Appends FormatScore(value) to `*out` without building a string: the
+/// bytes of printf("%.17g"), through std::to_chars with the same format
+/// and precision, which the standard defines as printf's.
+void AppendScore(std::string* out, double value);
+
 /// Parses one score token. Fails unless the entire token is consumed; the
 /// value is whatever strtod yields (including infinities, which FormatScore
 /// also round-trips — estimators never produce NaN, but the parser is a

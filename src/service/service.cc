@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <unordered_set>
@@ -21,11 +22,17 @@ namespace useful::service {
 
 namespace {
 
-/// One payload line per engine; FormatScore keeps the wire bit-exact
-/// against the in-process estimates.
+/// One payload line per engine, its scores appended in place;
+/// AppendScore keeps the wire bit-exact against the in-process estimates.
 std::string FormatSelection(const broker::EngineSelection& sel) {
-  return sel.engine + ' ' + FormatScore(sel.estimate.no_doc) + ' ' +
-         FormatScore(sel.estimate.avg_sim);
+  std::string line;
+  line.reserve(sel.engine.size() + 2 * 25);  // two scores of <= 24 bytes
+  line += sel.engine;
+  line += ' ';
+  AppendScore(&line, sel.estimate.no_doc);
+  line += ' ';
+  AppendScore(&line, sel.estimate.avg_sim);
+  return line;
 }
 
 /// One representative file, either format: a packed URPZ store (possibly
@@ -44,16 +51,16 @@ Status WithPath(const std::string& path, const Status& status) {
              : Status::IOError(std::move(msg));
 }
 
-Result<LoadedReps> LoadRepFile(const std::string& path,
-                               std::size_t threads = 1) {
+Result<LoadedReps> LoadRepFile(const std::string& path, std::size_t threads,
+                               represent::FileImage* buffer) {
   LoadedReps out;
   // One path may carry either format; its first four bytes decide, read
   // from the one descriptor that is then mapped or read. Packed URPZ
-  // stores register zero-copy (the mapping stays shared until the last
-  // snapshot serving one of its engines drops) after their engines are
-  // checked on up to `threads` threads; URP1 files become term tables that
-  // every later snapshot shares. A file shorter than a magic is read as
-  // URP1 and fails its magic check.
+  // stores register zero-copy (each engine's pages stay shared until the
+  // last snapshot serving it drops) after their engines are checked on up
+  // to `threads` threads; URP1 files are read into `buffer` and become
+  // term tables that every later snapshot shares. A file shorter than a
+  // magic is read as URP1 and fails its magic check.
   auto file = represent::InputFile::Open(path);
   if (!file.ok()) return Status::IOError(path + ": cannot open " + path);
   if (file.value().StartsWith(represent::kStoreMagic)) {
@@ -62,7 +69,7 @@ Result<LoadedReps> LoadRepFile(const std::string& path,
     out.store = std::move(store).value();
     return out;
   }
-  auto table = represent::TermTable::Load(file.value());
+  auto table = represent::TermTable::Load(file.value(), buffer);
   if (!table.ok()) return WithPath(path, table.status());
   out.table =
       std::make_shared<const represent::TermTable>(std::move(table).value());
@@ -106,19 +113,30 @@ Result<std::shared_ptr<const broker::Metasearcher>> Service::LoadSnapshot()
     const {
   // One thread budget, the CPUs this process may use, the caller
   // included. Many paths load one file per thread, each file checked
-  // serially, and worker i writes only slot i; one path loads on the
-  // caller, and its packed store checks its engines on the whole budget.
-  // Registration stays serial and in path order, so the engine order and
-  // the error reported (the first failing path's) are a serial load's.
+  // serially: each loader takes the next unread path until none is left,
+  // and reads every URP1 file it takes into its one buffer, which grows to
+  // the largest of them and is freed when the loader ends. File i's
+  // result lands in slot i whichever loader read it. One path loads on
+  // the caller, and its packed store checks its engines on the whole
+  // budget. Registration stays serial and in path order, so the engine
+  // order and the error reported (the first failing path's) are a serial
+  // load's.
   const std::vector<std::string>& paths = options_.representative_paths;
   std::vector<Result<LoadedReps>> loaded(paths.size(), LoadedReps{});
   const std::size_t budget = util::ThreadPool::ResolveThreads(0);
   const std::size_t per_file = paths.size() == 1 ? budget : 1;
   util::ThreadPool pool(util::ThreadPool::ThreadsFor(paths.size(), budget));
-  pool.ParallelFor(paths.size(), [&](std::size_t i) {
-    loaded[i] = LoadRepFile(paths[i], per_file);
+  std::atomic<std::size_t> next_path{0};
+  pool.ParallelFor(pool.num_threads(), [&](std::size_t) {
+    represent::FileImage buffer;
+    for (std::size_t i = next_path.fetch_add(1, std::memory_order_relaxed);
+         i < paths.size();
+         i = next_path.fetch_add(1, std::memory_order_relaxed)) {
+      loaded[i] = LoadRepFile(paths[i], per_file, &buffer);
+    }
   });
-  auto next = std::make_shared<broker::Metasearcher>(analyzer_);
+  auto next =
+      std::make_shared<broker::Metasearcher>(analyzer_, packed_releases_);
   for (Result<LoadedReps>& file : loaded) {
     if (!file.ok()) return file.status();
     if (file.value().store != nullptr) {
@@ -148,8 +166,12 @@ void Service::PublishLocked(
   stats_.Set(Stats::kPackedBytes, snap->broker->store_bytes());
   stats_.Set(Stats::kTableBytes, snap->broker->table_bytes());
   stats_.Set(Stats::kSnapshotEpoch, epoch_);
+  // The replaced snapshot, if this was its last holder, is destroyed after
+  // the lock is let go: releasing its store engines' pages (and unmapping a
+  // store it held last) takes system calls no reader should wait behind.
+  std::shared_ptr<const Snapshot> replaced;
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(snap);
+  replaced = std::exchange(snapshot_, std::move(snap));
 }
 
 std::shared_ptr<const Service::Snapshot> Service::GetSnapshot() const {
@@ -191,7 +213,8 @@ Status Service::Reload() {
 
 Status Service::AddEngines(const std::string& path, std::size_t* added_out) {
   std::lock_guard<std::mutex> churn(churn_mu_);
-  auto loaded = LoadRepFile(path);
+  represent::FileImage buffer;
+  auto loaded = LoadRepFile(path, 1, &buffer);
   if (!loaded.ok()) return loaded.status();
   std::shared_ptr<const Snapshot> current = GetSnapshot();
   std::unique_ptr<broker::Metasearcher> clone = current->broker->Clone();
@@ -240,7 +263,8 @@ Status Service::DropEngine(const std::string& engine) {
 Status Service::UpdateEngines(const std::string& path,
                               std::size_t* updated_out) {
   std::lock_guard<std::mutex> churn(churn_mu_);
-  auto loaded = LoadRepFile(path);
+  represent::FileImage buffer;
+  auto loaded = LoadRepFile(path, 1, &buffer);
   if (!loaded.ok()) return loaded.status();
   std::shared_ptr<const Snapshot> current = GetSnapshot();
   std::unordered_set<std::string> registered;
@@ -486,12 +510,14 @@ Reply Service::DoRank(const Request& request, bool apply_policy,
 
 Reply Service::DoStats() {
   Reply reply;
+  stats_.Set(Stats::kPackedReleases, packed_releases_->load());
   reply.payload = stats_.Render(cache_.counters(), num_engines());
   return reply;
 }
 
 Reply Service::DoMetrics() {
   Reply reply;
+  stats_.Set(Stats::kPackedReleases, packed_releases_->load());
   reply.payload = stats_.RenderMetrics(cache_.counters(), num_engines());
   // Per-engine generation gauges ride after the registry: the engine set
   // is snapshot state, not Stats state, so the labels are rendered here.

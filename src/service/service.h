@@ -177,6 +177,10 @@ class Service : public RequestHandler {
 
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_;
+  /// Store engines released by every broker this service built; STATS and
+  /// METRICS copy it into representative_packed_releases.
+  const std::shared_ptr<broker::ReleaseCounter> packed_releases_ =
+      std::make_shared<broker::ReleaseCounter>(0);
 
   std::mutex estimators_mu_;
   std::unordered_map<std::string,

@@ -68,6 +68,11 @@ constexpr MetricRow kRows[] = {
      kGauge, kSum, Stats::kTableBytes,
      "Total bytes of the URP1 term tables behind the snapshot: compact "
      "records plus 4 per bucket bound."},
+    {"representative_packed_releases",
+     "useful_representative_packed_releases_total", kCounter, kSum,
+     Stats::kPackedReleases,
+     "Packed-store engines whose pages were given back: no snapshot "
+     "serves them any more, or an ADD or UPDATE skipped them."},
     {"cache_hits", "useful_cache_hits_total", kCounter, kSum, kCacheHits,
      "Query cache hits."},
     {"cache_misses", "useful_cache_misses_total", kCounter, kSum,

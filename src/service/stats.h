@@ -89,6 +89,7 @@ class Stats {
     kPackedEngines,
     kPackedBytes,
     kTableBytes,
+    kPackedReleases,
     kConnsOpened,
     kConnsShed,
     kIdleTimeouts,

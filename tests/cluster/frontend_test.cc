@@ -431,6 +431,7 @@ TEST_F(FrontendTest, StatsSumsPartitionedRepresentativeGauges) {
                       "representative_packed_engines 1",
                       "representative_packed_bytes 4096",
                       "representative_table_bytes 3699194",
+                      "representative_packed_releases 5",
                       "cache_entries 10"});
     };
   }
@@ -440,6 +441,7 @@ TEST_F(FrontendTest, StatsSumsPartitionedRepresentativeGauges) {
                       "representative_packed_engines 2",
                       "representative_packed_bytes 1000",
                       "representative_table_bytes 3525361",
+                      "representative_packed_releases 2",
                       "cache_entries 6"});
     };
   }
@@ -455,6 +457,7 @@ TEST_F(FrontendTest, StatsSumsPartitionedRepresentativeGauges) {
   EXPECT_TRUE(has_line("agg_representative_packed_engines 3"));
   EXPECT_TRUE(has_line("agg_representative_packed_bytes 5096"));
   EXPECT_TRUE(has_line("agg_representative_stale 3"));
+  EXPECT_TRUE(has_line("agg_representative_packed_releases 7"));
   EXPECT_TRUE(has_line("agg_cache_entries 10"));
 }
 

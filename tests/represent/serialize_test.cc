@@ -323,14 +323,88 @@ void ExpectFileLoadersAgree(const std::string& bytes) {
   Result<Representative> rep = LoadRepresentative(path);
   Result<InputFile> file = InputFile::Open(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
+  FileImage buffer;
   for (const Result<TermTable>& table :
-       {TermTable::Load(path), TermTable::Load(file.value())}) {
+       {TermTable::Load(path), TermTable::Load(file.value(), &buffer)}) {
     EXPECT_EQ(rep.ok(), table.ok());
     EXPECT_EQ(rep.status().code(), table.status().code());
     EXPECT_EQ(rep.status().message(), table.status().message());
     if (rep.ok() && table.ok()) ExpectSameTerms(rep.value(), table.value());
   }
   std::filesystem::remove(path);
+}
+
+/// Writes `bytes` to `path`, replacing the file.
+void WriteFile(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// TermTable::Load of `path` through `buffer`.
+Result<TermTable> LoadThrough(const std::string& path, FileImage* buffer) {
+  Result<InputFile> file = InputFile::Open(path);
+  if (!file.ok()) return file.status();
+  return TermTable::Load(file.value(), buffer);
+}
+
+// A loader reads file after file into one buffer, and a file it reads
+// after a larger one is parsed from its own bytes alone. Cut short, so
+// that the larger file's bytes left in the buffer would complete it, it
+// fails as a fresh read does; whole, its table matches a fresh read's.
+TEST(SerializeTest, ReusedReadBufferParsesOnlyTheFileJustRead) {
+  Representative large("large", 5000, RepresentativeKind::kQuadruplet);
+  Pcg32 rng(11);
+  for (int i = 0; i < 400; ++i) {
+    large.Put("term" + std::to_string(i),
+              TermStats{rng.NextDouble(), rng.NextDouble(), rng.NextDouble(),
+                        rng.NextDouble(), 1 + rng.NextBounded(5000)});
+  }
+  std::stringstream large_image;
+  ASSERT_TRUE(WriteRepresentative(large, large_image).ok());
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string large_path = (dir / "useful_rep_reuse_large.bin").string();
+  const std::string cut_path = (dir / "useful_rep_reuse_cut.bin").string();
+  const std::string small_path = (dir / "useful_rep_reuse_small.bin").string();
+  WriteFile(large_path, large_image.str());
+  WriteFile(cut_path, std::string_view(large_image.str()).substr(
+                          0, large_image.str().size() - 7));
+  ASSERT_TRUE(SaveRepresentative(MakeRep(), small_path).ok());
+
+  FileImage buffer;
+  Result<TermTable> first = LoadThrough(large_path, &buffer);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::size_t capacity = buffer.capacity;
+  EXPECT_EQ(capacity, large_image.str().size());
+
+  Result<TermTable> cut = LoadThrough(cut_path, &buffer);
+  Result<TermTable> fresh_cut = TermTable::Load(cut_path);
+  ASSERT_FALSE(fresh_cut.ok());
+  EXPECT_EQ(fresh_cut.status().code(), Status::Code::kCorruption);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), fresh_cut.status().code());
+  EXPECT_EQ(cut.status().message(), fresh_cut.status().message());
+
+  Result<TermTable> small = LoadThrough(small_path, &buffer);
+  Result<TermTable> fresh_small = TermTable::Load(small_path);
+  EXPECT_EQ(buffer.capacity, capacity);  // read into the same storage
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_TRUE(fresh_small.ok()) << fresh_small.status().ToString();
+  EXPECT_EQ(small.value().engine_name(), fresh_small.value().engine_name());
+  EXPECT_EQ(small.value().num_docs(), fresh_small.value().num_docs());
+  EXPECT_EQ(small.value().kind(), fresh_small.value().kind());
+  EXPECT_EQ(small.value().stale_max(), fresh_small.value().stale_max());
+  EXPECT_EQ(small.value().num_terms(), fresh_small.value().num_terms());
+  EXPECT_EQ(small.value().bytes(), fresh_small.value().bytes());
+  const Representative small_rep = MakeRep();
+  for (const auto& [term, stats] : small_rep.stats()) {
+    std::optional<TermStats> reused = small.value().Find(term);
+    std::optional<TermStats> fresh = fresh_small.value().Find(term);
+    ASSERT_TRUE(reused.has_value() && fresh.has_value()) << term;
+    EXPECT_TRUE(BitIdentical(*reused, *fresh)) << term;
+  }
+  for (const std::string& path : {large_path, cut_path, small_path}) {
+    std::filesystem::remove(path);
+  }
 }
 
 /// MakeRep's image with its engine name padded to make it `size` bytes.

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "estimate/registry.h"
 #include "estimate/resolved_query.h"
@@ -322,6 +329,119 @@ TEST(StoreTest, OpenFromFileMatchesBuffer) {
     ExpectSameStats(*sm, *sb, term);
   }
   std::remove(path.c_str());
+}
+
+/// Rss in kB of the mapping of this process that holds `address`, from
+/// /proc/self/smaps; -1 when no mapping holds it.
+long MappingRssKb(const void* address) {
+  const auto where = reinterpret_cast<std::uintptr_t>(address);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    unsigned long begin = 0, end = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &begin, &end) == 2) {
+      inside = begin <= where && where < end;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      return std::stol(line.substr(4));
+    }
+  }
+  return -1;
+}
+
+/// `count` terms of 30 random letters: front coding shares little of
+/// them, so the engine's block spans many pages.
+Representative MakeWideRep(const std::string& name, std::size_t count,
+                           std::uint64_t seed) {
+  Pcg32 rng(seed);
+  Representative rep(name, 5000, RepresentativeKind::kQuadruplet);
+  while (rep.num_terms() < count) {
+    std::string term(30, 'a');
+    for (char& c : term) c = static_cast<char>('a' + rng.NextBounded(26));
+    TermStats ts;
+    ts.doc_freq = 1 + rng.NextBounded(5000);
+    ts.p = ts.doc_freq / 5000.0;
+    ts.avg_weight = rng.NextDouble() * 0.5 + 0.01;
+    ts.stddev = rng.NextDouble() * 0.2;
+    ts.max_weight = std::min(1.0, ts.avg_weight + 3.0 * ts.stddev);
+    rep.Put(std::move(term), ts);
+  }
+  return rep;
+}
+
+// Releasing an engine drops its pages from this process and nothing else:
+// the mapping's Rss falls by at least the engine's whole pages and stays
+// down while every term of the other engines is read, and the released
+// engine then reads back the same stats. The store is over 2 MiB, so
+// where the page cache holds it in a huge folio, a mapping without the
+// map-time MADV_NOHUGEPAGE maps that folio whole, and the first read
+// after the release maps the released pages back with it.
+TEST(StoreReleaseTest, ReleasedEngineLeavesTheMappingAndReadsBackTheSame) {
+  constexpr std::size_t kTerms = 25'000;
+  const Representative reps[] = {MakeWideRep("engine0", kTerms, 1),
+                                 MakeWideRep("engine1", kTerms, 2),
+                                 MakeWideRep("engine2", kTerms, 3)};
+  const std::string path = ::testing::TempDir() + "/store_release_" +
+                           std::to_string(::getpid()) + ".urpz";
+  ASSERT_TRUE(PackStoreToFile({&reps[0], &reps[1], &reps[2]}, path).ok());
+  auto opened = StoreView::Open(path);
+  std::remove(path.c_str());  // the mapping keeps the file's bytes
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const StoreView& store = *opened.value();
+  ASSERT_EQ(store.num_engines(), 3u);
+  ASSERT_GT(store.file_bytes(), 2u << 20);
+
+  // Reading every term maps every page of every block.
+  std::vector<std::pair<std::string, TermStats>> read[3];
+  for (std::size_t e = 0; e < 3; ++e) {
+    store.engine(e).ForEachTerm(
+        [&](std::string_view term, const TermStats& ts) {
+          read[e].emplace_back(std::string(term), ts);
+        });
+    ASSERT_EQ(read[e].size(), kTerms);
+  }
+  auto expect_found = [&](std::size_t e) {
+    std::size_t differ = 0;
+    for (const auto& [term, ts] : read[e]) {
+      std::optional<TermStats> found = store.engine(e).Find(term);
+      if (!found.has_value() || found->p != ts.p ||
+          found->avg_weight != ts.avg_weight || found->stddev != ts.stddev ||
+          found->max_weight != ts.max_weight ||
+          found->doc_freq != ts.doc_freq) {
+        ++differ;
+      }
+    }
+    EXPECT_EQ(differ, 0u) << "engine " << e;
+  };
+
+  // The engine names live in the index, inside the same mapping.
+  const void* mapping = store.engine(0).engine_name().data();
+  const long before_kb = MappingRssKb(mapping);
+  ASSERT_GT(before_kb, 0);
+  store.ReleaseEngine(1);
+  const long released_kb = MappingRssKb(mapping);
+  const long page = ::sysconf(_SC_PAGESIZE);
+  const long whole_pages =
+      static_cast<long>(store.engine(1).block_bytes()) / page - 1;
+  EXPECT_GE(before_kb - released_kb, whole_pages * (page / 1024))
+      << "Rss " << before_kb << " -> " << released_kb << " kB";
+
+  expect_found(0);
+  expect_found(2);
+  EXPECT_LE(MappingRssKb(mapping), released_kb)
+      << "reading engines 0 and 2 mapped engine 1's pages back";
+  for (std::size_t e = 0; e < 3; ++e) expect_found(e);
+}
+
+// A buffer-backed view owns its bytes on the heap: releasing an engine
+// leaves them as they were.
+TEST(StoreReleaseTest, BufferBackedViewKeepsItsBytes) {
+  Representative rep = MakeWideRep("db", 2'000, 4);
+  auto store = MustOpen(EncodeStore({&rep}).value());
+  ASSERT_NE(store, nullptr);
+  store->ReleaseEngine(0);
+  for (const auto& [term, ts] : rep.stats()) {
+    ASSERT_TRUE(store->engine(0).Find(term).has_value()) << term;
+  }
 }
 
 TEST(StoreTest, RejectsEmptyRepresentative) {

@@ -24,6 +24,7 @@
 #include "ir/search_engine.h"
 #include "represent/builder.h"
 #include "represent/serialize.h"
+#include "represent/store.h"
 #include "service/service.h"
 #include "text/analyzer.h"
 
@@ -71,16 +72,34 @@ class ChurnConcurrencyTest : public ::testing::Test {
 
   void WriteRepAs(const std::string& engine_name, const std::string& file,
                   std::vector<std::string> docs) {
+    ASSERT_TRUE(represent::SaveRepresentative(BuildRep(engine_name, docs),
+                                              RepPath(file))
+                    .ok());
+  }
+
+  /// The representative of `engine_name` built from `docs`.
+  represent::Representative BuildRep(const std::string& engine_name,
+                                     const std::vector<std::string>& docs) {
     ir::SearchEngine engine(engine_name, &analyzer_);
     int i = 0;
     for (const std::string& text : docs) {
-      ASSERT_TRUE(
+      EXPECT_TRUE(
           engine.Add({engine_name + "/d" + std::to_string(i++), text}).ok());
     }
-    ASSERT_TRUE(engine.Finalize().ok());
+    EXPECT_TRUE(engine.Finalize().ok());
     auto rep = represent::BuildRepresentative(engine);
-    ASSERT_TRUE(rep.ok());
-    ASSERT_TRUE(represent::SaveRepresentative(rep.value(), RepPath(file)).ok());
+    EXPECT_TRUE(rep.ok());
+    return std::move(rep).value();
+  }
+
+  /// Packs `reps` into the URPZ store `dir_/<file>.urpz`; returns its path.
+  std::string Pack(const std::string& file,
+                   const std::vector<represent::Representative>& reps) {
+    std::vector<const represent::Representative*> ptrs;
+    for (const represent::Representative& rep : reps) ptrs.push_back(&rep);
+    const std::string path = (dir_ / (file + ".urpz")).string();
+    EXPECT_TRUE(represent::PackStoreToFile(ptrs, path).ok());
+    return path;
   }
 
   std::vector<std::string> Payload(const std::string& request) {
@@ -165,6 +184,79 @@ TEST_F(ChurnConcurrencyTest, RepliesNeverMixSnapshotGenerations) {
   EXPECT_EQ(torn.load(), 0) << "a reply mixed two snapshot generations";
   EXPECT_GE(cycle, kMinCycles);
   // The writer ended on state A.
+  EXPECT_EQ(Payload(kProbe), legal[0]);
+}
+
+// The same hunt over one multi-engine URPZ store: the writer UPDATEs two
+// of its engines from single-engine packs and DROPs a third, so each verb
+// releases a store engine's pages once the last reader of the old snapshot
+// lets go, while readers keep estimating the store's other engines.
+// RELOAD maps the store afresh. Every reply must still be one of the
+// sequential states' bytes.
+TEST_F(ChurnConcurrencyTest, PackedStoreRepliesNeverMixGenerations) {
+  const std::string store =
+      Pack("fleet", {BuildRep("alpha", {"falcon shared", "glider canyon"}),
+                     BuildRep("beta", {"reactor shared", "turbine shared"}),
+                     BuildRep("gamma", {"marble shared quarry"}),
+                     BuildRep("delta", {"violin bow", "violin shared"})});
+  const std::string alpha_v2 =
+      Pack("alpha_v2", {BuildRep("alpha", {"falcon shared shared"})});
+  const std::string beta_v2 = Pack(
+      "beta_v2", {BuildRep("beta", {"reactor", "turbine", "shared blade"})});
+  ServiceOptions options;
+  options.representative_paths = {store};
+  auto created = Service::Create(&analyzer_, std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  service_ = std::move(created).value();
+
+  const std::string kProbe = "ESTIMATE subrange 0.05 shared";
+  const std::vector<std::string> cycle = {"UPDATE " + alpha_v2,
+                                          "UPDATE " + beta_v2, "DROP gamma",
+                                          "RELOAD"};
+  // Sequential states: the store, then after each verb of the cycle; the
+  // last, RELOAD, returns to the first.
+  std::vector<std::vector<std::string>> legal = {Payload(kProbe)};
+  for (const std::string& verb : cycle) {
+    ASSERT_TRUE(service_->Execute(verb).status.ok()) << verb;
+    legal.push_back(Payload(kProbe));
+  }
+  ASSERT_EQ(legal.back(), legal.front()) << "RELOAD did not restore it";
+  legal.pop_back();
+  for (std::size_t i = 1; i < legal.size(); ++i) {
+    ASSERT_NE(legal[i - 1], legal[i]) << "state " << i;
+  }
+
+  constexpr int kMinCycles = 10;
+  constexpr int kReaders = 3;
+  constexpr int kReadsPerReader = 150;
+  std::atomic<int> readers_done{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        auto reply = service_->Execute(kProbe);
+        if (!reply.status.ok() ||
+            std::find(legal.begin(), legal.end(), reply.payload) ==
+                legal.end()) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      readers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  int cycles = 0;
+  while (cycles < kMinCycles ||
+         readers_done.load(std::memory_order_acquire) < kReaders) {
+    for (const std::string& verb : cycle) {
+      ASSERT_TRUE(service_->Execute(verb).status.ok())
+          << verb << ", cycle " << cycles;
+    }
+    ++cycles;
+  }
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0) << "a reply mixed two snapshot generations";
   EXPECT_EQ(Payload(kProbe), legal[0]);
 }
 

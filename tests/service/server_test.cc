@@ -5,6 +5,7 @@
 #include "service/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -777,6 +778,74 @@ TEST(SendErrorLineTest, SlowlyDrainingPeerStillGetsTheWholeLine) {
   EXPECT_EQ(received.substr(filled), "ERR Unavailable: overloaded\n");
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+/// A Connection over one end of a socketpair, driven by hand: the test
+/// writes requests to the other end and answers each batch itself.
+class ConnectionBufferTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+    peer_ = fds[1];
+    conn_ = std::make_unique<Connection>(fds[0], 1, &options_, &stats_);
+  }
+  void TearDown() override {
+    conn_.reset();
+    ::close(peer_);
+  }
+
+  /// Sends `lines` in one write, lets the connection read and take them
+  /// as one batch, answers it, and reads the answer back.
+  void RoundTrip(std::size_t lines) {
+    std::string request;
+    for (std::size_t i = 0; i < lines; ++i) {
+      request += "ESTIMATE subrange 0.2 alpha\n";
+    }
+    ASSERT_EQ(::send(peer_, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    conn_->OnReadable();
+    ASSERT_TRUE(conn_->WantsDispatch());
+    ASSERT_EQ(conn_->TakeBatch(lines).size(), lines);
+    const std::string reply(lines * 5, 'r');
+    conn_->OnBatchComplete(reply, {}, /*close_after=*/false);
+    std::string received;
+    char chunk[4096];
+    while (received.size() < reply.size()) {
+      const ssize_t n = ::recv(peer_, chunk, sizeof(chunk), 0);
+      ASSERT_GT(n, 0);
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(received, reply);
+  }
+
+  ServerOptions options_;
+  Stats stats_;
+  int peer_ = -1;
+  std::unique_ptr<Connection> conn_;
+};
+
+// A pipelined burst grows the inbound buffer past 1 KiB; once its reply has
+// flushed and nothing is buffered, the connection gives the buffer back.
+TEST_F(ConnectionBufferTest, IdleConnectionReleasesABurstsInboundBuffer) {
+  RoundTrip(128);
+  EXPECT_EQ(conn_->inbound_capacity(), std::string().capacity());
+  EXPECT_FALSE(conn_->ShouldClose());
+  RoundTrip(1);  // and still serves
+}
+
+// A client that sends one line at a time keeps its small buffer: no round
+// trip after the first allocates it again.
+TEST_F(ConnectionBufferTest, OneLineAtATimeKeepsItsSmallInboundBuffer) {
+  RoundTrip(1);
+  const std::size_t capacity = conn_->inbound_capacity();
+  EXPECT_GT(capacity, std::string().capacity());
+  EXPECT_LE(capacity, 1024u);
+  for (int i = 0; i < 5; ++i) {
+    RoundTrip(1);
+    EXPECT_EQ(conn_->inbound_capacity(), capacity) << "round trip " << i;
+  }
 }
 
 }  // namespace

@@ -655,10 +655,11 @@ class PackedServiceTest : public ServiceTest {
   std::string StorePath() { return (dir_ / "packed.urpz").string(); }
 
   // Packs `names` (already indexed by WriteRep-style docs) into one URPZ
-  // store at StorePath().
+  // store at `path`.
   void PackEngines(
       const std::vector<std::pair<std::string, std::vector<std::string>>>&
-          engines) {
+          engines,
+      const std::string& path) {
     std::vector<represent::Representative> reps;
     for (const auto& [name, docs] : engines) {
       ir::SearchEngine engine(name, &analyzer_);
@@ -674,7 +675,26 @@ class PackedServiceTest : public ServiceTest {
     }
     std::vector<const represent::Representative*> ptrs;
     for (const auto& r : reps) ptrs.push_back(&r);
-    ASSERT_TRUE(represent::PackStoreToFile(ptrs, StorePath()).ok());
+    ASSERT_TRUE(represent::PackStoreToFile(ptrs, path).ok());
+  }
+
+  void PackEngines(
+      const std::vector<std::pair<std::string, std::vector<std::string>>>&
+          engines) {
+    PackEngines(engines, StorePath());
+  }
+
+  /// The value of `key` in `service`'s STATS payload.
+  static std::uint64_t StatsValue(Service& service, const std::string& key) {
+    auto reply = service.Execute("STATS");
+    EXPECT_TRUE(reply.status.ok());
+    for (const std::string& line : reply.payload) {
+      if (line.rfind(key + ' ', 0) == 0) {
+        return std::stoull(line.substr(key.size() + 1));
+      }
+    }
+    ADD_FAILURE() << "no STATS key " << key;
+    return 0;
   }
 };
 
@@ -898,6 +918,79 @@ TEST_F(PackedServiceTest, UpdatesFromOneStoreKeepPackedBytesFlat) {
   EXPECT_EQ(after_first, at_start);
   EXPECT_EQ(service->stats().Get(Stats::kPackedBytes), after_first);
   EXPECT_EQ(service->stats().Get(Stats::kPackedEngines), 1u);
+}
+
+// An UPDATE releases the store engines it replaces once no snapshot
+// serves them, and the engines of its file it skips at once; STATS and
+// METRICS count both.
+TEST_F(PackedServiceTest, UpdateReleasesReplacedEnginesOnceTheOldSnapshotDrops) {
+  PackEngines({{"history", {"empire treaty dynasty", "treaty shared"}},
+               {"music", {"guitar melody chord", "melody shared"}},
+               {"geology", {"basalt quartz shared", "quartz shale"}}});
+  ServiceOptions options = MakeOptions();
+  options.representative_paths.push_back(StorePath());
+  auto created = Service::Create(&analyzer_, std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Service> service = std::move(created).value();
+  const std::string key = "representative_packed_releases";
+  EXPECT_EQ(StatsValue(*service, key), 0u);
+
+  // "poetry" is not registered here, so UPDATE skips it.
+  const std::string update = (dir_ / "update.urpz").string();
+  PackEngines({{"history", {"empire treaty shared", "dynasty"}},
+               {"music", {"melody chord shared"}},
+               {"poetry", {"sonnet verse shared"}}},
+              update);
+  auto old_snapshot = service->snapshot();
+  auto reply = service->Execute("UPDATE " + update);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.payload[0], "updated 2");
+  EXPECT_EQ(StatsValue(*service, key), 1u);  // poetry, at once
+  old_snapshot.reset();
+  EXPECT_EQ(StatsValue(*service, key), 3u);  // and the two replaced
+  EXPECT_EQ(service->stats().Get(Stats::kPackedEngines), 3u);
+
+  bool saw_family = false;
+  auto metrics = service->Execute("METRICS");
+  ASSERT_TRUE(metrics.status.ok());
+  for (const std::string& line : metrics.payload) {
+    if (line == "useful_representative_packed_releases_total 3") {
+      saw_family = true;
+    }
+  }
+  EXPECT_TRUE(saw_family);
+
+  // DROP releases the dropped engine; no snapshot is held, so at once.
+  ASSERT_TRUE(service->Execute("DROP geology").status.ok());
+  EXPECT_EQ(StatsValue(*service, key), 4u);
+}
+
+// Under shard ownership an ADD registers the store engines its shard owns
+// and releases the rest at once.
+TEST_F(PackedServiceTest, ShardFilteredAddReleasesTheEnginesItSkips) {
+  std::vector<std::pair<std::string, std::vector<std::string>>> engines;
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = StringPrintf("group%02d", i);
+    engines.push_back({name, {name + " treaty shared", "melody " + name}});
+  }
+  PackEngines(engines);
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    ServiceOptions options = MakeOptions();
+    options.num_shards = 2;
+    options.shard_index = shard;
+    auto service = Service::Create(&analyzer_, std::move(options));
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    auto reply = service.value()->Execute("ADD " + StorePath());
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    std::size_t owned = 0;
+    for (const auto& [name, docs] : engines) {
+      if (util::ShardForEngine(name, 2) == shard) ++owned;
+    }
+    EXPECT_EQ(reply.payload[0], StringPrintf("added %zu", owned));
+    EXPECT_EQ(StatsValue(*service.value(), "representative_packed_releases"),
+              engines.size() - owned)
+        << "shard " << shard;
+  }
 }
 
 TEST_F(PackedServiceTest, AddOfImpossibleEngineCountFailsAndKeepsServing) {

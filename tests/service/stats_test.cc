@@ -73,6 +73,7 @@ void RecordFixedSequence(Stats* stats) {
   stats->Set(Stats::kPackedEngines, 2);
   stats->Set(Stats::kPackedBytes, 4'096);
   stats->Set(Stats::kTableBytes, 6'144);
+  stats->Add(Stats::kPackedReleases, 3);
   stats->Set(Stats::kSnapshotEpoch, 7);
 
   obs::Trace routed(true);

@@ -8,7 +8,10 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "estimate/registry.h"
 #include "ir/query.h"
@@ -74,6 +77,64 @@ TEST(WireFormatTest, RandomBitPatternsRoundTrip) {
     if (std::isnan(value)) continue;  // estimators never produce NaN
     ExpectRoundTrips(value);
   }
+}
+
+std::string Printf17g(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+// FormatScore prints through std::to_chars; its bytes must be printf's
+// %.17g for every double: random bit patterns (every exponent, subnormals
+// and NaN payloads included), the value shapes estimators produce, and
+// each special value.
+TEST(WireFormatTest, FormatScorePrintsWhatPrintfPrints) {
+  std::vector<double> values = {
+      0.0, -0.0, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      2.2250738585072009e-308, DBL_MIN, DBL_MAX, -DBL_MAX, 1e17 + 1.0,
+      1e16, 1e-5, 1e-4, 123456789012345678.0};
+  Pcg32 rng(2026, 10);
+  for (int i = 0; i < 600'000; ++i) {
+    const std::uint64_t bits =
+        (static_cast<std::uint64_t>(rng.NextU32()) << 32) | rng.NextU32();
+    values.push_back(std::bit_cast<double>(bits));
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    const double u = rng.NextDouble();
+    values.push_back(u);
+    values.push_back(u * 800.0);
+    values.push_back(u * 1e-7);
+    values.push_back(std::floor(u * 5000.0));
+  }
+  // Subnormals: random mantissas under the smallest normal exponent.
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t mantissa =
+        ((static_cast<std::uint64_t>(rng.NextU32()) << 32) | rng.NextU32()) &
+        ((std::uint64_t{1} << 52) - 1);
+    values.push_back(std::bit_cast<double>(mantissa));
+  }
+  ASSERT_GE(values.size(), 1'000'000u);
+  std::size_t mismatches = 0;
+  for (double value : values) {
+    const std::string want = Printf17g(value);
+    std::string got = "x";
+    AppendScore(&got, value);
+    if (FormatScore(value) != want || got != "x" + want) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << Bits(value) << ": printf " << want
+                      << ", FormatScore " << FormatScore(value);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(FormatScore(std::numeric_limits<double>::quiet_NaN()), "nan");
+  EXPECT_EQ(FormatScore(-std::numeric_limits<double>::infinity()), "-inf");
 }
 
 TEST(WireFormatTest, ParseScoreRejectsPartialTokens) {
