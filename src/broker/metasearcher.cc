@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "represent/builder.h"
 #include "util/logging.h"
@@ -155,12 +154,9 @@ std::unique_ptr<Metasearcher> Metasearcher::Clone() const {
 }
 
 std::size_t Metasearcher::store_bytes() const {
-  std::unordered_set<const represent::StoreView*> counted;
   std::size_t bytes = 0;
   for (const Entry& e : entries_) {
-    if (e.engine != nullptr && counted.insert(&e.engine->store()).second) {
-      bytes += e.engine->store().file_bytes();
-    }
+    if (e.engine != nullptr) bytes += e.engine->view().block_bytes();
   }
   return bytes;
 }

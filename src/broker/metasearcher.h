@@ -108,9 +108,9 @@ class Metasearcher {
 
   /// Removes the named engine from the registry (NotFound when absent).
   /// Stale/store-engine counters follow the entry out, and so does its
-  /// handle on a packed store engine: once no entry of this broker serves
-  /// one of the store's engines, store_bytes() stops counting it, and the
-  /// engine's pages are released when no other snapshot serves it either.
+  /// handle on a packed store engine: store_bytes() stops counting its
+  /// block, and the engine's pages are released when no other snapshot
+  /// serves it either.
   Status RemoveEngine(std::string_view engine_name);
 
   /// Copy for copy-on-write churn (ADD/DROP/UPDATE build a mutated clone
@@ -137,8 +137,9 @@ class Metasearcher {
   /// Engines served from packed stores (subset of num_engines()).
   std::size_t num_store_engines() const { return num_store_engines_; }
 
-  /// Total bytes of the distinct packed store images that this broker's
-  /// entries serve engines from.
+  /// Total bytes of the packed-store engine blocks this broker's entries
+  /// serve (RepresentativeView::block_bytes). A store's header and index,
+  /// and the blocks of its engines no entry serves, are not counted.
   std::size_t store_bytes() const;
 
   /// Total bytes of the term tables of this broker's entries
@@ -197,7 +198,6 @@ class Metasearcher {
     StoreEngine(const StoreEngine&) = delete;
     StoreEngine& operator=(const StoreEngine&) = delete;
 
-    const represent::StoreView& store() const { return *store_; }
     const represent::RepresentativeView& view() const {
       return store_->engine(index_);
     }

@@ -2,25 +2,32 @@
 // is a node-based hash map that can still be edited, a TermTable is the
 // engine's term records, compacted into one exact-size buffer and grouped
 // by hash bucket, plus a directory of u32 bucket bounds, about one bucket
-// per two terms. A lookup hashes the term once and scans the short run of
-// its bucket, decoding records in place. A compact record is
+// per two terms, and a dictionary of the records' document weights. A
+// lookup hashes the term once and scans the short run of its bucket,
+// decoding records in place. A compact record is
 //
-//   u8 flags | LEB128 term length | term | LEB128 df | f64 w
-//            | [f64 p] | [f64 sigma, f64 mw]
+//   u8 flags | LEB128 term length | term | LEB128 df | weight
+//            | [f64 p] | [f64 w, f64 sigma]
 //
-// p is left out when its bits are those of df / num_docs, and sigma and
-// mw when sigma is +0.0 and mw has w's bits; Find rebuilds both exactly,
-// so every field reads back with the bits of the file's record. The flags
+// where weight is the record's mw: an index into the dictionary, which
+// holds each distinct bit pattern of the table's mw once, in first-seen
+// order. The index takes 1 byte when there are at most 256 of them and 2
+// up to 65,536. A table whose dictionary would not take fewer bytes than
+// its weights inline keeps none, and its records hold the f64 itself.
+// p is left out when its bits are those of df / num_docs, and w and sigma
+// when sigma is +0.0 and w has mw's bits; Find rebuilds them exactly, so
+// every field reads back with the bits of the file's record. The flags
 // byte's other six bits hold six bits of the term's hash, so a scan steps
 // over other terms without comparing their bytes.
 //
 // A table is built in two passes over the URP1 image and keeps none of
-// it: the first checks every record and sizes the buckets, the second
-// writes each record, in file order, at its bucket's cursor. Brokers share
-// a table between snapshots by pointer. A file is read, not mapped:
-// SaveRepresentative truncates and rewrites a .rep file in place, and
-// truncation unmaps even the pages a private mapping had already copied,
-// so a mapped table would raise SIGBUS under a snapshot still serving.
+// it: the first checks every record, gives its mw a dictionary index and
+// sizes the buckets, the second writes each record, in file order, at its
+// bucket's cursor. Brokers share a table between snapshots by pointer. A
+// file is read, not mapped: SaveRepresentative truncates and rewrites a
+// .rep file in place, and truncation unmaps even the pages a private
+// mapping had already copied, so a mapped table would raise SIGBUS under
+// a snapshot still serving.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +36,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "represent/input_file.h"
 #include "represent/representative.h"
@@ -67,11 +75,12 @@ class TermTable {
   /// Distinct terms: a repeated term counts once.
   std::size_t num_terms() const { return num_terms_; }
 
-  /// The bytes the table holds: its compact records plus 4 per bucket
-  /// bound.
+  /// The bytes the table holds: its compact records, 4 per bucket bound
+  /// and 8 per dictionary entry.
   std::size_t bytes() const {
     return bounds_[bucket_mask_ + 1] +
-           sizeof(std::uint32_t) * (bucket_mask_ + 2);
+           sizeof(std::uint32_t) * (bucket_mask_ + 2) +
+           sizeof(std::uint64_t) * weights_.size();
   }
 
   /// Stats for `term`, or nullopt when the database lacks it.
@@ -88,8 +97,8 @@ class TermTable {
 
  private:
   // The flags byte of a compact record: kHasP when p is kept (it is not
-  // df / num_docs), kHasSpread when sigma and mw are (sigma is not +0.0,
-  // or mw is not w), and the term's hash tag in the other six bits.
+  // df / num_docs), kHasSpread when w and sigma are (sigma is not +0.0,
+  // or w is not mw), and the term's hash tag in the other six bits.
   static constexpr unsigned char kHasP = 1;
   static constexpr unsigned char kHasSpread = 2;
   static constexpr int kTagBits = 6;
@@ -179,8 +188,8 @@ class TermTable {
 
   /// The record of `term`, whose tag is `tag`, among the records in
   /// [at, end), or null.
-  static const char* Scan(const char* at, const char* end, unsigned char tag,
-                          std::string_view term) {
+  const char* Scan(const char* at, const char* end, unsigned char tag,
+                   std::string_view term) const {
     while (at < end) {
       const auto flags = static_cast<unsigned char>(*at);
       std::uint32_t len;
@@ -188,13 +197,29 @@ class TermTable {
       if ((flags & kTagMask) == tag && std::string_view(stored, len) == term) {
         return at;
       }
-      // Past the term, df, w, then 8 bytes for p and 16 for sigma and mw
-      // when the record keeps them.
+      // Past the term, df, the weight, then 8 bytes for p and 16 for w
+      // and sigma when the record keeps them.
       const char* df = stored + len;
       while (static_cast<unsigned char>(*df) >= 0x80) ++df;
-      at = df + 1 + 8 + 8 * (flags & (kHasP | kHasSpread));
+      at = df + 1 + weight_bytes_ + 8 * (flags & (kHasP | kHasSpread));
     }
     return nullptr;
+  }
+
+  /// The 8 bytes of the weight whose field starts at `field`: its
+  /// dictionary entry, or the field itself when the table has none.
+  const char* WeightAt(const char* field) const {
+    std::size_t index = 0;
+    if (weight_bytes_ == 1) {
+      index = static_cast<unsigned char>(*field);
+    } else if (weight_bytes_ == 2) {
+      std::uint16_t index16 = 0;
+      std::memcpy(&index16, field, sizeof(index16));
+      index = index16;
+    } else {
+      return field;
+    }
+    return reinterpret_cast<const char*>(weights_.data() + index);
   }
 
   /// The statistics of the record at `record`.
@@ -203,9 +228,10 @@ class TermTable {
     std::uint32_t len;
     const char* const term = ReadVarint(record + 1, &len);
     TermStats stats;
-    const char* const w = ReadVarint(term + len, &stats.doc_freq);
-    std::memcpy(&stats.avg_weight, w, 8);
-    const char* at = w + 8;
+    const char* const field = ReadVarint(term + len, &stats.doc_freq);
+    const char* const weight = WeightAt(field);
+    std::memcpy(&stats.max_weight, weight, 8);
+    const char* at = field + weight_bytes_;
     if (flags & kHasP) {
       std::memcpy(&stats.p, at, 8);
       at += 8;
@@ -213,11 +239,11 @@ class TermTable {
       stats.p = DerivedP(stats.doc_freq);
     }
     if (flags & kHasSpread) {
-      std::memcpy(&stats.stddev, at, 8);
-      std::memcpy(&stats.max_weight, at + 8, 8);
+      std::memcpy(&stats.avg_weight, at, 8);
+      std::memcpy(&stats.stddev, at + 8, 8);
     } else {
+      std::memcpy(&stats.avg_weight, weight, 8);
       stats.stddev = 0.0;
-      std::memcpy(&stats.max_weight, w, 8);
     }
     return stats;
   }
@@ -233,14 +259,15 @@ class TermTable {
   unsigned char FlagsOf(std::uint64_t hash, const TermStats& stats) const;
 
   /// The bytes of the compact record of a term of `len` bytes with
-  /// `doc_freq`, under `flags`.
+  /// `doc_freq`, under `flags`, besides its weight field.
   static std::size_t CompactBytes(std::uint32_t len, std::uint32_t doc_freq,
                                   unsigned char flags);
 
   /// Writes the compact record of `term` and `stats` under `flags` at
-  /// `out`; returns the byte after it.
-  static char* Encode(std::string_view term, const TermStats& stats,
-                      unsigned char flags, char* out);
+  /// `out`, its weight as dictionary entry `index` (ignored when the
+  /// table has no dictionary); returns the byte after it.
+  char* Encode(std::string_view term, const TermStats& stats,
+               unsigned char flags, std::uint32_t index, char* out) const;
 
   std::string engine_name_;
   std::size_t num_docs_ = 0;
@@ -255,6 +282,11 @@ class TermTable {
   // buckets, plus one bound for the end.
   std::unique_ptr<std::uint32_t[]> bounds_;
   std::size_t bucket_mask_ = 0;  // bucket count - 1
+  // The dictionary: each distinct mw bit pattern once, in first-seen
+  // order. Empty when the records hold their weights inline.
+  std::vector<std::uint64_t> weights_;
+  // Bytes of a record's weight field: 1 or 2 for an index, 8 inline.
+  std::size_t weight_bytes_ = 8;
 };
 
 }  // namespace useful::represent

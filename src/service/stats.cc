@@ -63,11 +63,11 @@ constexpr MetricRow kRows[] = {
      "Engines served zero-copy from mmap'd URPZ packed stores."},
     {"representative_packed_bytes", "useful_representative_packed_bytes",
      kGauge, kSum, Stats::kPackedBytes,
-     "Total bytes of the packed store images behind the snapshot."},
+     "Total bytes of the packed-store engine blocks the snapshot serves."},
     {"representative_table_bytes", "useful_representative_table_bytes",
      kGauge, kSum, Stats::kTableBytes,
      "Total bytes of the URP1 term tables behind the snapshot: compact "
-     "records plus 4 per bucket bound."},
+     "records, 4 per bucket bound and 8 per weight dictionary entry."},
     {"representative_packed_releases",
      "useful_representative_packed_releases_total", kCounter, kSum,
      Stats::kPackedReleases,

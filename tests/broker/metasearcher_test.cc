@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 
 #include "estimate/registry.h"
 #include "estimate/subrange_estimator.h"
@@ -396,16 +398,29 @@ TEST_F(StoreBackedBrokerTest, FindRepresentativeFailsForStoreBacked) {
             Status::Code::kNotFound);
 }
 
-TEST_F(StoreBackedBrokerTest, StoreBytesCountEachServedStoreOnce) {
+// store_bytes() sums the blocks of the engines the broker serves, not
+// whole store images: removing an engine takes its block off, though
+// the store stays mapped for the others.
+TEST_F(StoreBackedBrokerTest, StoreBytesCountTheBlocksOfServedEngines) {
   auto store = PackEngines();
   ASSERT_TRUE(store.ok());
-  const std::size_t bytes = store.value()->file_bytes();
+  const represent::StoreView& view = *store.value();
+  std::map<std::string, std::size_t> block;
+  std::size_t blocks = 0;
+  for (std::size_t i = 0; i < view.num_engines(); ++i) {
+    block[std::string(view.engine(i).engine_name())] =
+        view.engine(i).block_bytes();
+    blocks += view.engine(i).block_bytes();
+  }
+  ASSERT_EQ(block.size(), 3u);
+  EXPECT_LT(blocks, view.file_bytes());
   Metasearcher store_broker(&analyzer_);
   ASSERT_TRUE(store_broker.RegisterStore(store.value()).ok());
-  EXPECT_EQ(store_broker.store_bytes(), bytes);
+  EXPECT_EQ(store_broker.store_bytes(), blocks);
   ASSERT_TRUE(store_broker.RemoveEngine("sports").ok());
+  EXPECT_EQ(store_broker.store_bytes(), blocks - block["sports"]);
   ASSERT_TRUE(store_broker.RemoveEngine("science").ok());
-  EXPECT_EQ(store_broker.store_bytes(), bytes);
+  EXPECT_EQ(store_broker.store_bytes(), block["cooking"]);
   ASSERT_TRUE(store_broker.RemoveEngine("cooking").ok());
   EXPECT_EQ(store_broker.store_bytes(), 0u);
 }
@@ -427,8 +442,8 @@ TEST_F(StoreBackedBrokerTest, ReplacedStoreIsReleasedWithItsLastEngine) {
       pack(represent::RepresentativeKind::kQuadruplet);
   std::shared_ptr<const represent::StoreView> second =
       pack(represent::RepresentativeKind::kTriplet);
-  ASSERT_NE(first->file_bytes(), second->file_bytes());
-  const std::size_t first_bytes = first->file_bytes();
+  ASSERT_NE(first->engine(0).block_bytes(), second->engine(0).block_bytes());
+  const std::size_t first_bytes = first->engine(0).block_bytes();
   std::weak_ptr<const represent::StoreView> first_alive = first;
 
   auto original = std::make_unique<Metasearcher>(&analyzer_);
@@ -437,7 +452,7 @@ TEST_F(StoreBackedBrokerTest, ReplacedStoreIsReleasedWithItsLastEngine) {
   ASSERT_TRUE(clone->RemoveEngine("sports").ok());
   EXPECT_EQ(clone->store_bytes(), 0u);
   ASSERT_TRUE(clone->RegisterStore(second).ok());
-  EXPECT_EQ(clone->store_bytes(), second->file_bytes());
+  EXPECT_EQ(clone->store_bytes(), second->engine(0).block_bytes());
   EXPECT_EQ(original->store_bytes(), first_bytes);
   EXPECT_FALSE(first_alive.expired());
   original.reset();

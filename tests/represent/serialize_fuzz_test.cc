@@ -32,12 +32,34 @@ std::string SerializedFixture() {
   return out.str();
 }
 
-class SerializeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// Weights as raw tf with cosine normalization gives them: each mw is one
+/// of a handful of tf / |d| values, and so is w where df = 1, so the
+/// table's records share a few dictionary entries and a flipped byte can
+/// land in a weight that other records repeat.
+std::string RepeatingWeightsFixture() {
+  Representative rep("fuzz-engine", 321, RepresentativeKind::kQuadruplet);
+  Pcg32 rng(11);
+  const double lengths[] = {3.0, 5.0, 7.0};
+  for (int i = 0; i < 64; ++i) {
+    TermStats ts;
+    ts.doc_freq = 1 + rng.NextBounded(3);
+    ts.p = ts.doc_freq / 321.0;
+    ts.max_weight = (1 + rng.NextBounded(3)) / lengths[rng.NextBounded(3)];
+    ts.avg_weight = ts.doc_freq == 1 ? ts.max_weight : ts.max_weight / 2;
+    ts.stddev = ts.doc_freq == 1 ? 0.0 : ts.max_weight / 4;
+    rep.Put("term" + std::to_string(i), ts);
+  }
+  std::stringstream out;
+  EXPECT_TRUE(WriteRepresentative(rep, out).ok());
+  return out.str();
+}
 
-TEST_P(SerializeFuzz, SingleByteFlipsNeverCrash) {
-  const std::string bytes = SerializedFixture();
-  Pcg32 rng(GetParam());
-  for (int trial = 0; trial < 200; ++trial) {
+/// `trials` copies of `bytes`, each with one byte xored with a non-zero
+/// value, through ReadBoth.
+void SingleByteFlips(const std::string& bytes, std::uint64_t seed,
+                     int trials) {
+  Pcg32 rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
     std::string mutated = bytes;
     std::size_t pos = rng.NextBounded(static_cast<std::uint32_t>(
         mutated.size()));
@@ -53,10 +75,12 @@ TEST_P(SerializeFuzz, SingleByteFlipsNeverCrash) {
   }
 }
 
-TEST_P(SerializeFuzz, MultiByteScramblesNeverCrash) {
-  const std::string bytes = SerializedFixture();
-  Pcg32 rng(GetParam() ^ 0xfeed);
-  for (int trial = 0; trial < 100; ++trial) {
+/// `trials` copies of `bytes`, each with 2 to 31 bytes overwritten,
+/// through ReadBoth.
+void MultiByteScrambles(const std::string& bytes, std::uint64_t seed,
+                        int trials) {
+  Pcg32 rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
     std::string mutated = bytes;
     int flips = 2 + static_cast<int>(rng.NextBounded(30));
     for (int f = 0; f < flips; ++f) {
@@ -68,6 +92,24 @@ TEST_P(SerializeFuzz, MultiByteScramblesNeverCrash) {
     (void)r;  // any outcome is fine as long as both readers agree
     SUCCEED();
   }
+}
+
+class SerializeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SerializeFuzz, SingleByteFlipsNeverCrash) {
+  SingleByteFlips(SerializedFixture(), GetParam(), 200);
+}
+
+TEST_P(SerializeFuzz, MultiByteScramblesNeverCrash) {
+  MultiByteScrambles(SerializedFixture(), GetParam() ^ 0xfeed, 100);
+}
+
+TEST_P(SerializeFuzz, SingleByteFlipsOfRepeatingWeightsNeverCrash) {
+  SingleByteFlips(RepeatingWeightsFixture(), GetParam(), 200);
+}
+
+TEST_P(SerializeFuzz, MultiByteScramblesOfRepeatingWeightsNeverCrash) {
+  MultiByteScrambles(RepeatingWeightsFixture(), GetParam() ^ 0xfeed, 100);
 }
 
 TEST_P(SerializeFuzz, RandomTruncationsFailCleanly) {

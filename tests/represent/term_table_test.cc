@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/newsgroup_sim.h"
@@ -99,10 +101,13 @@ void ExpectBitIdentical(std::string_view image, const TermTable& table) {
 }
 
 /// The bytes of a compact record for a term of `len` bytes with a df
-/// under 128, holding `optional_doubles` of p, sigma and mw.
-std::size_t CompactBytes(std::size_t len, int optional_doubles) {
+/// under 128, holding `optional_doubles` of p, w and sigma, and a weight
+/// field of `weight_bytes`: 1 for an index into a dictionary of at most
+/// 256 weights, 2 into one of up to 65,536, 8 for the f64 inline.
+std::size_t CompactBytes(std::size_t len, int optional_doubles,
+                         std::size_t weight_bytes = 1) {
   const std::size_t length_bytes = len < 128 ? 1 : len < 16384 ? 2 : 3;
-  return 1 + length_bytes + len + 1 + 8 + 8 * optional_doubles;
+  return 1 + length_bytes + len + 1 + weight_bytes + 8 * optional_doubles;
 }
 
 TEST(TermTableCompactTest, SigmaAndMaxWeightAreLeftOutOnlyWhenBitExact) {
@@ -119,10 +124,11 @@ TEST(TermTableCompactTest, SigmaAndMaxWeightAreLeftOutOnlyWhenBitExact) {
   ExpectBitIdentical(image, table);
   EXPECT_TRUE(std::signbit(table.Find("negzero")->stddev));
   EXPECT_FALSE(std::signbit(table.Find("plain")->stddev));
-  // Buckets: bit_ceil(4 / 2) = 2, so three bounds.
+  // Weights 0.3, 0.5 and nan_w; buckets: bit_ceil(4 / 2) = 2, so three
+  // bounds.
   EXPECT_EQ(table.bytes(), CompactBytes(5, 0) + CompactBytes(7, 2) +
                                CompactBytes(5, 2) + CompactBytes(4, 0) +
-                               3 * 4);
+                               3 * 8 + 3 * 4);
 }
 
 TEST(TermTableCompactTest, PIsLeftOutOnlyWhenItHasTheBitsOfDfOverN) {
@@ -142,11 +148,11 @@ TEST(TermTableCompactTest, PIsLeftOutOnlyWhenItHasTheBitsOfDfOverN) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(table.Find("payload")->p),
             0x7ff8'0000'0000'beefull);
   EXPECT_TRUE(std::signbit(table.Find("negzero")->p));
-  // Buckets: bit_ceil(7 / 2) = 4, so five bounds.
+  // Weights 0.2 and 0.0; buckets: bit_ceil(7 / 2) = 4, so five bounds.
   EXPECT_EQ(table.bytes(), CompactBytes(5, 0) + CompactBytes(2, 1) +
                                CompactBytes(4, 1) + CompactBytes(7, 1) +
                                CompactBytes(6, 1) + CompactBytes(4, 0) +
-                               CompactBytes(7, 1) + 5 * 4);
+                               CompactBytes(7, 1) + 2 * 8 + 5 * 4);
 }
 
 TEST(TermTableCompactTest, ZeroDocumentsDeriveNanAndInfinityExactly) {
@@ -187,8 +193,8 @@ TEST(TermTableCompactTest, TermLengthsAtEveryLengthByteBoundary) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const TermTable& table = parsed.value();
   ExpectBitIdentical(image, table);
-  // Buckets: bit_ceil(7 / 2) = 4, so five bounds.
-  EXPECT_EQ(table.bytes(), expected + 5 * 4);
+  // One weight, 0.25; buckets: bit_ceil(7 / 2) = 4, so five bounds.
+  EXPECT_EQ(table.bytes(), expected + 8 + 5 * 4);
   EXPECT_FALSE(table.Find(std::string(127, 'a')).has_value());
   EXPECT_FALSE(table.Find(std::string(1u << 20, 'a')).has_value());
 }
@@ -281,9 +287,157 @@ TEST(TermTableCompactTest, EveryTestbedTermReadsBackAsLoadRepresentative) {
   std::filesystem::remove_all(dir);
   EXPECT_EQ(sim.groups().size(), 53u);
   EXPECT_GT(terms, 0u);
-  // Most records drop p, and df = 1 terms drop sigma and mw too, so the
-  // tables, slots included, hold less than the files.
-  EXPECT_LT(table_bytes, file_bytes);
+  // Most records drop p, df = 1 terms drop w and sigma too, and most
+  // weights are a one-byte index, so the tables, bounds and dictionaries
+  // included, hold less than half the files.
+  EXPECT_EQ(terms, 176'800u);
+  EXPECT_EQ(table_bytes, 4'154'412u);
+  EXPECT_LT(2 * table_bytes, file_bytes);
+}
+
+/// Records "w<i>" of weight weights[i], w = mw and sigma 0, each p
+/// df / 16.
+std::vector<Record> WeightRecords(const std::vector<double>& weights) {
+  std::vector<Record> records;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    records.push_back({"w" + std::to_string(i), 2, 2 / 16.0, weights[i], 0.0,
+                       weights[i]});
+  }
+  return records;
+}
+
+/// The 4 bytes a bound of a table of `records` records.
+std::size_t BoundBytes(std::size_t records) {
+  return 4 * (std::bit_ceil(std::max<std::size_t>(records / 2, 1)) + 1);
+}
+
+/// The bytes of `records` holding neither p, w nor sigma, under a weight
+/// field of `weight_bytes`.
+std::size_t PlainRecordBytes(const std::vector<Record>& records,
+                             std::size_t weight_bytes) {
+  std::size_t bytes = 0;
+  for (const Record& r : records) {
+    bytes += CompactBytes(r.term.size(), 0, weight_bytes);
+  }
+  return bytes;
+}
+
+TEST(TermTableDictionaryTest, SignedZerosAndNanPayloadsAreDistinctEntries) {
+  const double nan_a = FromBits(0x7ff8'0000'0000'0001ull);
+  const double nan_b = FromBits(0x7ff8'0000'0000'0002ull);
+  std::vector<Record> records =
+      WeightRecords({0.0, -0.0, nan_a, nan_b, 0.0, -0.0, nan_a, nan_b});
+  // w is +0.0 beside an mw of -0.0, so the record keeps w.
+  records.push_back({"spread", 2, 2 / 16.0, 0.0, 0.0, -0.0});
+  const std::string image = Urp1Image(16, records);
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_FALSE(std::signbit(table.Find("w4")->max_weight));
+  EXPECT_TRUE(std::signbit(table.Find("w5")->max_weight));
+  EXPECT_TRUE(std::signbit(table.Find("w5")->avg_weight));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(table.Find("w6")->avg_weight),
+            0x7ff8'0000'0000'0001ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(table.Find("w7")->max_weight),
+            0x7ff8'0000'0000'0002ull);
+  EXPECT_FALSE(std::signbit(table.Find("spread")->avg_weight));
+  EXPECT_TRUE(std::signbit(table.Find("spread")->max_weight));
+  // Four entries: +0.0, -0.0 and the two NaNs.
+  records.pop_back();
+  EXPECT_EQ(table.bytes(), PlainRecordBytes(records, 1) +
+                               CompactBytes(6, 2) + 4 * 8 + BoundBytes(9));
+}
+
+TEST(TermTableDictionaryTest, IndexWidensToTwoBytesPast256Weights) {
+  for (const std::size_t distinct : {256, 257}) {
+    // Each weight three times, in three runs.
+    std::vector<double> weights;
+    for (int run = 0; run < 3; ++run) {
+      for (std::size_t k = 0; k < distinct; ++k) {
+        weights.push_back(static_cast<double>(k + 1) / 1024.0);
+      }
+    }
+    const std::vector<Record> records = WeightRecords(weights);
+    const std::string image = Urp1Image(16, records);
+    Result<TermTable> parsed = TermTable::Parse(image);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExpectBitIdentical(image, parsed.value());
+    const std::size_t index_bytes = distinct <= 256 ? 1 : 2;
+    EXPECT_EQ(parsed.value().bytes(),
+              PlainRecordBytes(records, index_bytes) + distinct * 8 +
+                  BoundBytes(records.size()))
+        << distinct << " weights";
+  }
+}
+
+TEST(TermTableDictionaryTest, NoTableHoldsMoreThanWithItsWeightsInline) {
+  // n records with n weights, each once: a dictionary would cost 8 bytes
+  // a weight and an index besides.
+  std::vector<double> unique;
+  for (int k = 0; k < 100; ++k) unique.push_back(k / 128.0);
+  // 10 records of 9 weights: a dictionary would take 72 + 10 bytes
+  // against 80 inline. Of 8 weights: 64 + 10, 6 bytes fewer.
+  std::vector<double> nine = {1, 2, 3, 4, 5, 6, 7, 8, 9, 9};
+  std::vector<double> eight = {1, 2, 3, 4, 5, 6, 7, 8, 8, 8};
+  for (const auto& [weights, kept] :
+       {std::pair{unique, false}, std::pair{nine, false},
+        std::pair{eight, true}}) {
+    const std::vector<Record> records = WeightRecords(weights);
+    const std::string image = Urp1Image(16, records);
+    Result<TermTable> parsed = TermTable::Parse(image);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExpectBitIdentical(image, parsed.value());
+    const std::size_t inline_bytes =
+        PlainRecordBytes(records, 8) + BoundBytes(records.size());
+    EXPECT_EQ(parsed.value().bytes(),
+              kept ? inline_bytes - 6 : inline_bytes)
+        << records.size() << " records";
+  }
+}
+
+TEST(TermTableDictionaryTest, PastTwoByteIndicesWeightsStayInline) {
+  // Each weight twice: 65,536 weights take a 2-byte index, 65,537 are
+  // more than one reaches, so they stay inline.
+  for (const std::size_t distinct : {65'536, 65'537}) {
+    std::vector<double> weights;
+    for (int run = 0; run < 2; ++run) {
+      for (std::size_t k = 0; k < distinct; ++k) {
+        weights.push_back(static_cast<double>(k + 1) / 1048576.0);
+      }
+    }
+    const std::vector<Record> records = WeightRecords(weights);
+    const std::string image = Urp1Image(16, records);
+    Result<TermTable> parsed = TermTable::Parse(image);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExpectBitIdentical(image, parsed.value());
+    const std::size_t bytes =
+        distinct <= 65'536
+            ? PlainRecordBytes(records, 2) + distinct * 8
+            : PlainRecordBytes(records, 8);
+    EXPECT_EQ(parsed.value().bytes(), bytes + BoundBytes(records.size()))
+        << distinct << " weights";
+  }
+}
+
+TEST(TermTableDictionaryTest, RepeatedTermKeepsItsLastRecordsWeight) {
+  // The first "dup" holds the only 0.125, the last one 0.5; the retired
+  // record's weight keeps its entry.
+  const std::string image = Urp1Image(
+      16, {{"dup", 2, 2 / 16.0, 0.125, 0.0, 0.125},
+           {"x", 2, 2 / 16.0, 0.5, 0.0, 0.5},
+           {"y", 2, 2 / 16.0, 0.5, 0.0, 0.5},
+           {"z", 2, 2 / 16.0, 0.5, 0.0, 0.5},
+           {"dup", 2, 2 / 16.0, 0.5, 0.0, 0.5}});
+  Result<TermTable> parsed = TermTable::Parse(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TermTable& table = parsed.value();
+  ExpectBitIdentical(image, table);
+  EXPECT_EQ(table.num_terms(), 4u);
+  EXPECT_EQ(table.Find("dup")->max_weight, 0.5);
+  EXPECT_EQ(table.Find("dup")->avg_weight, 0.5);
+  EXPECT_EQ(table.bytes(), 2 * CompactBytes(3, 0) + 3 * CompactBytes(1, 0) +
+                               2 * 8 + BoundBytes(5));
 }
 
 TEST(TermTableLayoutTest, TermRepeatedThriceKeepsItsLastRecordAndCountsOnce) {
@@ -306,11 +460,11 @@ TEST(TermTableLayoutTest, TermRepeatedThriceKeepsItsLastRecordAndCountsOnce) {
   EXPECT_EQ(tri->p, 0.5);
   EXPECT_EQ(tri->stddev, 0.0);
   EXPECT_EQ(tri->max_weight, 0.6);
-  // Retired records keep their bytes. Buckets: bit_ceil(5 / 2) = 2, so
-  // three bounds.
+  // Retired records keep their bytes, and their weights their entries:
+  // 0.5, 0.4, 0.9 and 0.6. Buckets: bit_ceil(5 / 2) = 2, so three bounds.
   EXPECT_EQ(table.bytes(), CompactBytes(3, 0) + CompactBytes(3, 0) +
                                CompactBytes(3, 3) + CompactBytes(3, 2) +
-                               CompactBytes(3, 1) + 3 * 4);
+                               CompactBytes(3, 1) + 4 * 8 + 3 * 4);
 
   // The same among thousands of terms and many buckets, where other terms
   // share a repeated term's bucket and tag: every term once, in a
@@ -346,7 +500,7 @@ TEST(TermTableLayoutTest, DocFrequenciesAtEveryVarintBoundaryReadBack) {
                                  : df < (1u << 21) ? 3
                                  : df < (1u << 28) ? 4
                                                    : 5;
-    expected += 1 + 1 + records.back().term.size() + df_bytes + 8;
+    expected += 1 + 1 + records.back().term.size() + df_bytes + 1;
   }
   const std::string image = Urp1Image(num_docs, records);
   Result<TermTable> parsed = TermTable::Parse(image);
@@ -359,9 +513,9 @@ TEST(TermTableLayoutTest, DocFrequenciesAtEveryVarintBoundaryReadBack) {
     ASSERT_TRUE(found.has_value()) << df;
     EXPECT_EQ(found->doc_freq, df);
   }
-  // Every p is df / n, so no record keeps one. Buckets: bit_ceil(8 / 2)
-  // = 4, so five bounds.
-  EXPECT_EQ(table.bytes(), expected + 5 * 4);
+  // Every p is df / n, so no record keeps one. One weight, 0.5; buckets:
+  // bit_ceil(8 / 2) = 4, so five bounds.
+  EXPECT_EQ(table.bytes(), expected + 8 + 5 * 4);
 }
 
 TEST(TermTableLayoutTest, NoAbsentTermIsFoundInTheTestbedTables) {

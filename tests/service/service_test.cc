@@ -30,12 +30,14 @@ namespace {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Suite and test name both: ServiceTest and ManyPathServiceTest share
+    // test names, and ctest runs them at once.
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::temp_directory_path() /
            ("useful_service_test_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+            "_" + test->test_suite_name() + "_" + test->name());
     std::filesystem::create_directories(dir_);
     WriteRep("sports", {"football goal referee", "football stadium crowd",
                         "goal keeper shared"});
@@ -897,9 +899,9 @@ TEST_F(PackedServiceTest, FirstFourBytesPickEachFilesFormat) {
   EXPECT_EQ(service_->num_engines(), 5u);
 }
 
-// An engine holds the store it is served from, so replacing it releases
-// the old store: 20 UPDATEs from one single-engine file leave one
-// mapping counted, not one per UPDATE.
+// Replacing an engine takes its old block off the packed-bytes gauge: 20
+// UPDATEs from one single-engine file leave one block counted, not one
+// per UPDATE.
 TEST_F(PackedServiceTest, UpdatesFromOneStoreKeepPackedBytesFlat) {
   PackEngines({{"history", {"empire treaty dynasty", "treaty shared"}}});
   ServiceOptions options = MakeOptions();
@@ -918,6 +920,50 @@ TEST_F(PackedServiceTest, UpdatesFromOneStoreKeepPackedBytesFlat) {
   EXPECT_EQ(after_first, at_start);
   EXPECT_EQ(service->stats().Get(Stats::kPackedBytes), after_first);
   EXPECT_EQ(service->stats().Get(Stats::kPackedEngines), 1u);
+}
+
+// The packed-bytes gauge counts the blocks of the store engines the
+// snapshot serves, not whole store files: an UPDATE of one engine of a
+// three-engine store from a single pack moves it by exactly the pack's
+// block minus the block it replaced, though the store stays mapped.
+TEST_F(PackedServiceTest, UpdateMovesPackedBytesByTheBlocksItSwaps) {
+  PackEngines({{"history", {"empire treaty dynasty", "treaty shared"}},
+               {"music", {"guitar melody chord", "melody shared"}},
+               {"geology", {"basalt quartz shared", "quartz shale"}}});
+  const std::string update = (dir_ / "history.urpz").string();
+  PackEngines({{"history", {"empire treaty shared", "dynasty crown scepter",
+                            "treaty throne"}}},
+              update);
+  auto store = represent::StoreView::Open(StorePath());
+  auto pack = represent::StoreView::Open(update);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+  std::uint64_t blocks = 0;
+  std::uint64_t replaced = 0;
+  for (std::size_t i = 0; i < store.value()->num_engines(); ++i) {
+    const represent::RepresentativeView& engine = store.value()->engine(i);
+    blocks += engine.block_bytes();
+    if (engine.engine_name() == "history") replaced = engine.block_bytes();
+  }
+  ASSERT_GT(replaced, 0u);
+  const std::uint64_t added = pack.value()->engine(0).block_bytes();
+  ASSERT_NE(added, replaced);
+
+  ServiceOptions options = MakeOptions();
+  options.representative_paths.push_back(StorePath());
+  auto created = Service::Create(&analyzer_, std::move(options));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Service> service = std::move(created).value();
+  EXPECT_EQ(service->stats().Get(Stats::kPackedBytes), blocks);
+  EXPECT_LT(blocks, store.value()->file_bytes());
+
+  auto reply = service->Execute("UPDATE " + update);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.payload[0], "updated 1");
+  EXPECT_EQ(service->stats().Get(Stats::kPackedBytes),
+            blocks - replaced + added);
+  EXPECT_EQ(StatsValue(*service, "representative_packed_bytes"),
+            blocks - replaced + added);
 }
 
 // An UPDATE releases the store engines it replaces once no snapshot
