@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -88,6 +89,25 @@ Status Server::Start() {
   port_ = ntohs(addr.sin_port);
   listen_fd_ = fd;
   return Status::OK();
+}
+
+Status Server::PublishPort(const std::string& path) const {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return ErrnoStatus("cannot write port file " + tmp);
+  Status s;
+  if (std::fprintf(f, "%u\n", static_cast<unsigned>(port_)) < 0) {
+    s = ErrnoStatus("cannot write port file " + tmp);
+  }
+  // fclose flushes the line, so a full disk fails here, not in fprintf.
+  if (std::fclose(f) != 0 && s.ok()) {
+    s = ErrnoStatus("cannot write port file " + tmp);
+  }
+  if (s.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    s = ErrnoStatus("cannot publish port file " + path);
+  }
+  if (!s.ok()) std::remove(tmp.c_str());
+  return s;
 }
 
 Status Server::Serve() {

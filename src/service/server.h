@@ -101,6 +101,13 @@ class Server {
   /// The bound port (valid after a successful Start()).
   std::uint16_t port() const { return port_; }
 
+  /// Publishes port() as one line in the file `path`, for a process that
+  /// waits for it. The line goes to `path`.tmp, which is then renamed onto
+  /// `path`, so a reader never sees a partial file. A failed open, write,
+  /// flush, close or rename returns an IOError naming the file and leaves
+  /// no .tmp file behind.
+  Status PublishPort(const std::string& path) const;
+
   /// Blocks serving connections until QUIT or RequestStop(), then drains
   /// and returns. Call from the thread that should own the serve loop's
   /// lifetime (typically main).

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -687,6 +688,48 @@ TEST_F(ServerTest, ManyMoreConnectionsThanOffloadWorkersAllGetServed) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(ok_count.load(), kClients);
+}
+
+TEST_F(ServerTest, PublishedPortFileReadsBackTheBoundPort) {
+  const std::string path = (dir_ / "port").string();
+  ASSERT_TRUE(server_->PublishPort(path).ok());
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, std::to_string(server_->port()));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST_F(ServerTest, PortFileInAMissingDirectoryIsAnIOError) {
+  const std::string path = (dir_ / "missing" / "port").string();
+  Status s = server_->PublishPort(path);
+  EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+  EXPECT_NE(s.message().find(path + ".tmp"), std::string::npos) << s.message();
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST_F(ServerTest, PortFileThatCannotBeRenamedIsAnIOErrorAndLeavesNoTmp) {
+  // rename() cannot put a file in place of a directory.
+  const std::filesystem::path path = dir_ / "port";
+  std::filesystem::create_directory(path);
+  Status s = server_->PublishPort(path.string());
+  EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+  EXPECT_NE(s.message().find(path.string()), std::string::npos) << s.message();
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+}
+
+TEST_F(ServerTest, PortFileThatCannotBeFlushedIsNotPublished) {
+  // The line sits in stdio's buffer until fclose, so a full disk fails the
+  // flush, not the fprintf; /dev/full fails every write with ENOSPC. An
+  // unchecked fclose renamed an empty file into place.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string path = (dir_ / "port").string();
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  Status s = server_->PublishPort(path);
+  EXPECT_EQ(s.code(), Status::Code::kIOError) << s.ToString();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::is_symlink(path + ".tmp"));
 }
 
 TEST(SendErrorLineTest, FullSocketBufferSendsNothingNotATornPrefix) {

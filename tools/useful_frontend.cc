@@ -128,19 +128,9 @@ int main(int argc, char** argv) {
   std::fflush(stdout);  // scripts scrape the port from a pipe
 
   if (!port_file.empty()) {
-    // Write-then-rename: a reader polling for the file can never observe
-    // a partial write, unlike scraping the (buffered) log stream.
-    std::string tmp = port_file + ".tmp";
-    if (std::FILE* f = std::fopen(tmp.c_str(), "w")) {
-      std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
-      std::fclose(f);
-      if (std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-        std::fprintf(stderr, "cannot publish port file %s\n",
-                     port_file.c_str());
-        return 1;
-      }
-    } else {
-      std::fprintf(stderr, "cannot write port file %s\n", tmp.c_str());
+    // A server whose port no one can learn must not go on serving.
+    if (Status s = server.PublishPort(port_file); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
   }

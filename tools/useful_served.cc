@@ -35,10 +35,12 @@
 // scripts can scrape it. --port-file PATH additionally publishes the bare
 // port number to PATH via write-then-rename — the race-free handshake the
 // ctest smoke scripts use (a polled log line can be half-flushed; a
-// renamed file cannot). ROUTE results are identical to useful_route on
-// the same representatives; repeated queries are served from the query
-// cache (see STATS), and RELOAD re-reads the representative files without
-// dropping in-flight requests.
+// renamed file cannot). If the file cannot be written in full, the server
+// exits 1 naming it rather than serve on a port no one can learn. ROUTE
+// results are identical to useful_route on the same representatives;
+// repeated queries are served from the query cache (see STATS), and
+// RELOAD re-reads the representative files without dropping in-flight
+// requests.
 //
 // The timeout/limit flags map 1:1 onto ServerOptions: idle peers and
 // slow-loris writers are disconnected, stuck readers are dropped after
@@ -168,19 +170,9 @@ int main(int argc, char** argv) {
   std::fflush(stdout);  // scripts scrape the port from a pipe
 
   if (!port_file.empty()) {
-    // Write-then-rename: a reader polling for the file can never observe
-    // a partial write, unlike scraping the (buffered) log stream.
-    std::string tmp = port_file + ".tmp";
-    if (std::FILE* f = std::fopen(tmp.c_str(), "w")) {
-      std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
-      std::fclose(f);
-      if (std::rename(tmp.c_str(), port_file.c_str()) != 0) {
-        std::fprintf(stderr, "cannot publish port file %s\n",
-                     port_file.c_str());
-        return 1;
-      }
-    } else {
-      std::fprintf(stderr, "cannot write port file %s\n", tmp.c_str());
+    // A server whose port no one can learn must not go on serving.
+    if (Status s = server.PublishPort(port_file); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
   }
