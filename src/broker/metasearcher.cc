@@ -172,19 +172,13 @@ std::size_t Metasearcher::table_bytes() const {
 estimate::UsefulnessEstimate Metasearcher::EstimateEngine(
     std::size_t i, const ir::Query& q, double threshold,
     const estimate::UsefulnessEstimator& estimator) const {
-  // Resolve straight off the table or the mapping and batch-score the
-  // single threshold. Every registry estimator routes its scalar Estimate
-  // through EstimateBatch, so this is bit-identical to
-  // estimator.Estimate(rep, q, threshold) on the source representative.
+  // Resolve straight off the table or the mapping; no Representative is
+  // built.
   const Entry& e = entries_[i];
-  const estimate::ResolvedQuery rq =
+  return estimator.Estimate(
       e.table != nullptr ? estimate::ResolvedQuery(*e.table, q)
-                         : estimate::ResolvedQuery(e.engine->view(), q);
-  estimate::ExpansionWorkspace ws;
-  estimate::UsefulnessEstimate est;
-  estimator.EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                          std::span<estimate::UsefulnessEstimate>(&est, 1));
-  return est;
+                         : estimate::ResolvedQuery(e.engine->view(), q),
+      threshold);
 }
 
 std::vector<EngineSelection> Metasearcher::RankEngines(

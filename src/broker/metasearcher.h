@@ -52,10 +52,8 @@ using ReleaseCounter = std::atomic<std::uint64_t>;
 /// The broker. Engines are registered with (optionally) a live
 /// ir::SearchEngine for dispatch; selection needs only representatives.
 /// Each engine is held as an immutable represent::TermTable or a packed
-/// store view, scored through estimate::ResolvedQuery and EstimateBatch:
-/// an estimator passed to RankEngines, SelectEngines, Search or
-/// EstimateEngine must override EstimateBatch (every registry estimator
-/// does; the base-class fallback aborts).
+/// store view, and scored by resolving the query against it and calling
+/// the estimator's EstimateBatch, as for any representative.
 class Metasearcher {
  public:
   /// `analyzer` parses user queries; it must match the engines' analyzers

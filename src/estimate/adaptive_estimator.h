@@ -35,10 +35,6 @@ class AdaptiveEstimator : public UsefulnessEstimator {
 
   std::string name() const override { return "adaptive-vldb98"; }
 
-  UsefulnessEstimate Estimate(const represent::Representative& rep,
-                              const ir::Query& q,
-                              double threshold) const override;
-
   /// The (p, w) adjustment is threshold-dependent, so each threshold still
   /// expands its own distribution; the batch form amortizes term
   /// resolution and reuses the workspace's spike buffers.

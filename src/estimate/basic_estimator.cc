@@ -37,15 +37,4 @@ void BasicEstimator::EstimateBatch(const ResolvedQuery& rq,
   }
 }
 
-UsefulnessEstimate BasicEstimator::Estimate(
-    const represent::Representative& rep, const ir::Query& q,
-    double threshold) const {
-  ResolvedQuery rq(rep, q);
-  ExpansionWorkspace ws;
-  UsefulnessEstimate est;
-  EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                std::span<UsefulnessEstimate>(&est, 1));
-  return est;
-}
-
 }  // namespace useful::estimate

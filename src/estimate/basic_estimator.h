@@ -17,10 +17,6 @@ class BasicEstimator : public UsefulnessEstimator {
 
   std::string name() const override { return "basic"; }
 
-  UsefulnessEstimate Estimate(const represent::Representative& rep,
-                              const ir::Query& q,
-                              double threshold) const override;
-
   /// Threshold-independent factors: resolves once, expands once, then reads
   /// every threshold off the same distribution.
   void EstimateBatch(const ResolvedQuery& rq,

@@ -1,8 +1,6 @@
 #include "estimate/estimator.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 namespace useful::estimate {
 
@@ -11,22 +9,19 @@ long RoundNoDoc(double no_doc) {
   return std::lround(no_doc);
 }
 
-void UsefulnessEstimator::EstimateBatch(
-    const ResolvedQuery& rq, std::span<const double> thresholds,
-    ExpansionWorkspace& ws, std::span<UsefulnessEstimate> out) const {
-  (void)ws;  // the scalar fallback has no scratch to reuse
-  if (!rq.has_representative()) {
-    // A view- or table-backed query has no Representative to hand the
-    // scalar API; dereferencing one would be undefined behaviour.
-    std::fprintf(stderr,
-                 "estimator %s does not override EstimateBatch, so it "
-                 "cannot score a query resolved without a Representative\n",
-                 name().c_str());
-    std::abort();
-  }
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    out[i] = Estimate(rq.representative(), rq.query(), thresholds[i]);
-  }
+UsefulnessEstimate UsefulnessEstimator::Estimate(const ResolvedQuery& rq,
+                                                 double threshold) const {
+  ExpansionWorkspace ws;
+  UsefulnessEstimate est;
+  EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
+                std::span<UsefulnessEstimate>(&est, 1));
+  return est;
+}
+
+UsefulnessEstimate UsefulnessEstimator::Estimate(
+    const represent::Representative& rep, const ir::Query& q,
+    double threshold) const {
+  return Estimate(ResolvedQuery(rep, q), threshold);
 }
 
 }  // namespace useful::estimate

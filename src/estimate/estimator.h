@@ -4,6 +4,11 @@
 // plus the query and threshold, and predicts the usefulness pair
 // (NoDoc, AvgSim). The evaluation harness compares these predictions with
 // the exact values computed by ir::SearchEngine.
+//
+// Every estimator scores in one place, EstimateBatch: a query resolved
+// once against a representative, term table or store view, scored at a
+// sweep of thresholds the way the paper's tables score every method. The
+// scalar Estimate is that call at one threshold.
 #pragma once
 
 #include <span>
@@ -37,27 +42,27 @@ class UsefulnessEstimator {
   /// Human-readable method name for tables and logs.
   virtual std::string name() const = 0;
 
-  /// Estimates the usefulness of the database summarized by `rep` for
-  /// query `q` at similarity threshold `threshold`.
-  virtual UsefulnessEstimate Estimate(const represent::Representative& rep,
-                                      const ir::Query& q,
-                                      double threshold) const = 0;
-
-  /// Batched form of Estimate: one already-resolved (query, representative)
-  /// pair scored at every threshold in `thresholds`, writing `out[i]` for
-  /// `thresholds[i]` (`out.size() >= thresholds.size()`). `ws` supplies
-  /// reusable expansion scratch; it must be private to the calling thread.
-  ///
-  /// Contract: bit-identical to calling Estimate(rq.representative(),
-  /// rq.query(), thresholds[i]) for each i — overrides exist purely to
-  /// amortize term resolution and expansion work, never to change values.
-  /// The default implementation is that scalar loop; it aborts on a query
-  /// resolved from a term table or store view (no representative()), so
-  /// an estimator served by a broker must override this.
+  /// Scores one resolved (query, representative) pair at every threshold
+  /// in `thresholds`, writing `out[i]` for `thresholds[i]`
+  /// (`out.size() >= thresholds.size()`). `ws` supplies reusable
+  /// expansion scratch; it must be private to the calling thread. An
+  /// override may amortize expansion work over the sweep, never change
+  /// values: `out[i]` is bit-identical to Estimate(rq, thresholds[i]),
+  /// whatever `ws` held before the call.
   virtual void EstimateBatch(const ResolvedQuery& rq,
                              std::span<const double> thresholds,
                              ExpansionWorkspace& ws,
-                             std::span<UsefulnessEstimate> out) const;
+                             std::span<UsefulnessEstimate> out) const = 0;
+
+  /// EstimateBatch at the one threshold `threshold`, with a fresh
+  /// workspace.
+  UsefulnessEstimate Estimate(const ResolvedQuery& rq,
+                              double threshold) const;
+
+  /// Resolves `q` against `rep` and estimates the usefulness of the
+  /// database it summarizes at similarity threshold `threshold`.
+  UsefulnessEstimate Estimate(const represent::Representative& rep,
+                              const ir::Query& q, double threshold) const;
 };
 
 }  // namespace useful::estimate

@@ -93,17 +93,6 @@ void HighCorrelationEstimator::EstimateBatch(
   }
 }
 
-UsefulnessEstimate HighCorrelationEstimator::Estimate(
-    const represent::Representative& rep, const ir::Query& q,
-    double threshold) const {
-  ResolvedQuery rq(rep, q);
-  ExpansionWorkspace ws;
-  UsefulnessEstimate est;
-  EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                std::span<UsefulnessEstimate>(&est, 1));
-  return est;
-}
-
 void DisjointEstimator::EstimateBatch(const ResolvedQuery& rq,
                                       std::span<const double> thresholds,
                                       ExpansionWorkspace& ws,
@@ -135,17 +124,6 @@ void DisjointEstimator::EstimateBatch(const ResolvedQuery& rq,
     out[i].no_doc = count_above;
     out[i].avg_sim = count_above > 0.0 ? sim_sum_above / count_above : 0.0;
   }
-}
-
-UsefulnessEstimate DisjointEstimator::Estimate(
-    const represent::Representative& rep, const ir::Query& q,
-    double threshold) const {
-  ResolvedQuery rq(rep, q);
-  ExpansionWorkspace ws;
-  UsefulnessEstimate est;
-  EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                std::span<UsefulnessEstimate>(&est, 1));
-  return est;
 }
 
 }  // namespace useful::estimate

@@ -27,10 +27,6 @@ class HighCorrelationEstimator : public UsefulnessEstimator {
  public:
   std::string name() const override { return "high-correlation"; }
 
-  UsefulnessEstimate Estimate(const represent::Representative& rep,
-                              const ir::Query& q,
-                              double threshold) const override;
-
   /// Sorts the matched terms and forms the nested-layer prefix sums once
   /// for the whole threshold sweep.
   void EstimateBatch(const ResolvedQuery& rq,
@@ -43,10 +39,6 @@ class HighCorrelationEstimator : public UsefulnessEstimator {
 class DisjointEstimator : public UsefulnessEstimator {
  public:
   std::string name() const override { return "disjoint"; }
-
-  UsefulnessEstimate Estimate(const represent::Representative& rep,
-                              const ir::Query& q,
-                              double threshold) const override;
 
   /// Resolves the matched terms once for the whole threshold sweep.
   void EstimateBatch(const ResolvedQuery& rq,

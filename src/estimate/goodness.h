@@ -28,10 +28,4 @@ inline double GoodnessOf(const ir::Usefulness& truth) {
   return static_cast<double>(truth.no_doc) * truth.avg_sim;
 }
 
-/// Convenience: estimate the goodness of `rep` for `q` at `threshold`
-/// with any usefulness estimator.
-double EstimateGoodness(const UsefulnessEstimator& estimator,
-                        const represent::Representative& rep,
-                        const ir::Query& q, double threshold);
-
 }  // namespace useful::estimate

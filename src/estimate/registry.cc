@@ -1,11 +1,14 @@
 #include "estimate/registry.h"
 
-#include <cstdlib>
+#include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "estimate/adaptive_estimator.h"
 #include "estimate/basic_estimator.h"
 #include "estimate/gloss_estimators.h"
 #include "estimate/subrange_estimator.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace useful::estimate {
@@ -25,12 +28,15 @@ Result<std::unique_ptr<UsefulnessEstimator>> MakeEstimator(
         new SubrangeEstimator(std::move(opts)));
   }
   if (StartsWith(name, "subrange-k")) {
-    char* end = nullptr;
-    long k = std::strtol(name.c_str() + 10, &end, 10);
-    if (end == nullptr || *end != '\0' || k < 1) {
+    // One spelling per estimator: N as decimal digits with no sign, space
+    // or leading zero (which also rules out 0), since a served estimator
+    // is built and cached under the name the client sent.
+    const std::string_view digits = std::string_view(name).substr(10);
+    const std::optional<std::uint64_t> k = util::ParseUnsigned(digits, 64);
+    if (!k.has_value() || digits[0] == '0') {
       return Status::InvalidArgument("bad subrange-k<N> spec: " + name);
     }
-    auto config = SubrangeConfig::Uniform(static_cast<std::size_t>(k),
+    auto config = SubrangeConfig::Uniform(static_cast<std::size_t>(*k),
                                           /*with_max_subrange=*/true);
     if (!config.ok()) return config.status();
     SubrangeEstimatorOptions opts;

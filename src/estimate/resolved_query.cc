@@ -1,5 +1,7 @@
 #include "estimate/resolved_query.h"
 
+#include <utility>
+
 namespace useful::estimate {
 
 namespace {
@@ -31,9 +33,7 @@ std::size_t ResolveTerms(const Source& source, const ir::Query& q,
 
 ResolvedQuery::ResolvedQuery(const represent::Representative& rep,
                              const ir::Query& q)
-    : rep_(&rep),
-      query_(&q),
-      min_should_match_(q.min_should_match),
+    : min_should_match_(q.min_should_match),
       num_docs_(rep.num_docs()),
       kind_(rep.kind()) {
   num_positive_ = ResolveTerms(rep, q, &terms_);
@@ -41,9 +41,7 @@ ResolvedQuery::ResolvedQuery(const represent::Representative& rep,
 
 ResolvedQuery::ResolvedQuery(const represent::RepresentativeView& view,
                              const ir::Query& q)
-    : rep_(nullptr),
-      query_(&q),
-      min_should_match_(q.min_should_match),
+    : min_should_match_(q.min_should_match),
       num_docs_(view.num_docs()),
       kind_(view.kind()) {
   num_positive_ = ResolveTerms(view, q, &terms_);
@@ -51,12 +49,21 @@ ResolvedQuery::ResolvedQuery(const represent::RepresentativeView& view,
 
 ResolvedQuery::ResolvedQuery(const represent::TermTable& table,
                              const ir::Query& q)
-    : rep_(nullptr),
-      query_(&q),
-      min_should_match_(q.min_should_match),
+    : min_should_match_(q.min_should_match),
       num_docs_(table.num_docs()),
       kind_(table.kind()) {
   num_positive_ = ResolveTerms(table, q, &terms_);
 }
+
+ResolvedQuery::ResolvedQuery(std::vector<ResolvedTerm> terms,
+                             std::size_t num_positive,
+                             std::size_t min_should_match,
+                             std::size_t num_docs,
+                             represent::RepresentativeKind kind)
+    : terms_(std::move(terms)),
+      num_positive_(num_positive),
+      min_should_match_(min_should_match),
+      num_docs_(num_docs),
+      kind_(kind) {}
 
 }  // namespace useful::estimate

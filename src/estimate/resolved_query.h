@@ -10,14 +10,9 @@
 // thresholds and estimators that score this query against this
 // representative.
 //
-// Lifetime: a ResolvedQuery copies the matched TermStats (they are small
-// POD) but keeps non-owning pointers to the Representative (when resolved
-// from one) and the Query it was built from, because the generic
-// UsefulnessEstimator::EstimateBatch fallback routes through the scalar
-// Estimate(rep, q, T) API. Both must therefore outlive the ResolvedQuery
-// and must not be mutated while it is in use. Resolution is a snapshot:
-// mutating the representative afterwards does not update an existing
-// ResolvedQuery.
+// A ResolvedQuery copies the matched TermStats (they are small POD) and
+// the few representative-level facts, and holds no pointers: the query and
+// the source it was resolved from may change or go away afterwards.
 #pragma once
 
 #include <cstddef>
@@ -59,15 +54,18 @@ class ResolvedQuery {
 
   /// Resolves `q` against a packed-store engine view: same semantics, but
   /// lookups hit the mmap'd store directly and no Representative is ever
-  /// materialized. A view-backed ResolvedQuery has no representative() —
-  /// use it only with estimators that override EstimateBatch (all registry
-  /// estimators do; their scalar Estimate is itself routed through
-  /// EstimateBatch, so values are bit-identical across both backings).
+  /// materialized.
   ResolvedQuery(const represent::RepresentativeView& view, const ir::Query& q);
 
-  /// Resolves `q` against a frozen term table: same semantics and the same
-  /// estimator restriction as the view-backed form (no representative()).
+  /// Resolves `q` against a frozen term table: same semantics.
   ResolvedQuery(const represent::TermTable& table, const ir::Query& q);
+
+  /// Assembles a query from resolved parts, e.g. another query's terms
+  /// with altered stats: `terms` holds its `num_positive` positive terms
+  /// first.
+  ResolvedQuery(std::vector<ResolvedTerm> terms, std::size_t num_positive,
+                std::size_t min_should_match, std::size_t num_docs,
+                represent::RepresentativeKind kind);
 
   /// The matched terms: the first num_positive() are positive, the rest
   /// negated; each group keeps the query's term order.
@@ -82,19 +80,7 @@ class ResolvedQuery {
   std::size_t num_docs() const { return num_docs_; }
   represent::RepresentativeKind kind() const { return kind_; }
 
-  /// True when this query was resolved from an in-memory Representative
-  /// (representative() is then safe to call).
-  bool has_representative() const { return rep_ != nullptr; }
-
-  /// The inputs the query was resolved from (non-owning; see lifetime note
-  /// above). Used by the generic EstimateBatch fallback; never call on a
-  /// view- or table-backed ResolvedQuery (has_representative() == false).
-  const represent::Representative& representative() const { return *rep_; }
-  const ir::Query& query() const { return *query_; }
-
  private:
-  const represent::Representative* rep_;
-  const ir::Query* query_;
   std::vector<ResolvedTerm> terms_;
   std::size_t num_positive_ = 0;
   std::size_t min_should_match_ = 0;

@@ -7,6 +7,14 @@
 
 namespace useful::estimate {
 
+namespace {
+
+// Percentile of the normal approximation that stands in for the max weight
+// of a triplet representative (the paper's 99.9, Tables 10-12).
+constexpr double kEstimatedMaxPercentile = 99.9;
+
+}  // namespace
+
 std::string SubrangeEstimator::name() const {
   return "subrange" + options_.config.ToString();
 }
@@ -37,10 +45,8 @@ void SubrangeEstimator::AppendTermSpikes(const represent::TermStats& ts,
   if (kind == represent::RepresentativeKind::kQuadruplet) {
     max_weight = ts.max_weight;
   } else {
-    max_weight =
-        ts.avg_weight +
-        normal::Quantile(options_.estimated_max_percentile / 100.0) *
-            ts.stddev;
+    max_weight = ts.avg_weight +
+                 normal::Quantile(kEstimatedMaxPercentile / 100.0) * ts.stddev;
     max_weight = std::max(max_weight, ts.avg_weight);
   }
 
@@ -125,17 +131,6 @@ void SubrangeEstimator::EstimateBatch(const ResolvedQuery& rq,
     out[i].avg_sim = SimilarityDistribution::EstimateAvgSim(spikes,
                                                             thresholds[i]);
   }
-}
-
-UsefulnessEstimate SubrangeEstimator::Estimate(
-    const represent::Representative& rep, const ir::Query& q,
-    double threshold) const {
-  ResolvedQuery rq(rep, q);
-  ExpansionWorkspace ws;
-  UsefulnessEstimate est;
-  EstimateBatch(rq, std::span<const double>(&threshold, 1), ws,
-                std::span<UsefulnessEstimate>(&est, 1));
-  return est;
 }
 
 }  // namespace useful::estimate

@@ -24,9 +24,6 @@ struct SubrangeEstimatorOptions {
   /// Subrange layout; defaults to the paper's experimental six-subrange
   /// configuration.
   SubrangeConfig config = SubrangeConfig::PaperSix();
-  /// Percentile used to synthesize the max weight when the representative
-  /// is a triplet (paper: 99.9).
-  double estimated_max_percentile = 99.9;
   /// Expansion controls.
   ExpandOptions expand;
 };
@@ -38,10 +35,6 @@ class SubrangeEstimator : public UsefulnessEstimator {
       : options_(std::move(options)) {}
 
   std::string name() const override;
-
-  UsefulnessEstimate Estimate(const represent::Representative& rep,
-                              const ir::Query& q,
-                              double threshold) const override;
 
   /// Threshold-independent factors: resolves once, expands once, then reads
   /// every threshold off the same distribution.

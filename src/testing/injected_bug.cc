@@ -1,7 +1,9 @@
 #include "testing/injected_bug.h"
 
+#include <utility>
+#include <vector>
+
 #include "estimate/subrange_estimator.h"
-#include "represent/representative.h"
 
 namespace useful::testing {
 
@@ -13,26 +15,25 @@ class OffByOneSubrangeEstimator : public estimate::UsefulnessEstimator {
     return "subrange[injected-df-off-by-one]";
   }
 
-  estimate::UsefulnessEstimate Estimate(const represent::Representative& rep,
-                                        const ir::Query& q,
-                                        double threshold) const override {
+  void EstimateBatch(const estimate::ResolvedQuery& rq,
+                     std::span<const double> thresholds,
+                     estimate::ExpansionWorkspace& ws,
+                     std::span<estimate::UsefulnessEstimate> out)
+      const override {
     // The bug: every term's containment probability is computed from
     // df + 1. Everything else is the genuine subrange estimator, so the
     // failure only shows where the coefficient matters.
-    represent::Representative bumped(rep.engine_name(), rep.num_docs(),
-                                     rep.kind());
-    const double n = static_cast<double>(rep.num_docs());
-    for (const auto& [term, stats] : rep.stats()) {
-      represent::TermStats ts = stats;
-      ts.doc_freq += 1;
-      ts.p = n > 0.0 ? static_cast<double>(ts.doc_freq) / n : 0.0;
-      bumped.Put(term, ts);
+    std::vector<estimate::ResolvedTerm> terms = rq.terms();
+    const double n = static_cast<double>(rq.num_docs());
+    for (estimate::ResolvedTerm& rt : terms) {
+      rt.stats.doc_freq += 1;
+      rt.stats.p = n > 0.0 ? static_cast<double>(rt.stats.doc_freq) / n : 0.0;
     }
-    return inner_.Estimate(bumped, q, threshold);
+    const estimate::ResolvedQuery bumped(std::move(terms), rq.num_positive(),
+                                         rq.min_should_match(), rq.num_docs(),
+                                         rq.kind());
+    inner_.EstimateBatch(bumped, thresholds, ws, out);
   }
-
-  // EstimateBatch is inherited: the scalar fallback keeps batch and
-  // scalar bit-identical, so only the coefficient invariants fire.
 
  private:
   estimate::SubrangeEstimator inner_;
@@ -44,19 +45,22 @@ class NegationSignFlipEstimator : public estimate::UsefulnessEstimator {
     return "subrange[injected-negation-sign-flip]";
   }
 
-  estimate::UsefulnessEstimate Estimate(const represent::Representative& rep,
-                                        const ir::Query& q,
-                                        double threshold) const override {
+  void EstimateBatch(const estimate::ResolvedQuery& rq,
+                     std::span<const double> thresholds,
+                     estimate::ExpansionWorkspace& ws,
+                     std::span<estimate::UsefulnessEstimate> out)
+      const override {
     // The bug: negation is silently dropped, so every negated term's
     // factor keeps its positive exponents — the sign of the penalty is
     // flipped relative to the pinned semantics.
-    ir::Query flipped = q;
-    for (ir::QueryTerm& qt : flipped.terms) qt.negated = false;
-    return inner_.Estimate(rep, flipped, threshold);
+    std::vector<estimate::ResolvedTerm> terms = rq.terms();
+    for (estimate::ResolvedTerm& rt : terms) rt.negated = false;
+    const std::size_t num_positive = terms.size();
+    const estimate::ResolvedQuery flipped(std::move(terms), num_positive,
+                                          rq.min_should_match(),
+                                          rq.num_docs(), rq.kind());
+    inner_.EstimateBatch(flipped, thresholds, ws, out);
   }
-
-  // EstimateBatch is inherited: the scalar fallback keeps batch and
-  // scalar bit-identical, so only the negation invariants fire.
 
  private:
   estimate::SubrangeEstimator inner_;

@@ -10,6 +10,11 @@
 // (nodoc-range), and a single-term query's NoDoc at T = 0 lands on
 // df + 1 instead of df (single-term-nodoc-df). Both shrink to a
 // one-term repro.
+//
+// Both mutants decorate the genuine estimator's EstimateBatch: each
+// rebuilds the resolved query with its bug in it and passes that on, so
+// they score whatever a broker scores, representative, term table or
+// store view alike.
 #pragma once
 
 #include <memory>

@@ -11,6 +11,7 @@
 #include "represent/builder.h"
 #include "represent/quantized.h"
 #include "represent/store.h"
+#include "testing/injected_bug.h"
 
 namespace useful::broker {
 namespace {
@@ -143,10 +144,10 @@ TEST_F(MetasearcherTest, FindRepresentative) {
 }
 
 // Engines live in the broker as frozen term tables. For every registry
-// estimator, plain and annotated queries, and several thresholds, a
-// table-backed estimate is bit-identical to the scalar estimator over the
-// source representative, whether the table came from RegisterEngine or
-// RegisterRepresentative.
+// estimator and both injected-bug mutants, plain and annotated queries,
+// and several thresholds, a table-backed estimate is bit-identical to the
+// scalar estimator over the source representative, whether the table came
+// from RegisterEngine or RegisterRepresentative.
 TEST_F(MetasearcherTest, TablesScoreBitIdenticalToScalarEstimate) {
   std::vector<represent::Representative> reps;
   Metasearcher from_reps(&analyzer_);
@@ -162,20 +163,27 @@ TEST_F(MetasearcherTest, TablesScoreBitIdenticalToScalarEstimate) {
   auto same_bits = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
+  std::vector<std::unique_ptr<estimate::UsefulnessEstimator>> estimators;
   for (const std::string& name : estimate::KnownEstimators()) {
     auto est = estimate::MakeEstimator(name);
     ASSERT_TRUE(est.ok()) << name;
+    estimators.push_back(std::move(est).value());
+  }
+  estimators.push_back(useful::testing::MakeOffByOneSubrangeEstimator());
+  estimators.push_back(useful::testing::MakeNegationSignFlipEstimator());
+  for (const auto& est : estimators) {
+    const std::string name = est->name();
     for (const char* text : queries) {
       auto q = ir::ParseAnnotatedQuery(analyzer_, text);
       ASSERT_TRUE(q.ok()) << text;
       for (double threshold : {0.05, 0.2, 0.5}) {
         for (std::size_t i = 0; i < reps.size(); ++i) {
           estimate::UsefulnessEstimate scalar =
-              est.value()->Estimate(reps[i], q.value(), threshold);
+              est->Estimate(reps[i], q.value(), threshold);
           for (const Metasearcher* broker : {broker_.get(), &from_reps}) {
             ASSERT_EQ(broker->engine_name(i), reps[i].engine_name());
-            estimate::UsefulnessEstimate served = broker->EstimateEngine(
-                i, q.value(), threshold, *est.value());
+            estimate::UsefulnessEstimate served =
+                broker->EstimateEngine(i, q.value(), threshold, *est);
             EXPECT_TRUE(same_bits(served.no_doc, scalar.no_doc))
                 << name << " '" << text << "' T=" << threshold << " " << i;
             EXPECT_TRUE(same_bits(served.avg_sim, scalar.avg_sim))

@@ -31,7 +31,7 @@ TEST(GoodnessTest, Example32Goodness) {
   ir::Query q;
   q.terms = {{"t1", 1.0}, {"t2", 1.0}, {"t3", 1.0}};
   BasicEstimator basic;
-  EXPECT_NEAR(EstimateGoodness(basic, rep, q, 3.0), 5.04, 1e-9);
+  EXPECT_NEAR(GoodnessOf(basic.Estimate(rep, q, 3.0)), 5.04, 1e-9);
 }
 
 TEST(GoodnessTest, HighCorrelationSumOnNestedTerms) {
@@ -45,14 +45,14 @@ TEST(GoodnessTest, HighCorrelationSumOnNestedTerms) {
   ir::Query q;
   q.terms = {{"a", 1.0}, {"b", 1.0}, {"c", 1.0}};
   HighCorrelationEstimator high;
-  EXPECT_NEAR(EstimateGoodness(high, rep, q, 0.1), 18.0, 1e-9);
+  EXPECT_NEAR(GoodnessOf(high.Estimate(rep, q, 0.1)), 18.0, 1e-9);
   DisjointEstimator disjoint;
   // Disjoint: 90 docs at 0.2 each = 18 as well at this low threshold.
-  EXPECT_NEAR(EstimateGoodness(disjoint, rep, q, 0.1), 18.0, 1e-9);
+  EXPECT_NEAR(GoodnessOf(disjoint.Estimate(rep, q, 0.1)), 18.0, 1e-9);
   // At T = 0.3 they split: disjoint sees nothing, high-corr sees the two
   // deeper layers (10*0.6 + 20*0.4 = 14).
-  EXPECT_NEAR(EstimateGoodness(high, rep, q, 0.3), 14.0, 1e-9);
-  EXPECT_EQ(EstimateGoodness(disjoint, rep, q, 0.3), 0.0);
+  EXPECT_NEAR(GoodnessOf(high.Estimate(rep, q, 0.3)), 14.0, 1e-9);
+  EXPECT_EQ(GoodnessOf(disjoint.Estimate(rep, q, 0.3)), 0.0);
 }
 
 }  // namespace

@@ -42,6 +42,10 @@ TEST(RegistryTest, SubrangeKRejectsGarbage) {
   EXPECT_FALSE(MakeEstimator("subrange-k0").ok());
   EXPECT_FALSE(MakeEstimator("subrange-k9z").ok());
   EXPECT_FALSE(MakeEstimator("subrange-k1000").ok());
+  // One spelling per estimator: no sign, space or leading zero.
+  EXPECT_FALSE(MakeEstimator("subrange-k+3").ok());
+  EXPECT_FALSE(MakeEstimator("subrange-k03").ok());
+  EXPECT_FALSE(MakeEstimator("subrange-k 3").ok());
 }
 
 TEST(RegistryTest, UnknownNameFails) {

@@ -65,8 +65,6 @@ TEST_F(ResolvedQueryTest, CarriesRepresentativeFacts) {
   ResolvedQuery rq(*rep_, q);
   EXPECT_EQ(rq.num_docs(), rep_->num_docs());
   EXPECT_EQ(rq.kind(), rep_->kind());
-  EXPECT_EQ(&rq.representative(), rep_.get());
-  EXPECT_EQ(&rq.query(), &q);
 }
 
 // The core contract of the batched pipeline: for every registered
@@ -119,57 +117,6 @@ TEST_F(ResolvedQueryTest, WorkspaceStateDoesNotLeakAcrossCalls) {
   UsefulnessEstimate scalar = est.value()->Estimate(*rep_, narrow, threshold);
   EXPECT_EQ(out.no_doc, scalar.no_doc);
   EXPECT_EQ(out.avg_sim, scalar.avg_sim);
-}
-
-TEST_F(ResolvedQueryTest, DefaultBatchFallbackLoopsScalar) {
-  // An estimator that does not override EstimateBatch gets the scalar loop
-  // through the ResolvedQuery's back-pointers.
-  class FixedEstimator : public UsefulnessEstimator {
-   public:
-    std::string name() const override { return "fixed"; }
-    UsefulnessEstimate Estimate(const represent::Representative&,
-                                const ir::Query& q,
-                                double threshold) const override {
-      return UsefulnessEstimate{static_cast<double>(q.size()), threshold};
-    }
-  };
-  FixedEstimator fixed;
-  ir::Query q = ir::ParseQuery(analyzer_, "zorp blat");
-  ResolvedQuery rq(*rep_, q);
-  const std::vector<double> thresholds = {0.1, 0.7};
-  std::vector<UsefulnessEstimate> out(2);
-  ExpansionWorkspace ws;
-  fixed.EstimateBatch(rq, thresholds, ws, std::span<UsefulnessEstimate>(out));
-  EXPECT_EQ(out[0].no_doc, 2.0);
-  EXPECT_EQ(out[0].avg_sim, 0.1);
-  EXPECT_EQ(out[1].avg_sim, 0.7);
-}
-
-TEST_F(ResolvedQueryTest, DefaultBatchFallbackAbortsWithoutRepresentative) {
-  // A table-backed query has no Representative for the scalar loop: an
-  // estimator that does not override EstimateBatch must fail loudly there
-  // instead of dereferencing null.
-  class ScalarOnlyEstimator : public UsefulnessEstimator {
-   public:
-    std::string name() const override { return "scalar-only"; }
-    UsefulnessEstimate Estimate(const represent::Representative&,
-                                const ir::Query&, double) const override {
-      return UsefulnessEstimate{};
-    }
-  };
-  ScalarOnlyEstimator scalar_only;
-  auto table = represent::TermTable::Freeze(*rep_);
-  ASSERT_TRUE(table.ok());
-  ir::Query q = ir::ParseQuery(analyzer_, "zorp blat");
-  ResolvedQuery rq(table.value(), q);
-  ASSERT_FALSE(rq.has_representative());
-  const double threshold = 0.1;
-  UsefulnessEstimate out;
-  ExpansionWorkspace ws;
-  EXPECT_DEATH(scalar_only.EstimateBatch(
-                   rq, std::span<const double>(&threshold, 1), ws,
-                   std::span<UsefulnessEstimate>(&out, 1)),
-               "scalar-only does not override EstimateBatch");
 }
 
 }  // namespace

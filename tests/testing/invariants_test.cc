@@ -83,22 +83,18 @@ TEST_F(InvariantsTest, InjectedOffByOneIsCaughtAndShrunkToOneTerm) {
       << "expected a one-term repro, got: " << failure->ToString();
 }
 
-// A wrapper whose batch path diverges from its scalar path by one ulp-level
-// nudge: the bit-identity check must flag it.
+// A wrapper whose sweep diverges from its one-threshold calls by one
+// ulp-level nudge past the first threshold: the bit-identity check must
+// flag it.
 class BatchDriftEstimator : public estimate::UsefulnessEstimator {
  public:
   std::string name() const override { return "batch-drift"; }
-  estimate::UsefulnessEstimate Estimate(const represent::Representative& rep,
-                                        const ir::Query& q,
-                                        double threshold) const override {
-    return inner_.Estimate(rep, q, threshold);
-  }
   void EstimateBatch(const estimate::ResolvedQuery& rq,
                      std::span<const double> thresholds,
                      estimate::ExpansionWorkspace& ws,
                      std::span<estimate::UsefulnessEstimate> out) const override {
-    estimate::UsefulnessEstimator::EstimateBatch(rq, thresholds, ws, out);
-    for (std::size_t i = 0; i < thresholds.size(); ++i) {
+    inner_.EstimateBatch(rq, thresholds, ws, out);
+    for (std::size_t i = 1; i < thresholds.size(); ++i) {
       out[i].no_doc += 1e-13;  // the kind of drift a re-derived loop has
     }
   }
